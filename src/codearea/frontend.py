@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     MalformedHeaderError,
@@ -40,8 +41,7 @@ class TokenKind(enum.Enum):
     PREPROCESSOR = "preprocessor"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -76,19 +76,45 @@ DECLARATION_STARTERS = frozenset({
     "struct", "enum", "union", "typedef", "auto",
 })
 
-_PUNCT_3 = ("<<=", ">>=", "...")
-_PUNCT_2 = (
-    "->", "++", "--", "==", "!=", "<=", ">=", "&&", "||",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>", "::",
-)
-_PUNCT_1 = frozenset("+-*/%<>=!&|^~?:;,.(){}[]")
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(
+_NUMBER = (
     r"(?:0[xX][0-9a-fA-F]+|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)[uUlLfF]*"
 )
-_WHITESPACE = " \t\r\n\f\v"
+_HSPACE = " \t\r\f\v"  # whitespace other than the newline
+
+# One alternative per token class, tried in order where the previous
+# token ended.  ``lead`` takes the whitespace before the token; ``nl``
+# takes part when that whitespace holds a newline or the scan is at the
+# start of the text, the only places ``#`` opens a preprocessor line.
+# ``unknown`` excludes whitespace, so ``lead`` never gives a character
+# back to it, and ``end`` takes the trailing whitespace, so the scan
+# never backtracks or skips ahead at the end of the text.
+_SCANNER = re.compile(
+    r"(?P<lead>(?:(?P<nl>\A|[ \t\r\f\v]*\n)[ \t\r\n\f\v]*)?[ \t\r\f\v]*)"
+    r"(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<number>(?=[0-9]|\.[0-9])" + _NUMBER + r")"
+    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<block_comment>/\*[^*]*(?:\*(?!/)[^*]*)*(?:\*/)?)"
+    r"|(?P<string>\"[^\"\\\n]*(?:\\.?[^\"\\\n]*)*\"?|'[^'\\\n]*(?:\\.?[^'\\\n]*)*'?)"
+    r"|(?P<punct><<=|>>=|\.\.\.|->|\+\+|--|==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%="
+    r"|&=|\|=|\^=|<<|>>|::|[-+*/%<>=!&|^~?:;,.(){}\[\]])"
+    r"|(?(nl)(?P<preprocessor>\#[^\n]*)|(?!))"
+    r"|(?P<unknown>[^ \t\r\n\f\v])"
+    r"|(?P<end>\Z))"
+)
+_GROUP = _SCANNER.groupindex
+_BLOCK_COMMENT, _END = _GROUP["block_comment"], _GROUP["end"]
+# Token kind by group number; None marks the groups tokenize handles itself.
+_GROUP_KINDS = [None] * (_SCANNER.groups + 1)
+for _name, _kind in (
+    ("word", TokenKind.IDENTIFIER),
+    ("number", TokenKind.LITERAL),
+    ("string", TokenKind.LITERAL),
+    ("punct", TokenKind.PUNCTUATION),
+    ("line_comment", TokenKind.COMMENT),
+    ("preprocessor", TokenKind.PREPROCESSOR),
+):
+    _GROUP_KINDS[_GROUP[_name]] = _kind
 
 
 def tokenize(source: str) -> TokenStream:
@@ -100,86 +126,44 @@ def tokenize(source: str) -> TokenStream:
     recorded on the stream's ``unknown`` list.
     """
     tokens = TokenStream()
-    pos = 0
+    append = tokens.append
+    new = tuple.__new__
+    kinds = _GROUP_KINDS
+    identifier = TokenKind.IDENTIFIER
     line = 1
-    lead_start = 0
-    at_line_start = True
-    n = len(source)
-
-    def emit(kind: TokenKind, text: str, tok_line: int) -> None:
-        nonlocal lead_start, at_line_start
-        tokens.append(Token(kind, text, tok_line, source[lead_start:start]))
-        lead_start = pos
-        at_line_start = False
-
-    while pos < n:
-        ch = source[pos]
-        if ch in _WHITESPACE:
-            if ch == "\n":
-                line += 1
-                at_line_start = True
-            pos += 1
-            continue
-        start = pos
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            pos = n if end < 0 else end
-            emit(TokenKind.COMMENT, source[start:pos], line)
-        elif source.startswith("/*", pos):
-            close = source.find("*/", pos + 2)
-            stop = n if close < 0 else close + 2
-            # One comment token per physical line; blank interior lines
-            # produce no token.
-            while pos < stop:
-                nl = source.find("\n", pos)
-                chunk_end = stop if nl < 0 or nl >= stop else nl
-                raw = source[pos:chunk_end]
-                chunk = raw.strip(" \t\r\f\v")
-                if chunk:
-                    start = pos + (len(raw) - len(raw.lstrip(" \t\r\f\v")))
-                    pos = start + len(chunk)
-                    emit(TokenKind.COMMENT, chunk, line)
-                if chunk_end < stop:
+    rest = ""  # what an unterminated block comment leaves after its last line
+    for m in _SCANNER.finditer(source):
+        group = m.lastindex
+        lead = m[1]
+        text = m[group]
+        if "\n" in lead:
+            line += lead.count("\n")
+        kind = kinds[group]
+        if kind is None:
+            if group == _BLOCK_COMMENT:
+                # One token per non-blank line; what surrounds the text of a
+                # line, its newline and any blank lines go into the next lead.
+                for raw in text.split("\n"):
+                    chunk = raw.strip(_HSPACE)
+                    if chunk:
+                        skip = raw.index(chunk[0])
+                        append(new(Token, (TokenKind.COMMENT, chunk, line, lead + raw[:skip])))
+                        lead = raw[skip + len(chunk):]
+                    else:
+                        lead += raw
+                    lead += "\n"
                     line += 1
-                    pos = chunk_end + 1
-                else:
-                    pos = stop
-        elif ch == "#" and at_line_start:
-            end = source.find("\n", pos)
-            pos = n if end < 0 else end
-            emit(TokenKind.PREPROCESSOR, source[start:pos], line)
-        elif ch == "_" or "a" <= ch <= "z" or "A" <= ch <= "Z":
-            m = _IDENT_RE.match(source, pos)
-            pos = m.end()
-            text = m.group()
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            emit(kind, text, line)
-        elif "0" <= ch <= "9" or (ch == "." and pos + 1 < n and "0" <= source[pos + 1 : pos + 2] <= "9"):
-            m = _NUMBER_RE.match(source, pos)
-            pos = m.end()
-            emit(TokenKind.LITERAL, m.group(), line)
-        elif ch in "\"'":
-            pos += 1
-            while pos < n and source[pos] not in (ch, "\n"):
-                pos += 2 if source[pos] == "\\" and pos + 1 < n and source[pos + 1] != "\n" else 1
-            if pos < n and source[pos] == ch:
-                pos += 1
-            emit(TokenKind.LITERAL, source[start:pos], line)
-        else:
-            three = source[pos:pos + 3]
-            two = source[pos:pos + 2]
-            if three in _PUNCT_3:
-                pos += 3
-                emit(TokenKind.PUNCTUATION, three, line)
-            elif two in _PUNCT_2:
-                pos += 2
-                emit(TokenKind.PUNCTUATION, two, line)
-            else:
-                pos += 1
-                if ch not in _PUNCT_1:
-                    tokens.unknown.append((ch, line))
-                emit(TokenKind.PUNCTUATION, ch, line)
-    tokens.tail = source[lead_start:]
+                line -= 1
+                rest = lead[:-1]
+                continue
+            if group == _END:
+                tokens.tail = rest + lead
+                break
+            tokens.unknown.append((text, line))
+            kind = TokenKind.PUNCTUATION
+        elif kind is identifier and text in KEYWORDS:
+            kind = TokenKind.KEYWORD
+        append(new(Token, (kind, text, line, lead)))
     return tokens
 
 
@@ -221,27 +205,6 @@ _ASSIGN_OPS = frozenset({
 })
 
 
-def _call_names(tokens: list[Token]) -> list[str]:
-    names = []
-    for i, tok in enumerate(tokens[:-1]):
-        if tok.kind is TokenKind.IDENTIFIER and tokens[i + 1].text == "(":
-            names.append(tok.text)
-    return names
-
-
-def _is_literal_init(tokens: list[Token]) -> bool:
-    # ident = [-]literal [;]
-    body = [t for t in tokens if t.text != ";" and t.kind is not TokenKind.COMMENT]
-    if len(body) == 4 and body[2].text == "-":
-        body = body[:2] + body[3:]
-    return (
-        len(body) == 3
-        and body[0].kind is TokenKind.IDENTIFIER
-        and body[1].text == "="
-        and body[2].kind is TokenKind.LITERAL
-    )
-
-
 def classify_statement(
     tokens: list[Token],
     init_termination_calls: frozenset[str] = DEFAULT_INIT_TERMINATION_CALLS,
@@ -264,30 +227,55 @@ def classify_statement(
         return StatementKind.HEADER_INCLUDE
     if first.kind is TokenKind.KEYWORD and first.text == "return":
         return StatementKind.RETURN
-    calls = _call_names(tokens)
+    # One pass: calls (an identifier right before "("), the first call's
+    # name, operators, any assignment operator, and the first five tokens
+    # other than ";" and comments, for the literal-init rule.
+    calls = ops = 0
+    first_call = callee = None
+    has_assign = False
+    body: list[Token] = []
+    punct, identifier, comment = TokenKind.PUNCTUATION, TokenKind.IDENTIFIER, TokenKind.COMMENT
+    for tok in tokens:
+        kind, text, _, _ = tok
+        if kind is punct:
+            if text in _OPERATORS:
+                ops += 1
+                if text in _ASSIGN_OPS:
+                    has_assign = True
+            elif text == "(" and callee is not None:
+                calls += 1
+                if first_call is None:
+                    first_call = callee
+            callee = None
+            if text == ";":
+                continue
+        else:
+            callee = text if kind is identifier else None
+            if kind is comment:
+                continue
+        if len(body) < 5:
+            body.append(tok)
     if (
         first.kind is TokenKind.KEYWORD
         and first.text in DECLARATION_STARTERS
         and not calls
     ):
         return StatementKind.DECLARATION
-    if _is_literal_init(tokens) or (
-        len(calls) == 1 and calls[0] in init_termination_calls
-    ):
+    # ident = [-]literal
+    if len(body) == 4 and body[2].text == "-":
+        del body[2]
+    if (
+        len(body) == 3
+        and body[0].kind is TokenKind.IDENTIFIER
+        and body[1].text == "="
+        and body[2].kind is TokenKind.LITERAL
+    ) or (calls == 1 and first_call in init_termination_calls):
         return StatementKind.INIT_TERMINATION
-    ops = sum(
-        1
-        for t in tokens
-        if t.kind is TokenKind.PUNCTUATION and t.text in _OPERATORS
-    )
-    has_assign = any(
-        t.kind is TokenKind.PUNCTUATION and t.text in _ASSIGN_OPS for t in tokens
-    )
     if calls and not has_assign:
         return StatementKind.FUNCTION_CALL
     if not calls and ops == 1:
         return StatementKind.SIMPLE_ASSIGNMENT
-    if (not calls and 2 <= ops <= 3) or (len(calls) == 1 and ops <= 3):
+    if (not calls and 2 <= ops <= 3) or (calls == 1 and ops <= 3):
         return StatementKind.COMPLEX_ASSIGNMENT
     return StatementKind.EXPRESSION
 
@@ -624,6 +612,8 @@ class _Parser:
             if tok.kind is TokenKind.PUNCTUATION and tok.text == ";":
                 self._next()
                 return [], tok.line
+            if tok.kind is TokenKind.PUNCTUATION and tok.text == "}":
+                raise MalformedHeaderError("missing body", context_line)
             item = self.parse_construct()
             if item is None:
                 continue
@@ -632,13 +622,14 @@ class _Parser:
             return nodes, end
 
     def parse_statement_or_function(self) -> BlockNode | list[BlockNode]:
-        start_tok = self.toks[self.i]
+        toks = self.toks
+        start_tok = toks[self.i]
         j = self.i
         depth = 0
-        n = len(self.toks)
+        n = len(toks)
         while j < n:
-            text = self.toks[j].text
-            if self.toks[j].kind is TokenKind.PUNCTUATION:
+            kind, text, _, _ = toks[j]
+            if kind is TokenKind.PUNCTUATION:
                 if text in "([":
                     depth += 1
                 elif text in ")]":
@@ -649,8 +640,8 @@ class _Parser:
                 elif depth == 0 and text in "{}":
                     break
             j += 1
-        prefix = self.toks[self.i:j]
-        stop = self.toks[j] if j < n else None
+        prefix = toks[self.i:j]
+        stop = toks[j] if j < n else None
         if stop is not None and stop.text == "{" and stop.kind is TokenKind.PUNCTUATION:
             name = self._function_name(prefix)
             if name is not None:

@@ -122,3 +122,18 @@ def test_exec_time_flags_are_mutually_exclusive():
     with pytest.raises(SystemExit) as err:
         main(["--exec-time", "1", "--exec-time-avg", "2"])
     assert err.value.code == 2
+
+
+def test_missing_body_fails_only_its_file(tmp_path, capsys):
+    bad = tmp_path / "bad.c"
+    bad.write_text("void f() { if (a) }\n", encoding="utf-8")
+    good = tmp_path / "good.c"
+    good.write_text("a = b;\nc = d;\n", encoding="utf-8")
+    assert main([str(bad), str(good), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    by_path = {f["path"]: f for f in doc["files"]}
+    assert by_path[str(bad)]["error"] == {
+        "message": "MalformedHeaderError: line 1: missing body", "line": 1,
+    }
+    assert "error" not in by_path[str(good)]
+    assert by_path[str(good)]["segments"][0]["impact"] == 0.6

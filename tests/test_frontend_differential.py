@@ -1,0 +1,143 @@
+"""Differential tests: the scanner and the one-pass classifier against the
+character-by-character and multi-scan versions they replaced."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from codearea import Token, TokenKind, classify_statement, tokenize
+
+import reference_classifier
+import reference_tokenizer
+from conftest import CORPUS
+
+# Pieces of C-ish text, chosen for the scanner's edge cases: "#" mid-line
+# and after a block comment on the same line, unterminated comments and
+# strings, backslash-newline, characters that are whitespace to
+# str.isspace but not to the tokenizer, a Unicode digit after an ASCII
+# one, numbers that start with ".", and the longest operators.
+C_PIECES = [
+    "a", "x1", "_t", "if", "else", "for", "int", "return", "free", "malloc",
+    "0", "42", "0x1F", "0x", "1e+5", "3.", ".5", "1٣", "٣", "7uL",
+    " ", "  ", "\t", "\n", "\n\n", "\r\n", "\f", "\v", "\x85", " ",
+    "#", "#include <a.h>", "/* c */#", "/*", "*/", "/* a\n\n b */", "//", "// note",
+    '"', "'", '"s"', "'c'", '"a\\"b"', "\\", "\\\n",
+    "...", "..", ".", "<<=", ">>=", "<<", "->", "++", "--", "==", "!=", "&&",
+    "||", "::", ":", "+=", "=", "-", "*", "/", "(", ")", "{", "}", "[", "]",
+    ";", ",", "?", "~", "@", "$", "`", "é",
+]
+c_ish_text = st.lists(st.sampled_from(C_PIECES), max_size=60).map("".join)
+
+
+def assert_same_tokens(source: str) -> None:
+    got = tokenize(source)
+    want = reference_tokenizer.tokenize(source)
+    assert [tuple(t) for t in got] == [tuple(t) for t in want]
+    assert got.tail == want.tail
+    assert got.unknown == want.unknown
+
+
+@given(c_ish_text)
+@settings(max_examples=1000, deadline=None)
+def test_scanner_matches_reference_on_c_ish_text(source):
+    assert_same_tokens(source)
+
+
+@given(st.text(max_size=200))
+@settings(max_examples=300, deadline=None)
+def test_scanner_matches_reference_on_arbitrary_text(source):
+    assert_same_tokens(source)
+
+
+def test_scanner_matches_reference_on_corpus():
+    for path in sorted(CORPUS.glob("*.c")):
+        assert_same_tokens(path.read_text(encoding="utf-8"))
+
+
+def _statements(tokens: list[Token]) -> list[list[Token]]:
+    """Split a token stream after every ";"."""
+    out, current = [], []
+    for tok in tokens:
+        current.append(tok)
+        if tok.text == ";":
+            out.append(current)
+            current = []
+    return out + [current]
+
+
+def assert_same_kind(tokens: list[Token], calls=None) -> None:
+    args = (tokens,) if calls is None else (tokens, calls)
+    assert classify_statement(*args) == reference_classifier.classify_statement(*args)
+
+
+def test_classifier_matches_reference_on_corpus_statements():
+    count = 0
+    for path in sorted(CORPUS.glob("*.c")):
+        for statement in _statements(tokenize(path.read_text(encoding="utf-8"))):
+            assert_same_kind(statement)
+            count += 1
+    assert count > 20
+
+
+_T = TokenKind
+TOKEN_POOL = [
+    Token(_T.IDENTIFIER, "a", 1), Token(_T.IDENTIFIER, "n", 1),
+    Token(_T.IDENTIFIER, "free", 1), Token(_T.IDENTIFIER, "malloc", 1),
+    Token(_T.IDENTIFIER, "probe", 1),
+    Token(_T.PUNCTUATION, "(", 1), Token(_T.PUNCTUATION, ")", 1),
+    Token(_T.PUNCTUATION, "=", 1), Token(_T.PUNCTUATION, "+=", 1),
+    Token(_T.PUNCTUATION, "<<=", 1), Token(_T.PUNCTUATION, "-", 1),
+    Token(_T.PUNCTUATION, "+", 1), Token(_T.PUNCTUATION, "*", 1),
+    Token(_T.PUNCTUATION, "==", 1), Token(_T.PUNCTUATION, ",", 1),
+    Token(_T.PUNCTUATION, ";", 1),
+    Token(_T.LITERAL, "0", 1), Token(_T.LITERAL, "2.5", 1),
+    Token(_T.LITERAL, '"s"', 1),
+    Token(_T.KEYWORD, "int", 1), Token(_T.KEYWORD, "static", 1),
+    Token(_T.KEYWORD, "return", 1), Token(_T.KEYWORD, "sizeof", 1),
+    Token(_T.COMMENT, "// c", 1), Token(_T.COMMENT, "/* c */", 1),
+    Token(_T.PREPROCESSOR, "#define N 1", 1),
+]
+
+
+# Statements near the rule boundaries, and the tokens token_runs inserts
+# into them at random places.
+SKELETONS = [
+    list(tokenize(text))
+    for text in (
+        "a = 0", "n = -2.5", "a = -b", "a = b", "a += 1", "i++", "a = b + c",
+        "free(a)", "p = malloc(n)", "close(f) + 1", "probe(a)", "a = probe(b)",
+        "probe(a) + probe(b)", "int n", "static int a = 0", "int n = probe(a)",
+        "return a", "sizeof(a)",
+    )
+]
+INSERTS = [
+    Token(_T.COMMENT, "// c", 1), Token(_T.COMMENT, "/* c */", 1),
+    Token(_T.PUNCTUATION, ";", 1), Token(_T.PUNCTUATION, "-", 1),
+    Token(_T.PUNCTUATION, "(", 1), Token(_T.PUNCTUATION, "=", 1),
+    Token(_T.IDENTIFIER, "free", 1), Token(_T.LITERAL, "1", 1),
+]
+
+
+@st.composite
+def token_runs(draw) -> list[Token]:
+    tokens = list(draw(st.sampled_from(SKELETONS)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        tokens.insert(at, draw(st.sampled_from(INSERTS)))
+    return tokens
+
+
+@given(
+    st.one_of(token_runs(), st.lists(st.sampled_from(TOKEN_POOL), max_size=14)),
+    st.sampled_from([None, frozenset(), frozenset({"probe", "free"})]),
+)
+@settings(max_examples=1500, deadline=None)
+def test_classifier_matches_reference_on_token_runs(tokens, calls):
+    assert_same_kind(tokens, calls)
+
+
+def test_token_is_a_named_tuple_with_a_lead_default():
+    tok = Token(TokenKind.LITERAL, "1", 3)
+    assert tok == (TokenKind.LITERAL, "1", 3, "")
+    assert (tok.kind, tok.text, tok.line, tok.lead) == tuple(tok)

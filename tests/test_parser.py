@@ -237,3 +237,18 @@ def test_lone_semicolons_produce_no_nodes():
 def test_build_block_tree_matches_parse_tokens():
     toks = tokenize("if (a) { b = 1; }")
     assert build_block_tree(toks) == parse_tokens(toks)[0]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "void f() {\n  if (a) }",
+        "void f() {\n  while (a) }",
+        "void f() {\n  for (i = 0; i < 3; i++) }",
+        "void f() {\n  if (a) x = 1; else }",
+    ],
+)
+def test_closing_brace_in_body_position_is_missing_body(source):
+    with pytest.raises(MalformedHeaderError, match="missing body") as err:
+        parse_source(source)
+    assert err.value.line == 2
