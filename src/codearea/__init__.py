@@ -28,6 +28,7 @@ from .errors import (
     InvalidWeightError,
     MalformedHeaderError,
     NegativeIterationsError,
+    NestingTooDeepError,
     NonPositiveTimeError,
     ScoreOutOfRangeError,
     SegmentOverrideError,
@@ -47,8 +48,8 @@ from .frontend import (
     StatementKind,
     Token,
     TokenKind,
-    build_block_tree,
     classify_statement,
+    parse_tokens,
     reconstruct,
     resolve_loop_count,
     tokenize,
@@ -57,12 +58,7 @@ from .impact import (
     DEFAULT_WEIGHTS,
     WeightTable,
     block_impact,
-    condition_impact,
-    exception_impact,
-    loop_impact,
     segment_impact,
-    simple_run_impact,
-    statement_impact,
 )
 from .metrics import (
     EfficiencyResult,

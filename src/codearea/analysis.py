@@ -188,13 +188,7 @@ def analyze(
         if f.error is not None:
             diagnostics.append(f"{f.path}: {f.error}")
 
-    counts = SegmentCounts(
-        sum(f.counts.simple for f in analyzed),
-        sum(f.counts.condition for f in analyzed),
-        sum(f.counts.loop for f in analyzed),
-        sum(f.counts.exception for f in analyzed),
-        sum(f.counts.total for f in analyzed),
-    )
+    counts = segmenter.segment_counts([s for f in analyzed for s in f.segments])
     area = sum((f.impact for f in analyzed), Fraction(0))
 
     qr_attrs = _resolve_qr(config, diagnostics)

@@ -120,89 +120,62 @@ def rubric_score(
 # ---------------------------------------------------------------------------
 
 
-def _statement_head(stmt: Statement) -> str:
-    return stmt.tokens[0].text if stmt.tokens else ""
-
-
-def _label_name(stmt: Statement) -> str | None:
-    toks = stmt.tokens
-    if (
-        len(toks) >= 2
-        and toks[0].kind is TokenKind.IDENTIFIER
-        and toks[1].text == ":"
-    ):
-        return toks[0].text
-    return None
-
-
-def _walk_statements(nodes: list[BlockNode]):
-    for node in nodes:
-        if isinstance(node, Statement):
-            yield node
-        elif isinstance(node, ConditionBlock):
-            for branch in node.branches:
-                yield from _walk_statements(branch)
-        elif isinstance(node, (LoopBlock, ExceptionBlock, FunctionDef)):
-            yield from _walk_statements(node.body)
-
-
 def flow_orderliness(
     tree: list[BlockNode],
     *,
     exit_limit: int = DEFAULT_FLOW_EXIT_LIMIT,
 ) -> FlowReport:
     """Count backward jumps and unstructured exits in a parsed file."""
-    labels: dict[str, int] = {}
-    for stmt in _walk_statements(tree):
-        name = _label_name(stmt)
-        if name is not None and name not in labels:
-            labels[name] = stmt.span[0]
+    labels: dict[str, int] = {}  # the first occurrence of a label wins
+    gotos: list[tuple[str | None, int]] = []  # (target, line)
+    loop_exits: list[int] = []  # break/continue count per loop
 
-    backward = 0
-    unstructured = 0
-    loop_exits: dict[int, int] = {}
-
-    def visit(nodes: list[BlockNode], absorbers: list[tuple[str, int]]) -> None:
-        nonlocal backward, unstructured
+    def visit(nodes: list[BlockNode], loop: int | None, absorber: int | None) -> None:
+        # ``loop`` is the innermost loop, which a continue exits.  A break
+        # leaves the innermost loop or switch; ``absorber`` is that loop,
+        # or None when it is a switch, since only loop exits count.
         for node in nodes:
             if isinstance(node, Statement):
-                head = _statement_head(node)
-                if head == "goto":
+                toks = node.tokens
+                if not toks:
+                    continue
+                head = toks[0]
+                if head.kind is TokenKind.IDENTIFIER:
+                    if len(toks) >= 2 and toks[1].text == ":":
+                        labels.setdefault(head.text, node.span[0])
+                elif head.text == "goto":
                     target = None
-                    if len(node.tokens) > 1 and node.tokens[1].kind is TokenKind.IDENTIFIER:
-                        target = node.tokens[1].text
-                    target_line = labels.get(target) if target else None
-                    if target_line is not None and target_line < node.span[0]:
-                        backward += 1
-                    else:
-                        unstructured += 1
-                elif head == "break":
-                    # The nearest loop or switch absorbs a break; only
-                    # loop exits count.
-                    if absorbers and absorbers[-1][0] == "loop":
-                        loop_exits[absorbers[-1][1]] += 1
-                elif head == "continue":
-                    for kind, key in reversed(absorbers):
-                        if kind == "loop":
-                            loop_exits[key] += 1
-                            break
+                    if len(toks) > 1 and toks[1].kind is TokenKind.IDENTIFIER:
+                        target = toks[1].text
+                    gotos.append((target, node.span[0]))
+                elif head.text == "break":
+                    if absorber is not None:
+                        loop_exits[absorber] += 1
+                elif head.text == "continue":
+                    if loop is not None:
+                        loop_exits[loop] += 1
             elif isinstance(node, LoopBlock):
-                key = id(node)
-                loop_exits.setdefault(key, 0)
-                visit(node.body, absorbers + [("loop", key)])
+                key = len(loop_exits)
+                loop_exits.append(0)
+                visit(node.body, key, key)
             elif isinstance(node, ConditionBlock):
-                extra = [("switch", 0)] if node.from_switch else []
+                inner = None if node.from_switch else absorber
                 for branch in node.branches:
-                    visit(branch, absorbers + extra)
+                    visit(branch, loop, inner)
             elif isinstance(node, ExceptionBlock):
-                visit(node.body, absorbers)
+                visit(node.body, loop, absorber)
             elif isinstance(node, FunctionDef):
-                visit(node.body, [])
+                visit(node.body, None, None)
 
-    visit(tree, [])
-    for exits in loop_exits.values():
-        if exits > 1:
-            unstructured += exits - 1
+    visit(tree, None, None)
+    backward = 0
+    unstructured = sum(exits - 1 for exits in loop_exits if exits > 1)
+    for target, line in gotos:
+        target_line = labels.get(target)
+        if target_line is not None and target_line < line:
+            backward += 1
+        else:
+            unstructured += 1
     return FlowReport(
         backward_jumps=backward,
         unstructured_exits=unstructured,

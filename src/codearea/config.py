@@ -53,11 +53,7 @@ from .classifier import (
     DEFAULT_FLOW_PENALTY,
     RUBRIC_QUESTIONS,
 )
-from .errors import (
-    ConfigParseError,
-    InvalidWeightError,
-    UnknownKeyError,
-)
+from .errors import ConfigParseError, UnknownKeyError
 from .frontend import DEFAULT_INIT_TERMINATION_CALLS, StatementKind
 from .impact import WeightTable
 from .metrics import (
@@ -120,12 +116,7 @@ def _parse_weights(items: dict[str, str]) -> dict[StatementKind, Fraction]:
         kind = _WEIGHT_KEYS.get(key)
         if kind is None:
             raise UnknownKeyError(f"unknown weight key: {key!r}")
-        weight = _fraction(value, f"weights.{key}")
-        if not (0 <= weight <= 1):
-            raise InvalidWeightError(
-                f"weight for {key} must be in [0, 1], got {value}"
-            )
-        overrides[kind] = weight
+        overrides[kind] = _fraction(value, f"weights.{key}")
     return overrides
 
 
@@ -218,10 +209,10 @@ def _apply_analysis(config: Config, items: dict[str, str]) -> Config:
             raise ConfigParseError(
                 f"analysis.exception_multiplier must be on/off, got {raw!r}"
             )
-        config = replace(
-            config,
-            weights=WeightTable(dict(config.weights.weights), _BOOL_VALUES[raw]),
+        weights = replace(
+            config.weights, exception_multiplier_enabled=_BOOL_VALUES[raw]
         )
+        config = replace(config, weights=weights)
     if "report_format" in items:
         fmt = items["report_format"].strip().lower()
         if fmt not in REPORT_FORMATS:

@@ -29,6 +29,10 @@ class NegativeIterationsError(SourceError):
     """A pragma or literal loop bound produced a negative count."""
 
 
+class NestingTooDeepError(SourceError):
+    """Constructs nested deeper than the parser accepts."""
+
+
 class SegmentOverrideError(CodeAreaError):
     """A segmentation sidecar that fails validation."""
 

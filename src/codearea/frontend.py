@@ -24,6 +24,7 @@ from typing import NamedTuple
 from .errors import (
     MalformedHeaderError,
     NegativeIterationsError,
+    NestingTooDeepError,
     UnbalancedBracesError,
 )
 
@@ -457,6 +458,10 @@ def resolve_loop_count(
 # Parser
 # ---------------------------------------------------------------------------
 
+# Deepest nesting of constructs the parser accepts; deeper input raises
+# NestingTooDeepError instead of exhausting the interpreter's stack.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(
@@ -470,6 +475,7 @@ class _Parser:
         self.default_iterations = default_iterations
         self.init_calls = init_termination_calls
         self.pending_pragma: tuple[int, int] | None = None  # (value, line)
+        self.depth = 0  # constructs open around the current token
         self.diagnostics: list[str] = []
 
     # -- token helpers ------------------------------------------------------
@@ -544,48 +550,58 @@ class _Parser:
     def parse_construct(self) -> BlockNode | list[BlockNode] | None:
         tok = self._peek()
         assert tok is not None
-        if tok.kind is TokenKind.COMMENT:
-            value = pragma_value(tok.text)
-            if value is not None:
-                if self.pending_pragma is not None:
+        # Every nested construct passes through here, so this bounds the
+        # parser's recursion.
+        if self.depth == MAX_NESTING:
+            raise NestingTooDeepError(
+                f"constructs nested more than {MAX_NESTING} deep", tok.line
+            )
+        self.depth += 1
+        try:
+            if tok.kind is TokenKind.COMMENT:
+                value = pragma_value(tok.text)
+                if value is not None:
+                    if self.pending_pragma is not None:
+                        self._lapse_pragma()
+                    self.pending_pragma = (value, tok.line)
+                    self._next()
+                    return None
+                self._lapse_pragma()
+                self._next()
+                return Statement(StatementKind.COMMENT, (tok.line, tok.line), [tok])
+            if tok.kind is TokenKind.PREPROCESSOR:
+                self._lapse_pragma()
+                self._next()
+                return Statement(StatementKind.HEADER_INCLUDE, (tok.line, tok.line), [tok])
+            if tok.kind is TokenKind.KEYWORD:
+                if tok.text == "if":
                     self._lapse_pragma()
-                self.pending_pragma = (value, tok.line)
+                    return self.parse_if()
+                if tok.text in ("for", "while"):
+                    return self.parse_loop(tok.text)
+                if tok.text == "do":
+                    return self.parse_do()
+                if tok.text == "switch":
+                    self._lapse_pragma()
+                    return self.parse_switch()
+                if tok.text == "try":
+                    self._lapse_pragma()
+                    return self.parse_try()
+                if tok.text in ("else", "catch", "finally", "case", "default"):
+                    raise MalformedHeaderError(f"unexpected '{tok.text}'", tok.line)
+            if tok.text == ";" and tok.kind is TokenKind.PUNCTUATION:
+                self._lapse_pragma()
                 self._next()
                 return None
-            self._lapse_pragma()
-            self._next()
-            return Statement(StatementKind.COMMENT, (tok.line, tok.line), [tok])
-        if tok.kind is TokenKind.PREPROCESSOR:
-            self._lapse_pragma()
-            self._next()
-            return Statement(StatementKind.HEADER_INCLUDE, (tok.line, tok.line), [tok])
-        if tok.kind is TokenKind.KEYWORD:
-            if tok.text == "if":
+            if tok.text == "{" and tok.kind is TokenKind.PUNCTUATION:
                 self._lapse_pragma()
-                return self.parse_if()
-            if tok.text in ("for", "while"):
-                return self.parse_loop(tok.text)
-            if tok.text == "do":
-                return self.parse_do()
-            if tok.text == "switch":
-                self._lapse_pragma()
-                return self.parse_switch()
-            if tok.text == "try":
-                self._lapse_pragma()
-                return self.parse_try()
-            if tok.text in ("else", "catch", "finally", "case", "default"):
-                raise MalformedHeaderError(f"unexpected '{tok.text}'", tok.line)
-        if tok.text == ";" and tok.kind is TokenKind.PUNCTUATION:
+                self._next()
+                inner, _ = self.parse_until_close(tok.line)
+                return inner
             self._lapse_pragma()
-            self._next()
-            return None
-        if tok.text == "{" and tok.kind is TokenKind.PUNCTUATION:
-            self._lapse_pragma()
-            self._next()
-            inner, _ = self.parse_until_close(tok.line)
-            return inner
-        self._lapse_pragma()
-        return self.parse_statement_or_function()
+            return self.parse_statement_or_function()
+        finally:
+            self.depth -= 1
 
     def parse_until_close(self, open_line: int) -> tuple[list[BlockNode], int]:
         """Parse nodes up to the matching ``}``; return (nodes, close line)."""
@@ -618,7 +634,7 @@ class _Parser:
             if item is None:
                 continue
             nodes = item if isinstance(item, list) else [item]
-            end = max((_node_end(n) for n in nodes), default=context_line)
+            end = max((n.span[1] for n in nodes), default=context_line)
             return nodes, end
 
     def parse_statement_or_function(self) -> BlockNode | list[BlockNode]:
@@ -792,10 +808,6 @@ class _Parser:
         return ExceptionBlock(max(1, handlers), body, (kw.line, end))
 
 
-def _node_end(node: BlockNode) -> int:
-    return node.span[1]
-
-
 def parse_tokens(
     tokens: list[Token],
     *,
@@ -806,21 +818,6 @@ def parse_tokens(
     parser = _Parser(tokens, default_iterations, init_termination_calls)
     nodes = parser.parse_top()
     return nodes, parser.diagnostics
-
-
-def build_block_tree(
-    tokens: list[Token],
-    *,
-    default_iterations: int = 1,
-    init_termination_calls: frozenset[str] = DEFAULT_INIT_TERMINATION_CALLS,
-) -> list[BlockNode]:
-    """Build the nested block tree for a token stream."""
-    nodes, _ = parse_tokens(
-        tokens,
-        default_iterations=default_iterations,
-        init_termination_calls=init_termination_calls,
-    )
-    return nodes
 
 
 def iter_loops(nodes: list[BlockNode]):

@@ -1,11 +1,13 @@
-"""Impact scores for statements, blocks, and segments.
+"""Impact scores for blocks and segments.
 
-Every statement kind carries a weight on the [0, 1] scale.  Block scores
-compose by substitution: a loop multiplies the summed impact of its body
-children by its iteration count, a condition block averages its branch
-sums over the branch count, and an exception block multiplies its body
-sum by the handler count.  Nested blocks contribute their own composed
-score wherever a plain statement would have contributed its weight.
+Every statement kind carries a weight on the [0, 1] scale.  A loop
+multiplies the impact of its body by its iteration count, a condition
+block averages its branch sums over the branch count, and an exception
+block multiplies its body by the handler count.  Impact is therefore
+linear in the weights: each statement adds its kind's weight times the
+product of the multipliers on its path from the top.  One top-down pass
+(:func:`effective_counts`) sums those products per statement kind, and
+an impact is the dot product of the counts with the weight table.
 
 All arithmetic is exact (``fractions.Fraction``); rounding happens only
 when a report is rendered.
@@ -72,55 +74,61 @@ class WeightTable:
         return WeightTable(merged, self.exception_multiplier_enabled)
 
 
-def statement_impact(kind: StatementKind, weights: WeightTable) -> ImpactScore:
-    """The table's weight for a statement kind."""
-    return weights.weight(kind)
+# Copied per call: a dict copy reuses the stored hashes, and an enum
+# member's hash is a Python-level method.
+_NO_COUNTS: dict[StatementKind, Fraction | int] = dict.fromkeys(StatementKind, 0)
 
 
-def simple_run_impact(run: list[Statement], weights: WeightTable) -> ImpactScore:
-    """Sum of statement impacts over a run of plain statements."""
-    return sum((statement_impact(s.kind, weights) for s in run), Fraction(0))
+def effective_counts(
+    nodes: list[BlockNode], exception_multiplier: bool
+) -> dict[StatementKind, Fraction | int]:
+    """How many times each statement kind counts under *nodes*.
+
+    Every statement adds the product of the multipliers on its path:
+    a loop's iteration count, ``1/branches`` for a condition block, the
+    handler count for an exception block (when *exception_multiplier*
+    is on), and 1 for a function.
+    """
+    counts = _NO_COUNTS.copy()
+    stack: list[tuple[list[BlockNode], Fraction | int]] = [(nodes, 1)]
+    while stack:
+        children, m = stack.pop()
+        for node in children:
+            if isinstance(node, Statement):
+                counts[node.kind] += m
+            elif isinstance(node, LoopBlock):
+                stack.append((node.body, m * node.count.value))
+            elif isinstance(node, ConditionBlock):
+                share = Fraction(m, len(node.branches))
+                stack.extend((branch, share) for branch in node.branches)
+            elif isinstance(node, ExceptionBlock):
+                stack.append(
+                    (node.body, m * node.handlers if exception_multiplier else m)
+                )
+            elif isinstance(node, FunctionDef):
+                stack.append((node.body, m))
+            else:
+                raise TypeError(f"not a block node: {node!r}")
+    return counts
 
 
-def loop_impact(node: LoopBlock, weights: WeightTable) -> ImpactScore:
-    """Iteration count times the summed impact of the body children."""
-    body = sum((block_impact(child, weights) for child in node.body), Fraction(0))
-    return node.count.value * body
-
-
-def condition_impact(node: ConditionBlock, weights: WeightTable) -> ImpactScore:
-    """Branch sums averaged over the branch count (uniform success ratio)."""
+def _impact(nodes: list[BlockNode], weights: WeightTable) -> ImpactScore:
+    counts = effective_counts(nodes, weights.exception_multiplier_enabled)
+    w = weights.weights
     total = Fraction(0)
-    for branch in node.branches:
-        total += sum((block_impact(child, weights) for child in branch), Fraction(0))
-    return Fraction(1, len(node.branches)) * total
-
-
-def exception_impact(node: ExceptionBlock, weights: WeightTable) -> ImpactScore:
-    """Body sum scaled by the handler count (unless the multiplier is off)."""
-    body = sum((block_impact(child, weights) for child in node.body), Fraction(0))
-    if weights.exception_multiplier_enabled:
-        return body * node.handlers
-    return body
+    for kind, n in counts.items():
+        if n:
+            total += w[kind] * n
+    return total
 
 
 def block_impact(node: BlockNode, weights: WeightTable) -> ImpactScore:
-    """Dispatch on node type; functions contribute their body sum."""
-    if isinstance(node, Statement):
-        return statement_impact(node.kind, weights)
-    if isinstance(node, LoopBlock):
-        return loop_impact(node, weights)
-    if isinstance(node, ConditionBlock):
-        return condition_impact(node, weights)
-    if isinstance(node, ExceptionBlock):
-        return exception_impact(node, weights)
-    if isinstance(node, FunctionDef):
-        return sum((block_impact(child, weights) for child in node.body), Fraction(0))
-    raise TypeError(f"not a block node: {node!r}")
+    """The composed impact of one node of the block tree."""
+    return _impact([node], weights)
 
 
 def segment_impact(segment: CodeSegment, weights: WeightTable) -> ImpactScore:
     """Compute, store, and return a segment's impact."""
-    total = sum((block_impact(node, weights) for node in segment.nodes), Fraction(0))
+    total = _impact(segment.nodes, weights)
     segment.impact = total
     return total

@@ -16,18 +16,20 @@ from .analysis import AnalysisReport, FileResult
 SCHEMA_VERSION = 1
 
 
-def round2(value: Fraction) -> float:
-    """Round half-up to two decimals (values are non-negative here)."""
+def _cents(value: Fraction) -> int:
+    """Round half-up to whole hundredths (values are non-negative here)."""
     q, r = divmod(value.numerator * 100, value.denominator)
     if 2 * r >= value.denominator:
         q += 1
-    return q / 100
+    return q
+
+
+def round2(value: Fraction) -> float:
+    return _cents(value) / 100
 
 
 def render2(value: Fraction) -> str:
-    q, r = divmod(value.numerator * 100, value.denominator)
-    if 2 * r >= value.denominator:
-        q += 1
+    q = _cents(value)
     return f"{q // 100}.{q % 100:02d}"
 
 

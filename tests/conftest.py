@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from codearea import WeightTable, build_block_tree, segment, segment_impact, tokenize
+from codearea import WeightTable, parse_tokens, segment, segment_impact, tokenize
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
@@ -26,7 +26,7 @@ def corpus_paths() -> list[str]:
 
 def parse_source(source: str):
     """Tokenize and parse a source string with default settings."""
-    return build_block_tree(tokenize(source))
+    return parse_tokens(tokenize(source))[0]
 
 
 def segments_of(source: str, weights: WeightTable | None = None):

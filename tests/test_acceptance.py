@@ -34,7 +34,6 @@ from codearea import (
     classify_level,
     efficiency,
     emit_report,
-    simple_run_impact,
 )
 from codearea.frontend import CountProvenance, IterationCount
 
@@ -149,7 +148,7 @@ def test_criterion_6_service_loop_segment():
     fn = parse_source(source)[0]
     assert isinstance(fn, FunctionDef)
     run = [n for n in fn.body if isinstance(n, Statement)]
-    assert simple_run_impact(run, W) == Fraction(7, 5)
+    assert sum((block_impact(s, W) for s in run), Fraction(0)) == Fraction(7, 5)
     # The sidecar merges the body into one segment of exactly 9.6.
     report = analyze([str(CORPUS / "service_loop.c")], Config())
     assert report.files[0].counts.total == 1
@@ -301,13 +300,22 @@ def top_level_substituted(node, weights: WeightTable) -> Fraction:
     raise TypeError(node)
 
 
+# Non-default weights with the exception multiplier off, so the brute
+# force also checks that path.
+ALT_WEIGHTS = WeightTable(
+    {kind: Fraction(i + 1, 11) for i, kind in enumerate(StatementKind)},
+    exception_multiplier_enabled=False,
+)
+
+
+@pytest.mark.parametrize("weights", [W, ALT_WEIGHTS], ids=["default", "multiplier_off"])
 @given(FORESTS)
 @settings(max_examples=100, deadline=None)
-def test_criterion_9b_substitution_matches_brute_force(forest):
+def test_criterion_9b_substitution_matches_brute_force(weights, forest):
     for node in forest:
-        direct = block_impact(node, W)
-        assert direct == unrolled_impact(node, W)
-        assert direct == top_level_substituted(node, W)
+        direct = block_impact(node, weights)
+        assert direct == unrolled_impact(node, weights)
+        assert direct == top_level_substituted(node, weights)
 
 
 @given(FORESTS, st.integers(0, 6))

@@ -188,3 +188,38 @@ def test_continues_count_toward_loop_exits():
         "for (i = 0; i < 9; i++) { if (a) continue; if (b) continue; if (c) break; }"
     )
     assert flow_orderliness(tree).unstructured_exits == 2
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        pytest.param(
+            "while (a) { switch (x) { case 1: continue; case 2: break; }"
+            " if (b) break; }",
+            FlowReport(0, 1, True),
+            id="continue_in_switch_exits_the_loop",
+        ),
+        pytest.param(
+            "while (a) { try { if (x) break; } catch (e) { break; } }",
+            FlowReport(0, 1, True),
+            id="break_in_try_exits_the_loop",
+        ),
+        pytest.param(
+            "void f() {\nagain: x = 1;\ngoto again;\nagain: y = 2;\n}\n",
+            FlowReport(1, 0, False),
+            id="duplicate_label_first_wins",
+        ),
+        pytest.param(
+            "void f() {\ntop: x = 1;\nwhile (a) {\n  if (b) { goto top; }\n}\n}\n",
+            FlowReport(1, 0, False),
+            id="backward_goto_into_enclosing_block",
+        ),
+        pytest.param(
+            "void f() {\nagain: x = 1; goto again;\n}\n",
+            FlowReport(0, 1, True),
+            id="goto_to_a_label_on_its_own_line_is_not_backward",
+        ),
+    ],
+)
+def test_flow_walk_cases(source, expected):
+    assert flow_orderliness(parse_source(source)) == expected

@@ -137,3 +137,21 @@ def test_missing_body_fails_only_its_file(tmp_path, capsys):
     }
     assert "error" not in by_path[str(good)]
     assert by_path[str(good)]["segments"][0]["impact"] == 0.6
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["{" * 3000 + "}" * 3000, "if (a)\n" * 2000 + "x = 1;\n"],
+    ids=["braces", "chained_ifs"],
+)
+def test_deep_nesting_fails_only_its_file(tmp_path, capsys, source):
+    deep = tmp_path / "deep.c"
+    deep.write_text(source, encoding="utf-8")
+    good = tmp_path / "good.c"
+    good.write_text("a = b;\nc = d;\n", encoding="utf-8")
+    assert main([str(deep), str(good), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    by_path = {f["path"]: f for f in doc["files"]}
+    assert by_path[str(deep)]["error"]["message"].startswith("NestingTooDeepError")
+    assert "error" not in by_path[str(good)]
+    assert by_path[str(good)]["segments"][0]["impact"] == 0.6

@@ -14,13 +14,8 @@ from codearea import (
     StatementKind,
     WeightTable,
     block_impact,
-    condition_impact,
-    exception_impact,
-    loop_impact,
     segment,
     segment_impact,
-    simple_run_impact,
-    statement_impact,
 )
 from codearea.frontend import CountProvenance, IterationCount
 
@@ -33,49 +28,53 @@ def stmt(kind: StatementKind) -> Statement:
     return Statement(kind, (1, 1), [])
 
 
+def run_impact(run, weights) -> Fraction:
+    return sum((block_impact(s, weights) for s in run), Fraction(0))
+
+
 def loop(count: int, body) -> LoopBlock:
     return LoopBlock(IterationCount(count, CountProvenance.LITERAL_BOUND), body, (1, 1))
 
 
 def test_statement_impacts_match_default_table():
-    assert statement_impact(StatementKind.COMMENT, W) == Fraction(1, 2)
-    assert statement_impact(StatementKind.HEADER_INCLUDE, W) == Fraction(7, 10)
-    assert statement_impact(StatementKind.DECLARATION, W) == Fraction(1, 10)
-    assert statement_impact(StatementKind.INIT_TERMINATION, W) == Fraction(1, 5)
-    assert statement_impact(StatementKind.SIMPLE_ASSIGNMENT, W) == Fraction(3, 10)
-    assert statement_impact(StatementKind.COMPLEX_ASSIGNMENT, W) == Fraction(1, 2)
-    assert statement_impact(StatementKind.EXPRESSION, W) == Fraction(4, 5)
+    assert block_impact(stmt(StatementKind.COMMENT), W) == Fraction(1, 2)
+    assert block_impact(stmt(StatementKind.HEADER_INCLUDE), W) == Fraction(7, 10)
+    assert block_impact(stmt(StatementKind.DECLARATION), W) == Fraction(1, 10)
+    assert block_impact(stmt(StatementKind.INIT_TERMINATION), W) == Fraction(1, 5)
+    assert block_impact(stmt(StatementKind.SIMPLE_ASSIGNMENT), W) == Fraction(3, 10)
+    assert block_impact(stmt(StatementKind.COMPLEX_ASSIGNMENT), W) == Fraction(1, 2)
+    assert block_impact(stmt(StatementKind.EXPRESSION), W) == Fraction(4, 5)
 
 
 def test_twenty_comments_run_is_ten():
     run = [stmt(StatementKind.COMMENT)] * 20
-    assert simple_run_impact(run, W) == Fraction(10)
+    assert run_impact(run, W) == Fraction(10)
 
 
 def test_headers_plus_calls_run_is_5_3():
     run = [stmt(StatementKind.HEADER_INCLUDE)] * 3 + [stmt(StatementKind.FUNCTION_CALL)] * 4
-    assert simple_run_impact(run, W) == Fraction(53, 10)
+    assert run_impact(run, W) == Fraction(53, 10)
 
 
 def test_empty_run_is_zero():
-    assert simple_run_impact([], W) == 0
+    assert run_impact([], W) == 0
 
 
 def test_loop_over_single_half_weight_statement():
     node = loop(10, [stmt(StatementKind.COMMENT)])
-    assert loop_impact(node, W) == Fraction(5)
+    assert block_impact(node, W) == Fraction(5)
 
 
 def test_loop_with_unit_weights_gives_area_200():
     table = WeightTable({kind: Fraction(1) for kind in StatementKind})
     node = loop(100, [stmt(StatementKind.EXPRESSION), stmt(StatementKind.EXPRESSION)])
-    assert loop_impact(node, table) == Fraction(200)
+    assert block_impact(node, table) == Fraction(200)
 
 
 def test_loop_scales_arbitrary_body_impact():
     body = [stmt(StatementKind.EXPRESSION)] * 12  # 9.6 at default weights
     node = loop(20, body)
-    assert loop_impact(node, W) == Fraction(192)
+    assert block_impact(node, W) == Fraction(192)
 
 
 def test_condition_averages_branch_sums():
@@ -83,11 +82,11 @@ def test_condition_averages_branch_sums():
         [[stmt(StatementKind.EXPRESSION)] * 5, []],
         (1, 1),
     )
-    assert condition_impact(block, W) == Fraction(2)
+    assert block_impact(block, W) == Fraction(2)
 
 
 def test_single_branch_empty_condition_is_zero():
-    assert condition_impact(ConditionBlock([[]], (1, 1)), W) == 0
+    assert block_impact(ConditionBlock([[]], (1, 1)), W) == 0
 
 
 def test_corpus_branching_condition_is_1_6():
@@ -102,15 +101,15 @@ def test_exception_multiplier():
     body = [stmt(StatementKind.EXPRESSION)] * 5  # impact 4 is awkward; use 0.8*5 = 4
     one = ExceptionBlock(1, body, (1, 1))
     two = ExceptionBlock(2, body, (1, 1))
-    assert exception_impact(one, W) == Fraction(4)
-    assert exception_impact(two, W) == Fraction(8)
-    assert exception_impact(ExceptionBlock(3, [], (1, 1)), W) == 0
+    assert block_impact(one, W) == Fraction(4)
+    assert block_impact(two, W) == Fraction(8)
+    assert block_impact(ExceptionBlock(3, [], (1, 1)), W) == 0
 
 
 def test_exception_multiplier_can_be_disabled():
     table = WeightTable(exception_multiplier_enabled=False)
     body = [stmt(StatementKind.EXPRESSION)]
-    assert exception_impact(ExceptionBlock(4, body, (1, 1)), table) == Fraction(4, 5)
+    assert block_impact(ExceptionBlock(4, body, (1, 1)), table) == Fraction(4, 5)
 
 
 def test_block_impact_dispatch():

@@ -10,13 +10,13 @@ from codearea import (
     FunctionDef,
     LoopBlock,
     MalformedHeaderError,
+    NestingTooDeepError,
     Statement,
     StatementKind,
     UnbalancedBracesError,
-    build_block_tree,
     tokenize,
 )
-from codearea.frontend import parse_tokens
+from codearea.frontend import MAX_NESTING, parse_tokens
 
 from conftest import as_source, parse_source, source_lines
 
@@ -234,11 +234,6 @@ def test_lone_semicolons_produce_no_nodes():
     assert parse_source(";;\n;\n") == []
 
 
-def test_build_block_tree_matches_parse_tokens():
-    toks = tokenize("if (a) { b = 1; }")
-    assert build_block_tree(toks) == parse_tokens(toks)[0]
-
-
 @pytest.mark.parametrize(
     "source",
     [
@@ -252,3 +247,24 @@ def test_closing_brace_in_body_position_is_missing_body(source):
     with pytest.raises(MalformedHeaderError, match="missing body") as err:
         parse_source(source)
     assert err.value.line == 2
+
+
+NESTED_SHAPES = {
+    "braces": lambda n: "{" * n + "}" * n,
+    "loops": lambda n: "for (;;)\n" * n + ";\n",
+    "ifs": lambda n: "if (a)\n" * n + ";\n",
+    "function_body": lambda n: "void f() {\n" + "while (a) {\n" * (n - 1)
+    + "}" * n,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_nesting_at_the_limit_parses(shape):
+    parse_source(NESTED_SHAPES[shape](MAX_NESTING))
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_nesting_past_the_limit_is_a_source_error(shape):
+    with pytest.raises(NestingTooDeepError) as err:
+        parse_source(NESTED_SHAPES[shape](MAX_NESTING + 1))
+    assert err.value.line == (1 if shape == "braces" else MAX_NESTING + 1)
