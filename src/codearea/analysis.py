@@ -114,14 +114,14 @@ def analyze_source(
     for loop in iter_loops(tree):
         result.loops.append(
             LoopInfo(
-                line=loop.header_line,
+                line=loop.span[0],
                 count=loop.count.value,
                 provenance=loop.count.provenance.value,
             )
         )
         if loop.count.provenance is CountProvenance.CONFIG_DEFAULT:
             result.diagnostics.append(
-                f"{path}:{loop.header_line}: loop bound not statically "
+                f"{path}:{loop.span[0]}: loop bound not statically "
                 f"resolvable; using default count {loop.count.value}"
             )
     result.flow = classifier.flow_orderliness(

@@ -26,7 +26,6 @@ from .frontend import (
     FunctionDef,
     LoopBlock,
     Statement,
-    TokenKind,
 )
 
 RUBRIC_QUESTIONS = (
@@ -136,24 +135,18 @@ def flow_orderliness(
         # or None when it is a switch, since only loop exits count.
         for node in nodes:
             if isinstance(node, Statement):
-                toks = node.tokens
-                if not toks:
+                if node.jump is None:
                     continue
-                head = toks[0]
-                if head.kind is TokenKind.IDENTIFIER:
-                    if len(toks) >= 2 and toks[1].text == ":":
-                        labels.setdefault(head.text, node.span[0])
-                elif head.text == "goto":
-                    target = None
-                    if len(toks) > 1 and toks[1].kind is TokenKind.IDENTIFIER:
-                        target = toks[1].text
-                    gotos.append((target, node.span[0]))
-                elif head.text == "break":
+                what, name = node.jump
+                if what == "label":
+                    labels.setdefault(name, node.span[0])
+                elif what == "goto":
+                    gotos.append((name, node.span[0]))
+                elif what == "break":
                     if absorber is not None:
                         loop_exits[absorber] += 1
-                elif head.text == "continue":
-                    if loop is not None:
-                        loop_exits[loop] += 1
+                elif loop is not None:  # continue
+                    loop_exits[loop] += 1
             elif isinstance(node, LoopBlock):
                 key = len(loop_exits)
                 loop_exits.append(0)
@@ -176,17 +169,18 @@ def flow_orderliness(
             backward += 1
         else:
             unstructured += 1
-    return FlowReport(
-        backward_jumps=backward,
-        unstructured_exits=unstructured,
-        orderly=backward == 0 and unstructured <= exit_limit,
-    )
+    return _flow_report(backward, unstructured, exit_limit)
 
 
 def combine_flow(reports: list[FlowReport], *, exit_limit: int) -> FlowReport:
     """Aggregate per-file flow reports; orderliness is re-judged on totals."""
     backward = sum(r.backward_jumps for r in reports)
     unstructured = sum(r.unstructured_exits for r in reports)
+    return _flow_report(backward, unstructured, exit_limit)
+
+
+def _flow_report(backward: int, unstructured: int, exit_limit: int) -> FlowReport:
+    """The one orderliness rule: no backward jump, few unstructured exits."""
     return FlowReport(
         backward_jumps=backward,
         unstructured_exits=unstructured,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -296,7 +296,6 @@ class CountProvenance(enum.Enum):
 class IterationCount:
     value: int
     provenance: CountProvenance
-    line: int | None = None
 
 
 Span = tuple[int, int]  # inclusive 1-based line range
@@ -306,14 +305,15 @@ Span = tuple[int, int]  # inclusive 1-based line range
 class Statement:
     kind: StatementKind
     span: Span
-    tokens: list[Token] = field(default_factory=list)
+    # ("label", name), ("goto", target or None), ("break", None) or
+    # ("continue", None); None for a statement that does not jump.
+    jump: tuple[str, str | None] | None = None
 
 
 @dataclass
 class ConditionBlock:
     branches: list[list["BlockNode"]]
     span: Span
-    header_line: int = 0
     from_switch: bool = False
 
 
@@ -322,7 +322,6 @@ class LoopBlock:
     count: IterationCount
     body: list["BlockNode"]
     span: Span
-    header_line: int = 0
 
 
 @dataclass
@@ -445,13 +444,13 @@ def resolve_loop_count(
     if pragma is not None:
         if pragma < 0:
             raise NegativeIterationsError(f"pragma yields negative count {pragma}", line)
-        return IterationCount(pragma, CountProvenance.PRAGMA_OVERRIDE, line)
+        return IterationCount(pragma, CountProvenance.PRAGMA_OVERRIDE)
     literal = _literal_bound(header)
     if literal is not None:
         if literal < 0:
             raise NegativeIterationsError(f"literal bound yields negative count {literal}", line)
-        return IterationCount(literal, CountProvenance.LITERAL_BOUND, line)
-    return IterationCount(default_iterations, CountProvenance.CONFIG_DEFAULT, line)
+        return IterationCount(literal, CountProvenance.LITERAL_BOUND)
+    return IterationCount(default_iterations, CountProvenance.CONFIG_DEFAULT)
 
 
 # ---------------------------------------------------------------------------
@@ -558,47 +557,41 @@ class _Parser:
             )
         self.depth += 1
         try:
+            # A pending pragma lapses at anything but a loop; a new pragma
+            # lapses the one before it.
+            loop = tok.kind is TokenKind.KEYWORD and tok.text in ("for", "while", "do")
+            if not loop:
+                self._lapse_pragma()
             if tok.kind is TokenKind.COMMENT:
+                self._next()
                 value = pragma_value(tok.text)
                 if value is not None:
-                    if self.pending_pragma is not None:
-                        self._lapse_pragma()
                     self.pending_pragma = (value, tok.line)
-                    self._next()
                     return None
-                self._lapse_pragma()
-                self._next()
-                return Statement(StatementKind.COMMENT, (tok.line, tok.line), [tok])
+                return Statement(StatementKind.COMMENT, (tok.line, tok.line))
             if tok.kind is TokenKind.PREPROCESSOR:
-                self._lapse_pragma()
                 self._next()
-                return Statement(StatementKind.HEADER_INCLUDE, (tok.line, tok.line), [tok])
+                return Statement(StatementKind.HEADER_INCLUDE, (tok.line, tok.line))
             if tok.kind is TokenKind.KEYWORD:
                 if tok.text == "if":
-                    self._lapse_pragma()
                     return self.parse_if()
                 if tok.text in ("for", "while"):
                     return self.parse_loop(tok.text)
                 if tok.text == "do":
                     return self.parse_do()
                 if tok.text == "switch":
-                    self._lapse_pragma()
                     return self.parse_switch()
                 if tok.text == "try":
-                    self._lapse_pragma()
                     return self.parse_try()
                 if tok.text in ("else", "catch", "finally", "case", "default"):
                     raise MalformedHeaderError(f"unexpected '{tok.text}'", tok.line)
             if tok.text == ";" and tok.kind is TokenKind.PUNCTUATION:
-                self._lapse_pragma()
                 self._next()
                 return None
             if tok.text == "{" and tok.kind is TokenKind.PUNCTUATION:
-                self._lapse_pragma()
                 self._next()
                 inner, _ = self.parse_until_close(tok.line)
                 return inner
-            self._lapse_pragma()
             return self.parse_statement_or_function()
         finally:
             self.depth -= 1
@@ -696,7 +689,18 @@ class _Parser:
 
     def _make_statement(self, tokens: list[Token]) -> Statement:
         kind = classify_statement(tokens, self.init_calls)
-        return Statement(kind, (tokens[0].line, tokens[-1].line), tokens)
+        # A statement never starts with a comment, so these texts are keywords.
+        head_kind, head, line, _ = tokens[0]
+        next_kind, next_text = tokens[1][:2] if len(tokens) > 1 else (None, None)
+        if head_kind is TokenKind.IDENTIFIER and next_text == ":":
+            jump = ("label", head)
+        elif head == "goto":
+            jump = ("goto", next_text if next_kind is TokenKind.IDENTIFIER else None)
+        elif head == "break" or head == "continue":
+            jump = (head, None)
+        else:
+            jump = None
+        return Statement(kind, (line, tokens[-1].line), jump)
 
     def parse_if(self) -> ConditionBlock:
         kw = self._next()
@@ -715,7 +719,7 @@ class _Parser:
                 body, end = self.parse_body(tok.line)
                 branches.append(body)
                 break
-        return ConditionBlock(branches, (kw.line, end), header_line=kw.line)
+        return ConditionBlock(branches, (kw.line, end))
 
     def parse_loop(self, keyword: str) -> LoopBlock:
         kw = self._next()
@@ -728,7 +732,7 @@ class _Parser:
             default_iterations=self.default_iterations,
             line=kw.line,
         )
-        return LoopBlock(count, body, (kw.line, end), header_line=kw.line)
+        return LoopBlock(count, body, (kw.line, end))
 
     def parse_do(self) -> LoopBlock:
         kw = self._next()
@@ -743,7 +747,7 @@ class _Parser:
         count = resolve_loop_count(
             [], pragma, default_iterations=self.default_iterations, line=kw.line
         )
-        return LoopBlock(count, body, (kw.line, end), header_line=kw.line)
+        return LoopBlock(count, body, (kw.line, end))
 
     def parse_switch(self) -> ConditionBlock:
         kw = self._next()
@@ -781,9 +785,7 @@ class _Parser:
             self._extend(target, item)
         if not branches:
             raise MalformedHeaderError("switch without cases", kw.line)
-        return ConditionBlock(
-            branches, (kw.line, tok.line), header_line=kw.line, from_switch=True
-        )
+        return ConditionBlock(branches, (kw.line, tok.line), from_switch=True)
 
     def parse_try(self) -> ExceptionBlock:
         kw = self._next()

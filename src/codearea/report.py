@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 
 from .analysis import AnalysisReport, FileResult
+from .metrics import QUALITY_ATTRIBUTE_NAMES
 
 SCHEMA_VERSION = 1
 
@@ -103,13 +104,9 @@ def _render_json(report: AnalysisReport) -> bytes:
         "segment_counts": _counts_json(report.counts),
         "code_area": round2(report.code_area),
         "code_area_exact": exact(report.code_area),
-        "quality_attributes": {
-            "security": report.qr_attrs.security,
-            "execution_time": report.qr_attrs.execution_time,
-            "user_friendliness": report.qr_attrs.user_friendliness,
-            "other_metrics": report.qr_attrs.other_metrics,
-            "environment_selection": report.qr_attrs.environment_selection,
-        },
+        "quality_attributes": dict(
+            zip(QUALITY_ATTRIBUTE_NAMES, report.qr_attrs.as_tuple())
+        ),
         "quality_quotient": report.qr,
         "quality_quotient_normalized": round2(Fraction(report.qr, 10)),
         "execution_time_s": None

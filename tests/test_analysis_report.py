@@ -150,6 +150,18 @@ def test_json_report_schema_fields():
     assert b'"efficiency": 15.01' in blob
 
 
+def test_json_quality_attributes_are_named_in_order():
+    report = analyze(corpus_paths(), WORKED_CONFIG)
+    doc = json.loads(emit_report(report, "json"))
+    assert list(doc["quality_attributes"].items()) == [
+        ("security", 1),
+        ("execution_time", 2),
+        ("user_friendliness", 0),
+        ("other_metrics", 1),
+        ("environment_selection", 2),
+    ]
+
+
 def test_json_report_is_byte_identical_across_emissions():
     report = analyze(corpus_paths(), WORKED_CONFIG)
     assert emit_report(report, "json") == emit_report(report, "json")

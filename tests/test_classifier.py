@@ -219,6 +219,16 @@ def test_continues_count_toward_loop_exits():
             FlowReport(0, 1, True),
             id="goto_to_a_label_on_its_own_line_is_not_backward",
         ),
+        pytest.param(
+            "while (a) {\n/*\ncontinue\n*/\n/*\nbreak\n*/\nif (b) break;\n}",
+            FlowReport(0, 0, True),
+            id="block_comment_lines_reading_break_or_continue_are_not_exits",
+        ),
+        pytest.param(
+            "/*\ngoto\n*/",
+            FlowReport(0, 0, True),
+            id="block_comment_line_reading_goto_is_not_a_jump",
+        ),
     ],
 )
 def test_flow_walk_cases(source, expected):

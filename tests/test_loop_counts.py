@@ -5,6 +5,7 @@ import pytest
 from codearea import (
     CountProvenance,
     NegativeIterationsError,
+    parse_tokens,
     resolve_loop_count,
     tokenize,
 )
@@ -96,3 +97,29 @@ def test_while_loop_uses_config_default():
     tree = parse_source("while (p != q) { advance(); }")
     assert tree[0].count.value == 1
     assert tree[0].count.provenance is CountProvenance.CONFIG_DEFAULT
+
+
+@pytest.mark.parametrize(
+    "source,line",
+    [
+        pytest.param("// @iters 3\nx = 1;", 1, id="statement"),
+        pytest.param("// @iters 3\nif (a) x = 1;", 1, id="if"),
+        pytest.param("// @iters 3\nswitch (a) { case 1: x = 1; }", 1, id="switch"),
+        pytest.param("// @iters 3\ntry { x = 1; } catch (e) { }", 1, id="try"),
+        pytest.param("// @iters 3\n{ x = 1; }", 1, id="open_brace"),
+        pytest.param("// @iters 3\n;", 1, id="empty_statement"),
+        pytest.param("// @iters 3\n#include <a.h>", 1, id="include"),
+        pytest.param("// @iters 3\n// note", 1, id="comment"),
+        pytest.param("// @iters 3\n// @iters 4\nfor (;;) { }", 1, id="pragma"),
+        pytest.param("void f() {\n// @iters 3\n}", 2, id="close_brace"),
+        pytest.param("// @iters 3\n", 1, id="end_of_file"),
+        pytest.param("// @iters 3\nfor (;;) { }", None, id="for"),
+        pytest.param("// @iters 3\nwhile (a) { }", None, id="while"),
+        pytest.param("// @iters 3\ndo { } while (a);", None, id="do"),
+    ],
+)
+def test_pragma_lapses_at_anything_but_a_loop(source, line):
+    _, diagnostics = parse_tokens(tokenize(source))
+    lapsed = [d for d in diagnostics if "not followed by a loop" in d]
+    expected = f"line {line}: pragma '@iters 3' not followed by a loop; ignored"
+    assert lapsed == ([] if line is None else [expected])

@@ -268,3 +268,23 @@ def test_nesting_past_the_limit_is_a_source_error(shape):
     with pytest.raises(NestingTooDeepError) as err:
         parse_source(NESTED_SHAPES[shape](MAX_NESTING + 1))
     assert err.value.line == (1 if shape == "braces" else MAX_NESTING + 1)
+
+
+@pytest.mark.parametrize(
+    "source,jump",
+    [
+        pytest.param("again: x = 1;", ("label", "again"), id="label"),
+        pytest.param("goto x;", ("goto", "x"), id="goto"),
+        pytest.param("goto /* c */ x;", ("goto", None), id="goto_past_a_comment"),
+        pytest.param("break;", ("break", None), id="break"),
+        pytest.param("continue;", ("continue", None), id="continue"),
+        pytest.param("x = a ? b : c;", None, id="conditional_expression"),
+        pytest.param("unsigned : 4;", None, id="anonymous_bit_field"),
+        pytest.param("// goto x;", None, id="comment"),
+        pytest.param("#include <a.h>", None, id="include"),
+    ],
+)
+def test_statement_records_its_jump(source, jump):
+    (statement,) = parse_source(source)
+    assert isinstance(statement, Statement)
+    assert statement.jump == jump
