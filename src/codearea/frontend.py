@@ -7,6 +7,16 @@ become loop blocks, and ``try``/``catch``/``finally`` becomes an
 exception block.  Preprocessor lines and comments are kept as one token
 per line so the token stream is lossless.
 
+Comments stay in the construct around them.  Between a header and its
+body they open the body; a header followed only by comments has no body.
+Before a construct's next part (``else``, the ``if`` of ``else if``,
+``catch``, a catch's ``(`` or ``{``, ``finally``, a ``do`` loop's
+``while``, the ``{`` of ``try``) they end the part before it, and before
+the ``{`` of ``switch`` they open the first case.  Comments after an
+``if`` that no ``else`` follows stay after it.  Comments in a header,
+including any before its ``(``, are skipped.  An ``@iters`` pragma
+between two parts lapses.
+
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the next loop;
 a ``for`` header of the shape *init-to-constant / compare-to-constant /
@@ -494,22 +504,38 @@ class _Parser:
         return self._next()
 
     def _balanced_parens(self, context_line: int) -> list[Token]:
-        """Consume ``( ... )`` and return the inner tokens."""
-        self._expect_text("(", context_line)
-        depth = 1
-        inner: list[Token] = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise MalformedHeaderError("unterminated header", context_line)
+        """Consume ``( ... )`` and return its inner tokens, skipping comments."""
+        while (tok := self._peek()) is not None and tok.kind is TokenKind.COMMENT:
             self._next()
+        self._expect_text("(", context_line)
+        toks, depth = self.toks, 1
+        inner: list[Token] = []
+        for j in range(self.i, len(toks)):
+            tok = toks[j]
+            if tok.kind is TokenKind.COMMENT:
+                continue
             if tok.text == "(":
                 depth += 1
             elif tok.text == ")":
                 depth -= 1
                 if depth == 0:
+                    self.i = j + 1
                     return inner
             inner.append(tok)
+        raise MalformedHeaderError("unterminated header", context_line)
+
+    def _next_part(self, texts: tuple[str, ...], out: list[BlockNode]) -> Token | None:
+        """If the next part of a construct, one of *texts*, follows any comments,
+        parse them into *out*, lapse any pragma, and return its token unconsumed."""
+        j = self.i
+        while j < len(self.toks) and self.toks[j].kind is TokenKind.COMMENT:
+            j += 1
+        if j == len(self.toks) or self.toks[j].text not in texts:
+            return None
+        while self.i < j:
+            self.parse_construct(out)
+            self._lapse_pragma()
+        return self.toks[j]
 
     def _lapse_pragma(self) -> None:
         if self.pending_pragma is not None:
@@ -533,20 +559,12 @@ class _Parser:
         while (tok := self._peek()) is not None:
             if tok.text == "}" and tok.kind is TokenKind.PUNCTUATION:
                 raise UnbalancedBracesError("unmatched '}'", tok.line)
-            self._extend(nodes, self.parse_construct())
+            self.parse_construct(nodes)
         self._lapse_pragma()
         return nodes
 
-    @staticmethod
-    def _extend(nodes: list[BlockNode], item: BlockNode | list[BlockNode] | None) -> None:
-        if item is None:
-            return
-        if isinstance(item, list):
-            nodes.extend(item)
-        else:
-            nodes.append(item)
-
-    def parse_construct(self) -> BlockNode | list[BlockNode] | None:
+    def parse_construct(self, out: list[BlockNode]) -> None:
+        """Parse one construct and append its nodes, if any, to *out*."""
         tok = self._peek()
         assert tok is not None
         # Every nested construct passes through here, so this bounds the
@@ -557,48 +575,44 @@ class _Parser:
             )
         self.depth += 1
         try:
-            # A pending pragma lapses at anything but a loop; a new pragma
-            # lapses the one before it.
-            loop = tok.kind is TokenKind.KEYWORD and tok.text in ("for", "while", "do")
-            if not loop:
-                self._lapse_pragma()
+            # A pending pragma lapses at anything but a loop, which takes
+            # it; a new pragma lapses the one before it.
+            if tok.kind is TokenKind.KEYWORD and tok.text in ("for", "while", "do"):
+                return self.parse_loop(out)
+            self._lapse_pragma()
             if tok.kind is TokenKind.COMMENT:
                 self._next()
                 value = pragma_value(tok.text)
                 if value is not None:
                     self.pending_pragma = (value, tok.line)
-                    return None
-                return Statement(StatementKind.COMMENT, (tok.line, tok.line))
+                else:
+                    out.append(Statement(StatementKind.COMMENT, (tok.line, tok.line)))
+                return
             if tok.kind is TokenKind.PREPROCESSOR:
                 self._next()
-                return Statement(StatementKind.HEADER_INCLUDE, (tok.line, tok.line))
+                out.append(Statement(StatementKind.HEADER_INCLUDE, (tok.line, tok.line)))
+                return
             if tok.kind is TokenKind.KEYWORD:
                 if tok.text == "if":
-                    return self.parse_if()
-                if tok.text in ("for", "while"):
-                    return self.parse_loop(tok.text)
-                if tok.text == "do":
-                    return self.parse_do()
+                    return self.parse_if(out)
                 if tok.text == "switch":
-                    return self.parse_switch()
+                    return self.parse_switch(out)
                 if tok.text == "try":
-                    return self.parse_try()
+                    return self.parse_try(out)
                 if tok.text in ("else", "catch", "finally", "case", "default"):
                     raise MalformedHeaderError(f"unexpected '{tok.text}'", tok.line)
             if tok.text == ";" and tok.kind is TokenKind.PUNCTUATION:
                 self._next()
-                return None
-            if tok.text == "{" and tok.kind is TokenKind.PUNCTUATION:
+            elif tok.text == "{" and tok.kind is TokenKind.PUNCTUATION:
                 self._next()
-                inner, _ = self.parse_until_close(tok.line)
-                return inner
-            return self.parse_statement_or_function()
+                self.parse_until_close(tok.line, out)
+            else:
+                self.parse_statement_or_function(out)
         finally:
             self.depth -= 1
 
-    def parse_until_close(self, open_line: int) -> tuple[list[BlockNode], int]:
-        """Parse nodes up to the matching ``}``; return (nodes, close line)."""
-        nodes: list[BlockNode] = []
+    def parse_until_close(self, open_line: int, out: list[BlockNode]) -> int:
+        """Parse nodes into *out* up to the matching ``}``; return its line."""
         while True:
             tok = self._peek()
             if tok is None:
@@ -606,33 +620,28 @@ class _Parser:
             if tok.text == "}" and tok.kind is TokenKind.PUNCTUATION:
                 self._lapse_pragma()
                 self._next()
-                return nodes, tok.line
-            self._extend(nodes, self.parse_construct())
+                return tok.line
+            self.parse_construct(out)
 
-    def parse_body(self, context_line: int) -> tuple[list[BlockNode], int]:
-        """A braced block, a lone ``;``, or a single construct."""
+    def parse_body(self, context_line: int, out: list[BlockNode]) -> int:
+        """Any comments, then a braced block, a lone ``;`` or a single
+        construct, parsed into *out*; return the body's last line."""
         while True:
             tok = self._peek()
-            if tok is None:
+            if tok is None or (tok.kind is TokenKind.PUNCTUATION and tok.text == "}"):
                 raise MalformedHeaderError("missing body", context_line)
             if tok.kind is TokenKind.PUNCTUATION and tok.text == "{":
                 self._next()
-                return self.parse_until_close(tok.line)
+                return self.parse_until_close(tok.line, out)
             if tok.kind is TokenKind.PUNCTUATION and tok.text == ";":
                 self._next()
-                return [], tok.line
-            if tok.kind is TokenKind.PUNCTUATION and tok.text == "}":
-                raise MalformedHeaderError("missing body", context_line)
-            item = self.parse_construct()
-            if item is None:
-                continue
-            nodes = item if isinstance(item, list) else [item]
-            end = max((n.span[1] for n in nodes), default=context_line)
-            return nodes, end
+                return tok.line
+            self.parse_construct(out)
+            if tok.kind is not TokenKind.COMMENT:
+                return out[-1].span[1]
 
-    def parse_statement_or_function(self) -> BlockNode | list[BlockNode]:
+    def parse_statement_or_function(self, out: list[BlockNode]) -> None:
         toks = self.toks
-        start_tok = toks[self.i]
         j = self.i
         depth = 0
         n = len(toks)
@@ -650,28 +659,25 @@ class _Parser:
                     break
             j += 1
         prefix = toks[self.i:j]
-        stop = toks[j] if j < n else None
-        if stop is not None and stop.text == "{" and stop.kind is TokenKind.PUNCTUATION:
-            name = self._function_name(prefix)
-            if name is not None:
-                self.i = j + 1
-                body, close_line = self.parse_until_close(stop.line)
-                return FunctionDef(name, body, (start_tok.line, close_line))
-            # Brace after a non-function prefix (struct/enum body, stray
-            # block): keep the prefix as a statement and splice the block.
-            nodes: list[BlockNode] = []
-            if prefix:
-                self.i = j
-                nodes.append(self._make_statement(prefix))
-            self.i = j + 1
-            inner, _ = self.parse_until_close(stop.line)
-            nodes.extend(inner)
-            return nodes
         self.i = j
-        return self._make_statement(prefix)
+        if j == n or toks[j].text != "{" or toks[j].kind is not TokenKind.PUNCTUATION:
+            out.append(self._make_statement(prefix))
+            return
+        brace = self._next()
+        name = self._function_name(prefix)
+        if name is not None:
+            body: list[BlockNode] = []
+            close_line = self.parse_until_close(brace.line, body)
+            out.append(FunctionDef(name, body, (prefix[0].line, close_line)))
+            return
+        # Brace after a non-function prefix (struct/enum body, stray
+        # block): keep the prefix as a statement and splice the block.
+        out.append(self._make_statement(prefix))
+        self.parse_until_close(brace.line, out)
 
     @staticmethod
     def _function_name(prefix: list[Token]) -> str | None:
+        prefix = [t for t in prefix if t.kind is not TokenKind.COMMENT]
         if len(prefix) < 3 or prefix[-1].text != ")":
             return None
         depth = 0
@@ -702,59 +708,52 @@ class _Parser:
             jump = None
         return Statement(kind, (line, tokens[-1].line), jump)
 
-    def parse_if(self) -> ConditionBlock:
-        kw = self._next()
-        self._balanced_parens(kw.line)
-        body, end = self.parse_body(kw.line)
-        branches = [body]
-        while (tok := self._peek()) is not None and tok.text == "else":
-            self._next()
-            nxt = self._peek()
-            if nxt is not None and nxt.kind is TokenKind.KEYWORD and nxt.text == "if":
-                self._next()
-                self._balanced_parens(nxt.line)
-                body, end = self.parse_body(nxt.line)
-                branches.append(body)
-            else:
-                body, end = self.parse_body(tok.line)
-                branches.append(body)
+    def parse_if(self, out: list[BlockNode]) -> None:
+        # One branch per pass: ``tok`` is the ``if`` or ``else`` before it.
+        kw = tok = self._next()
+        branches: list[list[BlockNode]] = []
+        while True:
+            if tok.text == "if":
+                self._balanced_parens(tok.line)
+            body: list[BlockNode] = []
+            branches.append(body)
+            end = self.parse_body(tok.line, body)
+            if tok.text == "else" or self._next_part(("else",), body) is None:
                 break
-        return ConditionBlock(branches, (kw.line, end))
+            tok = self._next()
+            if self._next_part(("if",), body) is not None:
+                tok = self._next()
+        out.append(ConditionBlock(branches, (kw.line, end)))
 
-    def parse_loop(self, keyword: str) -> LoopBlock:
+    def parse_loop(self, out: list[BlockNode]) -> None:
         kw = self._next()
         pragma = self._take_pragma()
-        header = self._balanced_parens(kw.line)
-        body, end = self.parse_body(kw.line)
+        header = [] if kw.text == "do" else self._balanced_parens(kw.line)
+        body: list[BlockNode] = []
+        end = self.parse_body(kw.line, body)
+        if kw.text == "do":
+            self._next_part(("while",), body)
+            self._expect_text("while", kw.line)
+            self._balanced_parens(kw.line)
+            end = self.toks[self.i - 1].line  # the header's ``)``
+            if (tok := self._peek()) is not None and tok.text == ";":
+                end = self._next().line
         count = resolve_loop_count(
-            header if keyword == "for" else [],
+            header if kw.text == "for" else [],
             pragma,
             default_iterations=self.default_iterations,
             line=kw.line,
         )
-        return LoopBlock(count, body, (kw.line, end))
+        out.append(LoopBlock(count, body, (kw.line, end)))
 
-    def parse_do(self) -> LoopBlock:
-        kw = self._next()
-        pragma = self._take_pragma()
-        body, end = self.parse_body(kw.line)
-        self._expect_text("while", kw.line)
-        self._balanced_parens(kw.line)
-        tok = self._peek()
-        if tok is not None and tok.text == ";":
-            end = tok.line
-            self._next()
-        count = resolve_loop_count(
-            [], pragma, default_iterations=self.default_iterations, line=kw.line
-        )
-        return LoopBlock(count, body, (kw.line, end))
-
-    def parse_switch(self) -> ConditionBlock:
+    def parse_switch(self, out: list[BlockNode]) -> None:
         kw = self._next()
         self._balanced_parens(kw.line)
+        # Comments before the first case, even before the ``{``, join it.
+        leading: list[BlockNode] = []
+        self._next_part(("{",), leading)
         open_tok = self._expect_text("{", kw.line)
         branches: list[list[BlockNode]] = []
-        leading: list[BlockNode] = []
         while True:
             tok = self._peek()
             if tok is None:
@@ -773,41 +772,32 @@ class _Parser:
                 branches.append(leading)
                 leading = []
                 continue
-            item = self.parse_construct()
-            if item is None:
-                continue
-            target = branches[-1] if branches else None
-            if target is None:
-                if isinstance(item, Statement) and item.kind is StatementKind.COMMENT:
-                    leading.append(item)
-                    continue
+            if not branches and tok.kind is not TokenKind.COMMENT and tok.text != ";":
                 raise MalformedHeaderError("statement before first case", tok.line)
-            self._extend(target, item)
+            self.parse_construct(branches[-1] if branches else leading)
         if not branches:
             raise MalformedHeaderError("switch without cases", kw.line)
-        return ConditionBlock(branches, (kw.line, tok.line), from_switch=True)
+        out.append(ConditionBlock(branches, (kw.line, tok.line), from_switch=True))
 
-    def parse_try(self) -> ExceptionBlock:
-        kw = self._next()
-        open_tok = self._expect_text("{", kw.line)
-        body, end = self.parse_until_close(open_tok.line)
+    def parse_try(self, out: list[BlockNode]) -> None:
+        # One part per pass, all into the one body: ``tok`` is the
+        # ``try``, ``catch`` or ``finally`` that opens the part.
+        kw = tok = self._next()
+        body: list[BlockNode] = []
         handlers = 0
-        while (tok := self._peek()) is not None and tok.text == "catch":
-            self._next()
-            handlers += 1
-            nxt = self._peek()
-            if nxt is not None and nxt.text == "(":
-                self._balanced_parens(tok.line)
+        while True:
+            if tok.text == "catch":
+                handlers += 1
+                if self._next_part(("(",), body) is not None:
+                    self._balanced_parens(tok.line)
+            self._next_part(("{",), body)
             brace = self._expect_text("{", tok.line)
-            part, end = self.parse_until_close(brace.line)
-            body.extend(part)
-        if (tok := self._peek()) is not None and tok.text == "finally":
-            self._next()
-            brace = self._expect_text("{", tok.line)
-            part, end = self.parse_until_close(brace.line)
-            body.extend(part)
+            end = self.parse_until_close(brace.line, body)
+            if tok.text == "finally" or self._next_part(("catch", "finally"), body) is None:
+                break
+            tok = self._next()
         # A bare try/finally still carries one implicit handler.
-        return ExceptionBlock(max(1, handlers), body, (kw.line, end))
+        out.append(ExceptionBlock(max(1, handlers), body, (kw.line, end)))
 
 
 def parse_tokens(

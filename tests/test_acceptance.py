@@ -9,6 +9,7 @@ two-decimal rendering the reports use.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -40,6 +41,7 @@ from codearea.frontend import CountProvenance, IterationCount
 from conftest import (
     CORPUS,
     CORPUS_FILES,
+    REPO_ROOT,
     as_source,
     parse_source,
     segments_of,
@@ -409,8 +411,11 @@ def test_criterion_10_levels_and_determinism():
         "--format",
         "json",
     ]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    # The child finds the package in this checkout's src, installed or not.
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    first = subprocess.run(argv, capture_output=True, check=True, env=env)
+    second = subprocess.run(argv, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout  # non-empty structured report
     ok(10, "levels per ranges; byte-identical reports across runs")

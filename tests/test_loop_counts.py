@@ -3,8 +3,11 @@ from __future__ import annotations
 import pytest
 
 from codearea import (
+    Config,
     CountProvenance,
+    IterationCount,
     NegativeIterationsError,
+    analyze_source,
     parse_tokens,
     resolve_loop_count,
     tokenize,
@@ -123,3 +126,30 @@ def test_pragma_lapses_at_anything_but_a_loop(source, line):
     lapsed = [d for d in diagnostics if "not followed by a loop" in d]
     expected = f"line {line}: pragma '@iters 3' not followed by a loop; ignored"
     assert lapsed == ([] if line is None else [expected])
+
+
+def test_comment_in_a_for_header_keeps_its_literal_bound():
+    source = "for (i = 0; i < 10 /* rows */; i++) x = g(1);\n"
+    loop = parse_source(source)[0]
+    assert loop.count == IterationCount(10, CountProvenance.LITERAL_BOUND)
+    assert analyze_source(source, "rows.c", Config()).diagnostics == []
+
+
+@pytest.mark.parametrize(
+    "source,line",
+    [
+        pytest.param("if (a) x = 1; // @iters 3\nelse x = 2;", 1, id="before_else"),
+        pytest.param("do { } /* @iters 3 */ while (a);", 1, id="before_while"),
+        pytest.param("try { } // @iters 3\ncatch (e) { }", 1, id="before_catch"),
+        pytest.param("switch (a) // @iters 3\n{ case 1: ; }", 1, id="before_switch_brace"),
+    ],
+)
+def test_pragma_between_the_parts_of_a_construct_lapses(source, line):
+    tree, diagnostics = parse_tokens(tokenize(source + "\nwhile (b) x = 2;"))
+    assert diagnostics == [f"line {line}: pragma '@iters 3' not followed by a loop; ignored"]
+    assert tree[-1].count.provenance is CountProvenance.CONFIG_DEFAULT
+
+
+def test_pragma_between_a_header_and_its_body_reaches_the_loop_in_it():
+    tree = parse_source("for (;;) // @iters 3\n    while (b) x = 2;")
+    assert tree[0].body[0].count == IterationCount(3, CountProvenance.PRAGMA_OVERRIDE)

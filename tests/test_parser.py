@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
 from codearea import (
+    Config,
     ConditionBlock,
     CountProvenance,
     ExceptionBlock,
@@ -14,11 +18,12 @@ from codearea import (
     Statement,
     StatementKind,
     UnbalancedBracesError,
+    analyze_source,
     tokenize,
 )
 from codearea.frontend import MAX_NESTING, parse_tokens
 
-from conftest import as_source, parse_source, source_lines
+from conftest import as_source, parse_source, segments_of, source_lines
 
 
 def test_if_else_is_one_condition_block_with_two_branches():
@@ -241,6 +246,7 @@ def test_lone_semicolons_produce_no_nodes():
         "void f() {\n  while (a) }",
         "void f() {\n  for (i = 0; i < 3; i++) }",
         "void f() {\n  if (a) x = 1; else }",
+        "void f() {\n  if (a) // c\n}",
     ],
 )
 def test_closing_brace_in_body_position_is_missing_body(source):
@@ -288,3 +294,122 @@ def test_statement_records_its_jump(source, jump):
     (statement,) = parse_source(source)
     assert isinstance(statement, Statement)
     assert statement.jump == jump
+
+
+def _shape(nodes):
+    """Statement kinds, nested as the blocks that hold them."""
+    out = []
+    for node in nodes:
+        if isinstance(node, Statement):
+            out.append(node.kind.value)
+        elif isinstance(node, ConditionBlock):
+            out.append(("if", [_shape(branch) for branch in node.branches]))
+        else:
+            out.append((type(node).__name__, _shape(node.body)))
+    return out
+
+
+def test_comment_between_a_loop_header_and_its_block_opens_the_block():
+    source = "for (i = 0; i < 100; i++) // every slot\n{\n    x = g(i);\n}\n"
+    assert [(s.kind.value, s.span, s.impact) for s in segments_of(source)] == [
+        ("LL", (1, 4), 100)
+    ]
+
+
+def test_comment_between_an_if_header_and_its_statement_opens_the_branch():
+    assert _shape(parse_source("if (a) // c\n    x = 1;\n")) == [
+        ("if", [["comment", "init_termination"]])
+    ]
+
+
+IF_ELSE = ("if", [["init_termination", "comment"], ["init_termination"]])
+TRY_CATCH = ("ExceptionBlock", ["init_termination", "comment", "init_termination"])
+
+
+@pytest.mark.parametrize(
+    "source,shape",
+    [
+        pytest.param("if (a) {\n  x = 1;\n} // done\nelse {\n  x = 2;\n}", IF_ELSE, id="else"),
+        pytest.param("if (a) { x = 1; } else /* c */ if (b) { x = 2; }", IF_ELSE, id="else_if"),
+        pytest.param(
+            "do { x = 1; } /* c */ while (a);",
+            ("LoopBlock", ["init_termination", "comment"]),
+            id="do_while",
+        ),
+        pytest.param("try { x = 1; } // c\ncatch (e) { x = 2; }", TRY_CATCH, id="catch"),
+        pytest.param("try { x = 1; } catch /* c */ (e) { x = 2; }", TRY_CATCH, id="catch_paren"),
+        pytest.param("try { x = 1; } catch (e) /* c */ { x = 2; }", TRY_CATCH, id="catch_brace"),
+        pytest.param("try { x = 1; } /* c */ finally { x = 2; }", TRY_CATCH, id="finally"),
+        pytest.param(
+            "try /* c */ { x = 1; } catch (e) { x = 2; }",
+            ("ExceptionBlock", ["comment", "init_termination", "init_termination"]),
+            id="try_brace",
+        ),
+        pytest.param(
+            "switch (a) // c\n{ case 1: x = 1; }",
+            ("if", [["comment", "init_termination"]]),
+            id="switch_brace",
+        ),
+    ],
+)
+def test_comments_before_the_next_part_end_the_part_before(source, shape):
+    assert _shape(parse_source(source)) == [shape]
+
+
+def test_do_loop_spans_its_while_header_without_a_semicolon():
+    loop = parse_source("do {\n  x();\n}\n// c\nwhile (a)\n")[0]
+    assert loop.span == (1, 5)
+    assert [node.span for node in loop.body] == [(2, 2), (4, 4)]
+
+
+def test_comments_after_an_if_without_else_stay_after_it():
+    assert _shape(parse_source("if (a) x = 1; // c\ny = 2;")) == [
+        ("if", [["init_termination"]]),
+        "comment",
+        "init_termination",
+    ]
+
+
+def test_comment_lines_in_an_if_header_are_not_header_tokens():
+    assert [(s.kind.value, s.span, s.impact) for s in segments_of(
+        "if (a /*\n)\n*/ || b) x = g(1);\n"
+    )] == [("CL", (1, 3), Fraction(1, 2))]
+
+
+def test_comment_before_a_loop_header_is_skipped():
+    assert _shape(parse_source("while /* c */ (a) x = g(1);")) == [
+        ("LoopBlock", ["complex_assignment"])
+    ]
+
+
+def test_comment_after_a_function_header_keeps_the_function():
+    tree = parse_source("int f(void) /* c */ {\n  x = 1;\n}")
+    assert [(type(n).__name__, getattr(n, "name", None)) for n in tree] == [
+        ("FunctionDef", "f")
+    ]
+
+
+def _without_comments_on(nodes, lines):
+    kept = []
+    for node in nodes:
+        if isinstance(node, Statement):
+            if node.kind is not StatementKind.COMMENT or node.span[0] not in lines:
+                kept.append(node)
+        elif isinstance(node, ConditionBlock):
+            branches = [_without_comments_on(b, lines) for b in node.branches]
+            kept.append(replace(node, branches=branches))
+        else:
+            kept.append(replace(node, body=_without_comments_on(node.body, lines)))
+    return kept
+
+
+@given(source_lines())
+@settings(max_examples=100, deadline=None)
+def test_a_block_comment_after_each_line_changes_nothing_else(lines):
+    marked = {n for n, line in enumerate(lines, 1) if "//" not in line}
+    commented = as_source(
+        [line if "//" in line else line + " /* c */" for line in lines]
+    )
+    tree = parse_source(commented)
+    assert _without_comments_on(tree, marked) == parse_source(as_source(lines))
+    assert analyze_source(commented, "generated.c", Config()).error is None
