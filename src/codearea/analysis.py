@@ -20,8 +20,8 @@ from pathlib import Path
 from . import classifier, impact, metrics, segmenter
 from .config import Config
 from .errors import SegmentOverrideError, SourceError
-from .frontend import CountProvenance, iter_loops, parse_tokens, tokenize
-from .segmenter import CodeSegment, SegmentCounts
+from .frontend import CountProvenance, parse_tokens, tokenize
+from .segmenter import ScoredSegment, SegmentCounts
 
 STDIN_PATH = "-"
 STDIN_LABEL = "<stdin>"
@@ -38,7 +38,7 @@ class LoopInfo:
 class FileResult:
     path: str
     raw_loc: int = 0
-    segments: list[CodeSegment] = field(default_factory=list)
+    segments: list[ScoredSegment] = field(default_factory=list)
     counts: SegmentCounts = SegmentCounts(0, 0, 0, 0, 0)
     impact: Fraction = Fraction(0)
     loops: list[LoopInfo] = field(default_factory=list)
@@ -91,41 +91,36 @@ def analyze_source(
             f"{path}:{line}: unknown character {ch!r} tokenized as punctuation"
         )
     try:
-        tree, parse_diags = parse_tokens(
+        parsed = parse_tokens(
             tokens,
             default_iterations=config.default_iterations,
             init_termination_calls=config.init_termination_calls,
         )
         if sidecar is not None:
             overrides = segmenter.parse_segment_overrides(sidecar)
-            segments = segmenter.apply_segment_overrides(tree, overrides)
+            segments = segmenter.apply_segment_overrides(parsed.tree, overrides)
         else:
-            segments = segmenter.segment(tree)
+            segments = segmenter.segment(parsed.tree)
     except (SourceError, SegmentOverrideError) as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         result.error_line = getattr(exc, "line", None)
         return result
-    result.diagnostics.extend(f"{path}: {d}" for d in parse_diags)
-    for seg in segments:
-        impact.segment_impact(seg, config.weights)
-    result.segments = segments
-    result.counts = segmenter.segment_counts(segments)
-    result.impact = metrics.code_area(segments)
-    for loop in iter_loops(tree):
-        result.loops.append(
-            LoopInfo(
-                line=loop.span[0],
-                count=loop.count.value,
-                provenance=loop.count.provenance.value,
-            )
-        )
-        if loop.count.provenance is CountProvenance.CONFIG_DEFAULT:
+    result.diagnostics.extend(f"{path}: {d}" for d in parsed.diagnostics)
+    result.segments = [
+        ScoredSegment(seg.kind, seg.span, impact.segment_impact(seg, config.weights))
+        for seg in segments
+    ]
+    result.counts = segmenter.segment_counts(result.segments)
+    result.impact = metrics.code_area(result.segments)
+    for line, count in parsed.loops:
+        result.loops.append(LoopInfo(line, count.value, count.provenance.value))
+        if count.provenance is CountProvenance.CONFIG_DEFAULT:
             result.diagnostics.append(
-                f"{path}:{loop.span[0]}: loop bound not statically "
-                f"resolvable; using default count {loop.count.value}"
+                f"{path}:{line}: loop bound not statically "
+                f"resolvable; using default count {count.value}"
             )
     result.flow = classifier.flow_orderliness(
-        tree, exit_limit=config.flow_exit_limit
+        parsed.flow, exit_limit=config.flow_exit_limit
     )
     return result
 

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IncompleteRubricError, ScoreOutOfRangeError
-from .frontend import (
-    BlockNode,
-    ConditionBlock,
-    ExceptionBlock,
-    FunctionDef,
-    LoopBlock,
-    Statement,
-)
+from .frontend import FlowFacts
 
 RUBRIC_QUESTIONS = (
     "segment_flow",          # segments executed in order, smooth call flow
@@ -120,51 +113,15 @@ def rubric_score(
 
 
 def flow_orderliness(
-    tree: list[BlockNode],
+    facts: FlowFacts,
     *,
     exit_limit: int = DEFAULT_FLOW_EXIT_LIMIT,
 ) -> FlowReport:
-    """Count backward jumps and unstructured exits in a parsed file."""
-    labels: dict[str, int] = {}  # the first occurrence of a label wins
-    gotos: list[tuple[str | None, int]] = []  # (target, line)
-    loop_exits: list[int] = []  # break/continue count per loop
-
-    def visit(nodes: list[BlockNode], loop: int | None, absorber: int | None) -> None:
-        # ``loop`` is the innermost loop, which a continue exits.  A break
-        # leaves the innermost loop or switch; ``absorber`` is that loop,
-        # or None when it is a switch, since only loop exits count.
-        for node in nodes:
-            if isinstance(node, Statement):
-                if node.jump is None:
-                    continue
-                what, name = node.jump
-                if what == "label":
-                    labels.setdefault(name, node.span[0])
-                elif what == "goto":
-                    gotos.append((name, node.span[0]))
-                elif what == "break":
-                    if absorber is not None:
-                        loop_exits[absorber] += 1
-                elif loop is not None:  # continue
-                    loop_exits[loop] += 1
-            elif isinstance(node, LoopBlock):
-                key = len(loop_exits)
-                loop_exits.append(0)
-                visit(node.body, key, key)
-            elif isinstance(node, ConditionBlock):
-                inner = None if node.from_switch else absorber
-                for branch in node.branches:
-                    visit(branch, loop, inner)
-            elif isinstance(node, ExceptionBlock):
-                visit(node.body, loop, absorber)
-            elif isinstance(node, FunctionDef):
-                visit(node.body, None, None)
-
-    visit(tree, None, None)
+    """Count backward jumps and unstructured exits from a file's flow facts."""
     backward = 0
-    unstructured = sum(exits - 1 for exits in loop_exits if exits > 1)
-    for target, line in gotos:
-        target_line = labels.get(target)
+    unstructured = sum(exits - 1 for exits in facts.loop_exits if exits > 1)
+    for target, line in facts.gotos:
+        target_line = facts.labels.get(target)
         if target_line is not None and target_line < line:
             backward += 1
         else:

@@ -15,7 +15,15 @@ Before a construct's next part (``else``, the ``if`` of ``else if``,
 the ``{`` of ``switch`` they open the first case.  Comments after an
 ``if`` that no ``else`` follows stay after it.  Comments in a header,
 including any before its ``(``, are skipped.  An ``@iters`` pragma
-between two parts lapses.
+between two parts, or in a header, lapses.
+
+The parser also records what flow analysis reads, so no later stage
+walks the tree for it.  A statement ``name :`` is a label, and the first
+label of a name is the one that counts; ``goto`` records its target when
+an identifier follows it directly, else ``None``.  A ``continue`` exits
+the innermost loop.  A ``break`` exits the innermost loop or ``switch``,
+and a ``switch`` absorbs it, so it counts as no loop's exit.  A function
+body starts with no loop around it.
 
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the next loop;
@@ -315,9 +323,6 @@ Span = tuple[int, int]  # inclusive 1-based line range
 class Statement:
     kind: StatementKind
     span: Span
-    # ("label", name), ("goto", target or None), ("break", None) or
-    # ("continue", None); None for a statement that does not jump.
-    jump: tuple[str, str | None] | None = None
 
 
 @dataclass
@@ -351,11 +356,31 @@ class FunctionDef:
 BlockNode = Statement | ConditionBlock | LoopBlock | ExceptionBlock | FunctionDef
 
 
+class FlowFacts(NamedTuple):
+    """The jumps of one file, as flow analysis reads them."""
+
+    labels: dict[str, int]  # name -> line of its first label
+    gotos: list[tuple[str | None, int]]  # (target, line)
+    loop_exits: list[int]  # breaks and continues that exit each loop
+
+
+class ParseResult(NamedTuple):
+    tree: list[BlockNode]
+    diagnostics: list[str]
+    loops: list[tuple[int, IterationCount]]  # (line, count) in pre-order
+    flow: FlowFacts
+
+
 # ---------------------------------------------------------------------------
 # Loop count resolution
 # ---------------------------------------------------------------------------
 
 _PRAGMA_RE = re.compile(r"@iters\s+(-?\d+)")
+# A C integer literal: hexadecimal, octal (a leading 0) or decimal, with
+# an optional unsigned and/or long suffix.
+_INT_LITERAL = re.compile(
+    r"(0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*)(?:[uU](?:ll|LL|[lL])?|(?:ll|LL|[lL])[uU]?)?"
+)
 
 
 def pragma_value(comment_text: str) -> int | None:
@@ -378,11 +403,10 @@ def _signed_int(tokens: list[Token], at: int) -> tuple[int, int] | None:
     if at < len(tokens) and tokens[at].text == "-":
         sign = -1
         at += 1
-    if at < len(tokens) and tokens[at].kind is TokenKind.LITERAL:
-        try:
-            return sign * int(tokens[at].text, 0), at + 1
-        except ValueError:
-            return None
+    if at < len(tokens) and (m := _INT_LITERAL.fullmatch(tokens[at].text)):
+        digits = m[1]
+        base = 16 if digits[:2] in ("0x", "0X") else 8 if digits[0] == "0" else 10
+        return sign * int(digits, base), at + 1
     return None
 
 
@@ -486,6 +510,12 @@ class _Parser:
         self.pending_pragma: tuple[int, int] | None = None  # (value, line)
         self.depth = 0  # constructs open around the current token
         self.diagnostics: list[str] = []
+        self.loops: list[tuple[int, IterationCount]] = []
+        self.flow = FlowFacts({}, [], [])
+        # Indices into flow.loop_exits: the loop a continue exits, and the
+        # loop a break exits (None when a switch is closer).
+        self.loop: int | None = None
+        self.absorber: int | None = None
 
     # -- token helpers ------------------------------------------------------
 
@@ -506,13 +536,14 @@ class _Parser:
     def _balanced_parens(self, context_line: int) -> list[Token]:
         """Consume ``( ... )`` and return its inner tokens, skipping comments."""
         while (tok := self._peek()) is not None and tok.kind is TokenKind.COMMENT:
-            self._next()
+            self._header_comment(self._next())
         self._expect_text("(", context_line)
         toks, depth = self.toks, 1
         inner: list[Token] = []
         for j in range(self.i, len(toks)):
             tok = toks[j]
             if tok.kind is TokenKind.COMMENT:
+                self._header_comment(tok)
                 continue
             if tok.text == "(":
                 depth += 1
@@ -536,6 +567,13 @@ class _Parser:
             self.parse_construct(out)
             self._lapse_pragma()
         return self.toks[j]
+
+    def _header_comment(self, tok: Token) -> None:
+        """A pragma in a header lapses, since no loop can follow it there."""
+        value = pragma_value(tok.text)
+        if value is not None:
+            self.pending_pragma = (value, tok.line)
+            self._lapse_pragma()
 
     def _lapse_pragma(self) -> None:
         if self.pending_pragma is not None:
@@ -667,7 +705,10 @@ class _Parser:
         name = self._function_name(prefix)
         if name is not None:
             body: list[BlockNode] = []
+            outer = self.loop, self.absorber
+            self.loop = self.absorber = None
             close_line = self.parse_until_close(brace.line, body)
+            self.loop, self.absorber = outer
             out.append(FunctionDef(name, body, (prefix[0].line, close_line)))
             return
         # Brace after a non-function prefix (struct/enum body, stray
@@ -694,19 +735,21 @@ class _Parser:
         return None
 
     def _make_statement(self, tokens: list[Token]) -> Statement:
-        kind = classify_statement(tokens, self.init_calls)
+        """Classify a statement and record its jump, if it is one."""
         # A statement never starts with a comment, so these texts are keywords.
         head_kind, head, line, _ = tokens[0]
         next_kind, next_text = tokens[1][:2] if len(tokens) > 1 else (None, None)
+        flow = self.flow
         if head_kind is TokenKind.IDENTIFIER and next_text == ":":
-            jump = ("label", head)
+            flow.labels.setdefault(head, line)
         elif head == "goto":
-            jump = ("goto", next_text if next_kind is TokenKind.IDENTIFIER else None)
-        elif head == "break" or head == "continue":
-            jump = (head, None)
-        else:
-            jump = None
-        return Statement(kind, (line, tokens[-1].line), jump)
+            flow.gotos.append((next_text if next_kind is TokenKind.IDENTIFIER else None, line))
+        elif head == "break":
+            if self.absorber is not None:
+                flow.loop_exits[self.absorber] += 1
+        elif head == "continue" and self.loop is not None:
+            flow.loop_exits[self.loop] += 1
+        return Statement(classify_statement(tokens, self.init_calls), (line, tokens[-1].line))
 
     def parse_if(self, out: list[BlockNode]) -> None:
         # One branch per pass: ``tok`` is the ``if`` or ``else`` before it.
@@ -728,9 +771,17 @@ class _Parser:
     def parse_loop(self, out: list[BlockNode]) -> None:
         kw = self._next()
         pragma = self._take_pragma()
+        # The loop takes its slot here, so loops are listed in pre-order,
+        # and fills it after its count resolves, once its body has parsed.
+        key = len(self.loops)
+        self.loops.append(None)
+        self.flow.loop_exits.append(0)
         header = [] if kw.text == "do" else self._balanced_parens(kw.line)
         body: list[BlockNode] = []
+        outer = self.loop, self.absorber
+        self.loop = self.absorber = key
         end = self.parse_body(kw.line, body)
+        self.loop, self.absorber = outer
         if kw.text == "do":
             self._next_part(("while",), body)
             self._expect_text("while", kw.line)
@@ -744,11 +795,13 @@ class _Parser:
             default_iterations=self.default_iterations,
             line=kw.line,
         )
+        self.loops[key] = (kw.line, count)
         out.append(LoopBlock(count, body, (kw.line, end)))
 
     def parse_switch(self, out: list[BlockNode]) -> None:
         kw = self._next()
         self._balanced_parens(kw.line)
+        absorber, self.absorber = self.absorber, None
         # Comments before the first case, even before the ``{``, join it.
         leading: list[BlockNode] = []
         self._next_part(("{",), leading)
@@ -777,6 +830,7 @@ class _Parser:
             self.parse_construct(branches[-1] if branches else leading)
         if not branches:
             raise MalformedHeaderError("switch without cases", kw.line)
+        self.absorber = absorber
         out.append(ConditionBlock(branches, (kw.line, tok.line), from_switch=True))
 
     def parse_try(self, out: list[BlockNode]) -> None:
@@ -805,21 +859,9 @@ def parse_tokens(
     *,
     default_iterations: int = 1,
     init_termination_calls: frozenset[str] = DEFAULT_INIT_TERMINATION_CALLS,
-) -> tuple[list[BlockNode], list[str]]:
-    """Parse a token stream into a block tree plus parser diagnostics."""
+) -> ParseResult:
+    """Parse a token stream into a block tree, the parser's diagnostics,
+    each loop's line and count in pre-order, and the file's flow facts."""
     parser = _Parser(tokens, default_iterations, init_termination_calls)
-    nodes = parser.parse_top()
-    return nodes, parser.diagnostics
-
-
-def iter_loops(nodes: list[BlockNode]):
-    """Yield every loop block in the tree, depth first, in source order."""
-    for node in nodes:
-        if isinstance(node, LoopBlock):
-            yield node
-            yield from iter_loops(node.body)
-        elif isinstance(node, ConditionBlock):
-            for branch in node.branches:
-                yield from iter_loops(branch)
-        elif isinstance(node, (ExceptionBlock, FunctionDef)):
-            yield from iter_loops(node.body)
+    tree = parser.parse_top()
+    return ParseResult(tree, parser.diagnostics, parser.loops, parser.flow)

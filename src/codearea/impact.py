@@ -128,7 +128,5 @@ def block_impact(node: BlockNode, weights: WeightTable) -> ImpactScore:
 
 
 def segment_impact(segment: CodeSegment, weights: WeightTable) -> ImpactScore:
-    """Compute, store, and return a segment's impact."""
-    total = _impact(segment.nodes, weights)
-    segment.impact = total
-    return total
+    """The composed impact of a segment's nodes."""
+    return _impact(segment.nodes, weights)

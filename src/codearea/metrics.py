@@ -19,7 +19,7 @@ from .errors import (
     NonPositiveTimeError,
     ZeroSegmentsError,
 )
-from .segmenter import CodeSegment
+from .segmenter import ScoredSegment
 
 BASELINE_LOC = 100_000
 BASELINE_QUALITY = Fraction(15, 2)  # 7.5 on the 0-10 scale
@@ -79,14 +79,9 @@ class PerSegmentAverage:
 ExecutionTimeModel = TotalSeconds | PerSegmentAverage
 
 
-def code_area(segments: list[CodeSegment]) -> Fraction:
+def code_area(segments: list[ScoredSegment]) -> Fraction:
     """Sum of segment impacts (equivalently, count times mean impact)."""
-    total = Fraction(0)
-    for seg in segments:
-        if seg.impact is None:
-            raise ValueError(f"segment at lines {seg.span} has no impact yet")
-        total += seg.impact
-    return total
+    return sum((seg.impact for seg in segments), Fraction(0))
 
 
 def quality_quotient(attrs: QualityAttributes) -> int:

@@ -14,8 +14,8 @@ own runs, which keeps per-segment impacts reproducible.
 A sidecar file ``<source>.segments`` can replace the computed partition.
 Each non-blank, non-``#`` line holds ``startLine endLine KIND`` with KIND
 one of SL/CL/LL/EL.  The override must still be a partition: spans may
-not overlap, every segmentable node must fall entirely inside exactly
-one span, and every span must cover at least one node.
+not overlap, every node of the computed partition must fall entirely
+inside exactly one span, and every span must cover at least one node.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import enum
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import SegmentOverrideError
 from .frontend import (
@@ -50,7 +51,14 @@ class CodeSegment:
     kind: SegmentKind
     nodes: list[BlockNode]
     span: Span
-    impact: Fraction | None = None
+
+
+class ScoredSegment(NamedTuple):
+    """A segment as the report keeps it: no nodes, just its impact."""
+
+    kind: SegmentKind
+    span: Span
+    impact: Fraction
 
 
 SegmentCounts = namedtuple(
@@ -105,7 +113,7 @@ def segment(tree: list[BlockNode]) -> list[CodeSegment]:
     return out
 
 
-def segment_counts(segments: list[CodeSegment]) -> SegmentCounts:
+def segment_counts(segments: list[CodeSegment] | list[ScoredSegment]) -> SegmentCounts:
     """Count segments per kind; ``total`` is the overall segment count."""
     per = {kind: 0 for kind in SegmentKind}
     for seg in segments:
@@ -163,16 +171,6 @@ def parse_segment_overrides(text: str) -> list[SegmentOverride]:
     return overrides
 
 
-def _segmentable_nodes(tree: list[BlockNode]) -> list[BlockNode]:
-    units: list[BlockNode] = []
-    for node in tree:
-        if isinstance(node, FunctionDef):
-            units.extend(_segmentable_nodes(node.body))
-        else:
-            units.append(node)
-    return units
-
-
 def apply_segment_overrides(
     tree: list[BlockNode], overrides: list[SegmentOverride]
 ) -> list[CodeSegment]:
@@ -185,7 +183,7 @@ def apply_segment_overrides(
                 f"{cur.start}..{cur.end} overlap"
             )
     buckets: dict[SegmentOverride, list[BlockNode]] = {o: [] for o in spans}
-    for unit in _segmentable_nodes(tree):
+    for unit in (node for seg in segment(tree) for node in seg.nodes):
         owner = None
         for override in spans:
             if override.start <= unit.span[0] and unit.span[1] <= override.end:

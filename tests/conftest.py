@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from codearea import WeightTable, parse_tokens, segment, segment_impact, tokenize
+from codearea.segmenter import ScoredSegment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
@@ -29,13 +30,18 @@ def parse_source(source: str):
     return parse_tokens(tokenize(source))[0]
 
 
+def flow_facts(source: str):
+    """The flow facts the parser records for a source string."""
+    return parse_tokens(tokenize(source)).flow
+
+
 def segments_of(source: str, weights: WeightTable | None = None):
-    """Full single-file pipeline: parse, segment, and score."""
+    """Full single-file pipeline: parse, segment, and score, as report rows."""
     weights = weights or WeightTable()
-    segs = segment(parse_source(source))
-    for seg in segs:
-        segment_impact(seg, weights)
-    return segs
+    return [
+        ScoredSegment(seg.kind, seg.span, segment_impact(seg, weights))
+        for seg in segment(parse_source(source))
+    ]
 
 
 def total_impact(source: str, weights: WeightTable | None = None):

@@ -35,6 +35,7 @@ from codearea import (
     classify_level,
     efficiency,
     emit_report,
+    segment,
 )
 from codearea.frontend import CountProvenance, IterationCount
 
@@ -87,7 +88,7 @@ def test_criterion_2_comment_block_segment():
     segs = segments_of(source)
     assert len(segs) == 1
     assert segs[0].kind.value == "SL"
-    assert len(segs[0].nodes) == 20
+    assert len(segment(parse_source(source))[0].nodes) == 20
     assert segs[0].impact == Fraction(10)
     ok(2, "20-comment segment impact exactly 10")
 

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
+import pytest
+
 from codearea import (
+    ConditionBlock,
     Config,
+    ExceptionBlock,
+    FunctionDef,
+    LoopBlock,
     QualityAttributes,
+    Statement,
     TotalSeconds,
     analyze,
     analyze_source,
@@ -126,6 +134,37 @@ def test_loop_provenance_recorded():
         (1, "default"),
     ]
     assert any("not statically resolvable" in d for d in result.diagnostics)
+
+
+def test_nested_loops_are_reported_in_pre_order():
+    source = "while (a) {\n    for (i = 0; i < 3; i++)\n        do x(); while (b);\n}\n"
+    result = analyze_source(source, "nest.c", Config())
+    assert [(lp.line, lp.count, lp.provenance) for lp in result.loops] == [
+        (1, 1, "default"),
+        (2, 3, "literal"),
+        (3, 1, "default"),
+    ]
+
+
+def _reachable(value):
+    """Every object reachable through dataclass fields, lists and tuples."""
+    stack, seen = [value], []
+    while stack:
+        obj = stack.pop()
+        seen.append(obj)
+        if dataclasses.is_dataclass(obj):
+            stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return seen
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.c")), ids=lambda p: p.name)
+def test_file_result_keeps_no_block_nodes(path):
+    result = analyze_source(path.read_text(encoding="utf-8"), str(path), Config())
+    assert result.error is None and result.segments
+    nodes = (Statement, LoopBlock, ConditionBlock, ExceptionBlock, FunctionDef)
+    assert not [obj for obj in _reachable(result) if isinstance(obj, nodes)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from codearea import (
     rubric_score,
 )
 
-from conftest import parse_source
+from conftest import flow_facts
 
 ORDERLY = FlowReport(0, 0, True)
 DISORDERLY = FlowReport(1, 0, False)
@@ -108,33 +108,33 @@ def test_incomplete_rubric_rejected():
 
 
 def test_straight_line_program_is_orderly():
-    tree = parse_source("a = 1;\nb = probe(a);\nreturn b;\n")
-    assert flow_orderliness(tree) == FlowReport(0, 0, True)
+    facts = flow_facts("a = 1;\nb = probe(a);\nreturn b;\n")
+    assert flow_orderliness(facts) == FlowReport(0, 0, True)
 
 
 def test_backward_goto_counts_as_backward_jump():
-    tree = parse_source("start:\n  a = a + 1;\n  goto start;\n")
-    flow = flow_orderliness(tree)
+    facts = flow_facts("start:\n  a = a + 1;\n  goto start;\n")
+    flow = flow_orderliness(facts)
     assert flow.backward_jumps == 1
     assert flow.unstructured_exits == 0
     assert not flow.orderly
 
 
 def test_forward_goto_counts_as_unstructured_exit():
-    tree = parse_source("goto done;\nx = 1;\ndone:\n  y = 2;\n")
-    flow = flow_orderliness(tree)
+    facts = flow_facts("goto done;\nx = 1;\ndone:\n  y = 2;\n")
+    flow = flow_orderliness(facts)
     assert flow.backward_jumps == 0
     assert flow.unstructured_exits == 1
 
 
 def test_unknown_goto_target_counts_as_unstructured():
-    flow = flow_orderliness(parse_source("goto nowhere;\n"))
+    flow = flow_orderliness(flow_facts("goto nowhere;\n"))
     assert flow.unstructured_exits == 1
 
 
 def test_loop_with_three_breaks():
     # Hand count on the fixture: three breaks, one allowed, so two extras.
-    tree = parse_source(
+    facts = flow_facts(
         """
         while (busy)
         {
@@ -145,23 +145,23 @@ def test_loop_with_three_breaks():
         }
         """
     )
-    flow = flow_orderliness(tree)
+    flow = flow_orderliness(facts)
     assert flow.unstructured_exits == 2
     assert flow.orderly  # within the default limit of 2
 
 
 def test_exit_limit_is_configurable():
-    tree = parse_source("while (busy) { if (a) break; if (b) break; if (c) break; }")
-    assert not flow_orderliness(tree, exit_limit=1).orderly
+    facts = flow_facts("while (busy) { if (a) break; if (b) break; if (c) break; }")
+    assert not flow_orderliness(facts, exit_limit=1).orderly
 
 
 def test_single_break_per_loop_is_fine():
-    tree = parse_source("for (i = 0; i < 9; i++) { if (done) break; }")
-    assert flow_orderliness(tree) == FlowReport(0, 0, True)
+    facts = flow_facts("for (i = 0; i < 9; i++) { if (done) break; }")
+    assert flow_orderliness(facts) == FlowReport(0, 0, True)
 
 
 def test_switch_breaks_do_not_count_against_loops():
-    tree = parse_source(
+    facts = flow_facts(
         """
         while (busy)
         {
@@ -180,14 +180,14 @@ def test_switch_breaks_do_not_count_against_loops():
         }
         """
     )
-    assert flow_orderliness(tree) == FlowReport(0, 0, True)
+    assert flow_orderliness(facts) == FlowReport(0, 0, True)
 
 
 def test_continues_count_toward_loop_exits():
-    tree = parse_source(
+    facts = flow_facts(
         "for (i = 0; i < 9; i++) { if (a) continue; if (b) continue; if (c) break; }"
     )
-    assert flow_orderliness(tree).unstructured_exits == 2
+    assert flow_orderliness(facts).unstructured_exits == 2
 
 
 @pytest.mark.parametrize(
@@ -232,4 +232,16 @@ def test_continues_count_toward_loop_exits():
     ],
 )
 def test_flow_walk_cases(source, expected):
-    assert flow_orderliness(parse_source(source)) == expected
+    assert flow_orderliness(flow_facts(source)) == expected
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param("while (a) { int f(void) { break; } break; }", id="function_in_a_loop"),
+        pytest.param("while (a) { while (b) { break; } break; }", id="after_an_inner_loop"),
+        pytest.param("while (a) { switch (x) { case 1: break; } break; }", id="after_a_switch"),
+    ],
+)
+def test_each_break_exits_the_loop_around_it(source):
+    assert flow_facts(source).loop_exits == [1] * source.count("while")

@@ -1,0 +1,44 @@
+"""Token soup: for any input, analysis returns a result and the report renders.
+
+The parser records loops, labels, gotos and loop exits while it builds the
+tree, so braces, jumps and pragmas in any order must leave it consistent:
+every outcome is a ``FileResult``, a malformed file carries its error, and
+both report formats render it.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from codearea import Config, FileResult, analyze, analyze_source, emit_report
+from codearea.analysis import STDIN_LABEL
+
+FRAGMENTS = [
+    "{", "}", "(", ")", ";", ":", "\n",
+    "if (a)", "else", "switch (x)", "case 1:", "default:",
+    "break;", "continue;", "goto L;", "goto", "L:", "M: y = 2;",
+    "for (i = 0; i < 3; i++)", "for (i = 5; i < 3; i++)", "while (b)", "do",
+    "try", "catch (e)", "finally", "int f(void)",
+    "x = 1;", "g(x);", "return y;", "#include <a.h>\n",
+    "// @iters 3\n", "/* @iters 2 */", "// @iters -1\n", "// note\n", "/* c\nbreak\n*/",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=3)), max_size=40))
+def test_any_token_soup_gives_a_result_that_renders(parts):
+    text = " ".join(parts)
+    result = analyze_source(text, STDIN_LABEL, Config())
+    assert isinstance(result, FileResult)
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        report = analyze(["-"], Config())
+    assert report.files == [result]
+    assert emit_report(report, "text").startswith(b"impact-weighted code metrics\n")
+    doc = json.loads(emit_report(report, "json"))
+    assert doc["files"][0]["path"] == STDIN_LABEL
+    assert ("error" in doc["files"][0]) == (result.error is not None)

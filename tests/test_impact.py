@@ -132,10 +132,10 @@ def test_segment_impacts_for_worked_corpus():
         assert [s.impact for s in segments_of(source)] == impacts
 
 
-def test_segment_impact_stores_result():
+def test_segment_impact_returns_result_and_stores_nothing():
     segs = segment(parse_source("x = 1;\n"))
-    value = segment_impact(segs[0], W)
-    assert segs[0].impact == value == Fraction(1, 5)
+    assert segment_impact(segs[0], W) == Fraction(1, 5)
+    assert not hasattr(segs[0], "impact")
 
 
 def test_weight_table_rejects_out_of_range():

@@ -68,6 +68,27 @@ def test_pragma_zero_is_allowed():
     assert resolve_loop_count(header("busy"), pragma=0).value == 0
 
 
+@pytest.mark.parametrize(
+    "bound,count",
+    [
+        ("10u", 10),
+        ("10UL", 10),
+        ("0x10u", 16),
+        ("010", 8),
+        ("0", 0),
+        ("10.0", None),
+        ("1e1", None),
+        ("08", None),
+    ],
+)
+def test_integer_suffixes_and_octal_in_literal_bounds(bound, count):
+    got = resolve_loop_count(header(f"i = 0; i < {bound}; i++"), default_iterations=3)
+    if count is None:
+        assert got == IterationCount(3, CountProvenance.CONFIG_DEFAULT)
+    else:
+        assert got == IterationCount(count, CountProvenance.LITERAL_BOUND)
+
+
 def test_negative_pragma_raises():
     with pytest.raises(NegativeIterationsError):
         resolve_loop_count(header("i=0;i<1;i++"), pragma=-3)
@@ -122,7 +143,7 @@ def test_while_loop_uses_config_default():
     ],
 )
 def test_pragma_lapses_at_anything_but_a_loop(source, line):
-    _, diagnostics = parse_tokens(tokenize(source))
+    _, diagnostics = parse_tokens(tokenize(source))[:2]
     lapsed = [d for d in diagnostics if "not followed by a loop" in d]
     expected = f"line {line}: pragma '@iters 3' not followed by a loop; ignored"
     assert lapsed == ([] if line is None else [expected])
@@ -145,9 +166,23 @@ def test_comment_in_a_for_header_keeps_its_literal_bound():
     ],
 )
 def test_pragma_between_the_parts_of_a_construct_lapses(source, line):
-    tree, diagnostics = parse_tokens(tokenize(source + "\nwhile (b) x = 2;"))
+    tree, diagnostics = parse_tokens(tokenize(source + "\nwhile (b) x = 2;"))[:2]
     assert diagnostics == [f"line {line}: pragma '@iters 3' not followed by a loop; ignored"]
     assert tree[-1].count.provenance is CountProvenance.CONFIG_DEFAULT
+
+
+@pytest.mark.parametrize(
+    "source,line",
+    [
+        pytest.param("for (i = 0; i < n /* @iters 5 */; i++) x();", 1, id="for_header"),
+        pytest.param("for (i = 0;\n// @iters 5\ni < 9; i++) x();", 2, id="for_header_line"),
+        pytest.param("while /* @iters 5 */ (a) x();", 1, id="before_while_paren"),
+        pytest.param("if (a /* @iters 5 */) x();", 1, id="if_header"),
+    ],
+)
+def test_pragma_in_a_header_lapses(source, line):
+    diagnostics = parse_tokens(tokenize(source)).diagnostics
+    assert diagnostics == [f"line {line}: pragma '@iters 5' not followed by a loop; ignored"]
 
 
 def test_pragma_between_a_header_and_its_body_reaches_the_loop_in_it():

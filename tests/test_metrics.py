@@ -20,7 +20,7 @@ from codearea import (
     execution_time,
     quality_quotient,
 )
-from codearea.segmenter import CodeSegment, SegmentKind
+from codearea.segmenter import ScoredSegment, SegmentKind
 
 WORKED_IMPACTS = [
     Fraction(10),
@@ -31,8 +31,8 @@ WORKED_IMPACTS = [
 ]
 
 
-def seg(impact: Fraction) -> CodeSegment:
-    return CodeSegment(SegmentKind.SL, [], (1, 1), impact)
+def seg(impact: Fraction) -> ScoredSegment:
+    return ScoredSegment(SegmentKind.SL, (1, 1), impact)
 
 
 def test_code_area_sums_worked_example():
@@ -46,11 +46,6 @@ def test_code_area_of_nothing_is_zero():
 def test_code_area_is_additive_over_duplication():
     segments = [seg(i) for i in WORKED_IMPACTS]
     assert code_area(segments + segments) == 2 * code_area(segments)
-
-
-def test_code_area_requires_computed_impacts():
-    with pytest.raises(ValueError):
-        code_area([CodeSegment(SegmentKind.SL, [], (1, 1), None)])
 
 
 def test_quality_quotient_worked_example():

@@ -1,7 +1,8 @@
-"""Only the front end reads C token syntax.
+"""Only the front end reads C token syntax, and flow analysis reads no tree.
 
 Every other module works on the block tree, whose statements carry
-their kind, line span and jump but no tokens.
+their kind and line span but no tokens.  The parser records the jumps
+that flow analysis reads, so the classifier needs no block node type.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "codearea"
 TOKEN_NAMES = {"Token", "TokenKind"}
+NODE_NAMES = {"Statement", "LoopBlock", "ConditionBlock", "ExceptionBlock", "FunctionDef"}
 
 
-def _token_importers() -> set[str]:
+def _importers(wanted: set[str]) -> set[str]:
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -22,12 +24,18 @@ def _token_importers() -> set[str]:
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.Attribute):  # e.g. frontend.TokenKind
                 names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
             else:
                 continue
-            if names & TOKEN_NAMES:
+            if names & wanted:
                 found.add(path.name)
     return found
 
 
 def test_only_the_front_end_imports_token_types():
-    assert _token_importers() <= {"frontend.py", "__init__.py"}
+    assert _importers(TOKEN_NAMES) <= {"frontend.py", "__init__.py"}
+
+
+def test_the_classifier_uses_no_block_node_type():
+    assert "classifier.py" not in _importers(NODE_NAMES)

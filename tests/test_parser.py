@@ -214,13 +214,13 @@ def test_leaf_spans_are_disjoint_and_in_bounds(lines):
 
 
 def test_unused_pragma_reports_diagnostic():
-    nodes, diags = parse_tokens(tokenize("// @iters 7\nx = 1;\n"))
+    nodes, diags = parse_tokens(tokenize("// @iters 7\nx = 1;\n"))[:2]
     assert len(nodes) == 1
     assert any("@iters 7" in d for d in diags)
 
 
 def test_pragma_then_loop_has_no_diagnostic():
-    nodes, diags = parse_tokens(tokenize("// @iters 7\nwhile (busy) { spin(); }\n"))
+    nodes, diags = parse_tokens(tokenize("// @iters 7\nwhile (busy) { spin(); }\n"))[:2]
     assert diags == []
     assert nodes[0].count.value == 7
 
@@ -291,9 +291,16 @@ def test_nesting_past_the_limit_is_a_source_error(shape):
     ],
 )
 def test_statement_records_its_jump(source, jump):
-    (statement,) = parse_source(source)
+    parsed = parse_tokens(tokenize(f"while (a) {{\n{source}\n}}"))
+    (loop,) = parsed.tree
+    (statement,) = loop.body
     assert isinstance(statement, Statement)
-    assert statement.jump == jump
+    what, name = jump or (None, None)
+    assert parsed.flow == (
+        {name: 2} if what == "label" else {},
+        [(name, 2)] if what == "goto" else [],
+        [1 if what in ("break", "continue") else 0],
+    )
 
 
 def _shape(nodes):
