@@ -695,6 +695,8 @@ class _Parser:
                     break
                 elif depth == 0 and text in "{}":
                     break
+            elif kind is TokenKind.COMMENT:
+                self._header_comment(toks[j])
             j += 1
         prefix = toks[self.i:j]
         self.i = j
@@ -820,6 +822,8 @@ class _Parser:
                 while (lbl := self._peek()) is not None and lbl.text != ":":
                     if lbl.text in "{}":
                         raise MalformedHeaderError("unterminated case label", tok.line)
+                    if lbl.kind is TokenKind.COMMENT:
+                        self._header_comment(lbl)
                     self._next()
                 self._expect_text(":", tok.line)
                 branches.append(leading)

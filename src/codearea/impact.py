@@ -6,8 +6,8 @@ block averages its branch sums over the branch count, and an exception
 block multiplies its body by the handler count.  Impact is therefore
 linear in the weights: each statement adds its kind's weight times the
 product of the multipliers on its path from the top.  One top-down pass
-(:func:`effective_counts`) sums those products per statement kind, and
-an impact is the dot product of the counts with the weight table.
+sums each child list's weights in integers, over the weight table's
+common denominator, and scales that sum by the list's multiplier once.
 
 All arithmetic is exact (``fractions.Fraction``); rounding happens only
 when a report is rendered.
@@ -15,8 +15,10 @@ when a report is rendered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import InvalidWeightError
@@ -68,34 +70,35 @@ class WeightTable:
     def weight(self, kind: StatementKind) -> Fraction:
         return self.weights[kind]
 
+    @cached_property
+    def scaled(self) -> tuple[dict[StatementKind, int], int]:
+        """Each weight's numerator over the table's least common
+        denominator, and that denominator."""
+        denominator = math.lcm(*(w.denominator for w in self.weights.values()))
+        return {k: int(w * denominator) for k, w in self.weights.items()}, denominator
+
     def replace(self, overrides: Mapping[StatementKind, Fraction]) -> "WeightTable":
         merged = dict(self.weights)
         merged.update(overrides)
         return WeightTable(merged, self.exception_multiplier_enabled)
 
 
-# Copied per call: a dict copy reuses the stored hashes, and an enum
-# member's hash is a Python-level method.
-_NO_COUNTS: dict[StatementKind, Fraction | int] = dict.fromkeys(StatementKind, 0)
-
-
-def effective_counts(
-    nodes: list[BlockNode], exception_multiplier: bool
-) -> dict[StatementKind, Fraction | int]:
-    """How many times each statement kind counts under *nodes*.
-
-    Every statement adds the product of the multipliers on its path:
-    a loop's iteration count, ``1/branches`` for a condition block, the
-    handler count for an exception block (when *exception_multiplier*
-    is on), and 1 for a function.
+def _impact(nodes: list[BlockNode], weights: WeightTable) -> ImpactScore:
+    """Sum, over the statements under *nodes*, each kind's weight times
+    the product of the multipliers on its path: a loop's iteration
+    count, ``1/branches`` for a condition block, the handler count for
+    an exception block (when the table enables it), and 1 for a function.
     """
-    counts = _NO_COUNTS.copy()
+    numerators, denominator = weights.scaled
+    exception_multiplier = weights.exception_multiplier_enabled
+    total: Fraction | int = 0
     stack: list[tuple[list[BlockNode], Fraction | int]] = [(nodes, 1)]
     while stack:
         children, m = stack.pop()
+        weight_sum = 0
         for node in children:
             if isinstance(node, Statement):
-                counts[node.kind] += m
+                weight_sum += numerators[node.kind]
             elif isinstance(node, LoopBlock):
                 stack.append((node.body, m * node.count.value))
             elif isinstance(node, ConditionBlock):
@@ -109,17 +112,9 @@ def effective_counts(
                 stack.append((node.body, m))
             else:
                 raise TypeError(f"not a block node: {node!r}")
-    return counts
-
-
-def _impact(nodes: list[BlockNode], weights: WeightTable) -> ImpactScore:
-    counts = effective_counts(nodes, weights.exception_multiplier_enabled)
-    w = weights.weights
-    total = Fraction(0)
-    for kind, n in counts.items():
-        if n:
-            total += w[kind] * n
-    return total
+        if weight_sum:
+            total += m * weight_sum
+    return Fraction(total, denominator)
 
 
 def block_impact(node: BlockNode, weights: WeightTable) -> ImpactScore:

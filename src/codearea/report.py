@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Any, Callable, Iterable
 
 from .analysis import AnalysisReport, FileResult
+from .classifier import FlowReport
 from .metrics import QUALITY_ATTRIBUTE_NAMES
+from .segmenter import SegmentCounts
 
 SCHEMA_VERSION = 1
+
+# Below this many cents a value has at most 15 significant digits, which
+# a 64-bit float carries exactly: its repr reads back as the value.
+_FLOAT_EXACT_CENTS = 10**15
 
 
 def _cents(value: Fraction) -> int:
@@ -25,17 +32,33 @@ def _cents(value: Fraction) -> int:
     return q
 
 
+def _digits(cents: int) -> str:
+    return f"{cents // 100}.{cents % 100:02d}"
+
+
 def round2(value: Fraction) -> float:
     return _cents(value) / 100
 
 
 def render2(value: Fraction) -> str:
-    q = _cents(value)
-    return f"{q // 100}.{q % 100:02d}"
+    return _digits(_cents(value))
 
 
-def exact(value: Fraction) -> list[int]:
-    return [value.numerator, value.denominator]
+def json2(value: Fraction) -> str:
+    """The JSON number token of *value* rounded half-up to two decimals.
+
+    This is ``repr(round2(value))``, what ``json`` writes for the float,
+    whenever that token reads back as exactly the rounded value, and
+    otherwise the exact digits that :func:`render2` shows.
+    """
+    cents = _cents(value)
+    try:
+        token = repr(cents / 100)
+    except OverflowError:  # beyond the float range
+        return _digits(cents)
+    if cents < _FLOAT_EXACT_CENTS or Fraction(token) == Fraction(cents, 100):
+        return token
+    return _digits(cents)
 
 
 def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
@@ -50,85 +73,137 @@ def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
+#
+# Schema v1 is written by template in the layout of ``json.dumps(doc,
+# indent=2)``: every key sits at a depth the schema fixes, so each object
+# is an f-string with its indent written in.  Numbers are written by
+# ``repr`` (plain keys by ``json2``), strings from the input by
+# ``json.dumps``, which escapes them to ASCII.  The pieces go into one
+# flat list, joined and encoded once.
 
 
-def _file_json(f: FileResult) -> dict:
-    entry: dict = {"path": f.path, "raw_loc": f.raw_loc}
+def _array(
+    out: list[str],
+    items: Iterable,
+    indent: str,
+    write: Callable[[list[str], Any], object] = list.append,
+) -> None:
+    """Append a JSON array of *items*, each appended by ``write(out, item)``
+    one level deeper than *indent*, the array's own."""
+    start = len(out)
+    for item in items:
+        out.append(",\n" if len(out) > start else "[\n")
+        write(out, item)
+    out.append(f"\n{indent}]" if len(out) > start else "[]")
+
+
+def _pair(value: Fraction, indent: str) -> str:
+    """The ``*_exact`` array of *value*: ``[numerator, denominator]``."""
+    return f"[\n{indent}  {value.numerator},\n{indent}  {value.denominator}\n{indent}]"
+
+
+def _counts(c: SegmentCounts, indent: str) -> str:
+    i = indent + "  "
+    return (
+        f'{{\n{i}"sl": {c.simple},\n{i}"cl": {c.condition},\n{i}"ll": {c.loop},\n'
+        f'{i}"el": {c.exception},\n{i}"total": {c.total}\n{indent}}}'
+    )
+
+
+def _flow(flow: FlowReport, indent: str) -> str:
+    i = indent + "  "
+    return (
+        f'{{\n{i}"backward_jumps": {flow.backward_jumps},\n'
+        f'{i}"unstructured_exits": {flow.unstructured_exits},\n'
+        f'{i}"orderly": {"true" if flow.orderly else "false"}\n{indent}}}'
+    )
+
+
+def _write_file(out: list[str], f: FileResult) -> None:
+    out.append(
+        f'    {{\n      "path": {json.dumps(f.path)},\n      "raw_loc": {f.raw_loc},\n'
+    )
     if f.error is not None:
-        entry["error"] = {"message": f.error, "line": f.error_line}
-        return entry
-    entry["segments"] = [
-        {
-            "kind": seg.kind.value,
-            "start_line": seg.span[0],
-            "end_line": seg.span[1],
-            "impact": round2(seg.impact),
-            "impact_exact": exact(seg.impact),
-        }
-        for seg in f.segments
-    ]
-    entry["segment_counts"] = _counts_json(f.counts)
-    entry["impact"] = round2(f.impact)
-    entry["impact_exact"] = exact(f.impact)
-    entry["loops"] = [
-        {"line": lp.line, "count": lp.count, "provenance": lp.provenance}
-        for lp in f.loops
-    ]
-    entry["flow"] = _flow_json(f.flow)
-    return entry
-
-
-def _counts_json(counts) -> dict:
-    return {
-        "sl": counts.simple,
-        "cl": counts.condition,
-        "ll": counts.loop,
-        "el": counts.exception,
-        "total": counts.total,
-    }
-
-
-def _flow_json(flow) -> dict:
-    return {
-        "backward_jumps": flow.backward_jumps,
-        "unstructured_exits": flow.unstructured_exits,
-        "orderly": flow.orderly,
-    }
+        line = "null" if f.error_line is None else f.error_line
+        out.append(
+            f'      "error": {{\n        "message": {json.dumps(f.error)},\n'
+            f'        "line": {line}\n      }}\n    }}'
+        )
+        return
+    out.append('      "segments": ')
+    # Segment kinds are fixed ASCII names and need no escaping.
+    _array(
+        out,
+        (
+            f'        {{\n'
+            f'          "kind": "{seg.kind.value}",\n'
+            f'          "start_line": {seg.span[0]},\n'
+            f'          "end_line": {seg.span[1]},\n'
+            f'          "impact": {json2(seg.impact)},\n'
+            f'          "impact_exact": {_pair(seg.impact, "          ")}\n'
+            f'        }}'
+            for seg in f.segments
+        ),
+        "      ",
+    )
+    out.append(
+        f',\n      "segment_counts": {_counts(f.counts, "      ")},\n'
+        f'      "impact": {json2(f.impact)},\n'
+        f'      "impact_exact": {_pair(f.impact, "      ")},\n'
+        '      "loops": '
+    )
+    _array(
+        out,
+        (
+            f'        {{\n'
+            f'          "line": {lp.line},\n'
+            f'          "count": {lp.count},\n'
+            f'          "provenance": {json.dumps(lp.provenance)}\n'
+            f'        }}'
+            for lp in f.loops
+        ),
+        "      ",
+    )
+    out.append(f',\n      "flow": {_flow(f.flow, "      ")}\n    }}')
 
 
 def _render_json(report: AnalysisReport) -> bytes:
-    doc = {
-        "v": SCHEMA_VERSION,
-        "files": [_file_json(f) for f in report.files],
-        "raw_loc": report.raw_loc,
-        "segment_counts": _counts_json(report.counts),
-        "code_area": round2(report.code_area),
-        "code_area_exact": exact(report.code_area),
-        "quality_attributes": dict(
-            zip(QUALITY_ATTRIBUTE_NAMES, report.qr_attrs.as_tuple())
-        ),
-        "quality_quotient": report.qr,
-        "quality_quotient_normalized": round2(Fraction(report.qr, 10)),
-        "execution_time_s": None
-        if report.execution_time_s is None
-        else round2(report.execution_time_s),
-        "execution_time_exact": None
-        if report.execution_time_s is None
-        else exact(report.execution_time_s),
-        "efficiency": None if report.efficiency is None else round2(report.efficiency),
-        "efficiency_exact": None
-        if report.efficiency is None
-        else exact(report.efficiency),
-        "percentage_of_baseline": round2(report.percentage_of_baseline),
-        "percentage_of_baseline_exact": exact(report.percentage_of_baseline),
-        "meets_threshold": report.meets_threshold,
-        "rubric_score": round2(report.rubric_score),
-        "rubric_score_exact": exact(report.rubric_score),
-        "level": report.level.level,
-        "flow": _flow_json(report.flow),
-        "diagnostics": list(report.diagnostics),
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    out = [f'{{\n  "v": {SCHEMA_VERSION},\n  "files": ']
+    _array(out, report.files, "  ", _write_file)
+    attrs = ",\n".join(
+        f'    "{name}": {score}'
+        for name, score in zip(QUALITY_ATTRIBUTE_NAMES, report.qr_attrs.as_tuple())
+    )
+    time_s, efficiency = report.execution_time_s, report.efficiency
+    out.append(
+        f',\n  "raw_loc": {report.raw_loc},\n'
+        f'  "segment_counts": {_counts(report.counts, "  ")},\n'
+        f'  "code_area": {json2(report.code_area)},\n'
+        f'  "code_area_exact": {_pair(report.code_area, "  ")},\n'
+        f'  "quality_attributes": {{\n{attrs}\n  }},\n'
+        f'  "quality_quotient": {report.qr},\n'
+        f'  "quality_quotient_normalized": {json2(Fraction(report.qr, 10))},\n'
+        f'  "execution_time_s": {"null" if time_s is None else json2(time_s)},\n'
+        '  "execution_time_exact": '
+        f'{"null" if time_s is None else _pair(time_s, "  ")},\n'
+        f'  "efficiency": {"null" if efficiency is None else json2(efficiency)},\n'
+        '  "efficiency_exact": '
+        f'{"null" if efficiency is None else _pair(efficiency, "  ")},\n'
+        f'  "percentage_of_baseline": {json2(report.percentage_of_baseline)},\n'
+        '  "percentage_of_baseline_exact": '
+        f'{_pair(report.percentage_of_baseline, "  ")},\n'
+        f'  "meets_threshold": {"true" if report.meets_threshold else "false"},\n'
+        f'  "rubric_score": {json2(report.rubric_score)},\n'
+        f'  "rubric_score_exact": {_pair(report.rubric_score, "  ")},\n'
+        f'  "level": {report.level.level},\n'
+        f'  "flow": {_flow(report.flow, "  ")},\n'
+        '  "diagnostics": '
+    )
+    _array(out, (f"    {json.dumps(d)}" for d in report.diagnostics), "  ")
+    out.append("\n}\n")
+    text = "".join(out)
+    del out  # free the pieces before the encoded copy is made
+    return text.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

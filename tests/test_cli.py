@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from codearea import analysis
 from codearea.cli import main
 
 from conftest import CORPUS_FILES
@@ -114,6 +115,13 @@ def test_segments_flag_requires_single_input(capsys):
     assert main(corpus_args() + ["--segments", "x.segments"]) == 2
 
 
+def test_missing_segments_file_fails_its_input(tmp_path, capsys):
+    missing = tmp_path / "missing.segments"
+    assert main([str(CORPUS_FILES[0]), "--segments", str(missing), "--format", "json"]) == 1
+    [entry] = json.loads(capsys.readouterr().out)["files"]
+    assert entry["error"]["message"].startswith("Io: [Errno 2]")
+
+
 def test_exec_time_avg_with_empty_corpus_is_config_error(capsys):
     assert main(["--exec-time-avg", "2"]) == 2
 
@@ -155,3 +163,33 @@ def test_deep_nesting_fails_only_its_file(tmp_path, capsys, source):
     assert by_path[str(deep)]["error"]["message"].startswith("NestingTooDeepError")
     assert "error" not in by_path[str(good)]
     assert by_path[str(good)]["segments"][0]["impact"] == 0.6
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_unexpected_exception_fails_only_its_file(tmp_path, capsys, caplog, monkeypatch, fmt):
+    bad = tmp_path / "bad.c"
+    bad.write_text("breaks();\n", encoding="utf-8")
+    good = tmp_path / "good.c"
+    good.write_text("a = b;\nc = d;\n", encoding="utf-8")
+    real_parse = analysis.parse_tokens
+
+    def parse_or_break(tokens, **kwargs):
+        if tokens[0].text == "breaks":
+            raise ZeroDivisionError("boom")
+        return real_parse(tokens, **kwargs)
+
+    monkeypatch.setattr(analysis, "parse_tokens", parse_or_break)
+    assert main([str(bad), str(good), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    message = "InternalError: ZeroDivisionError: boom"
+    if fmt == "json":
+        by_path = {f["path"]: f for f in json.loads(captured.out)["files"]}
+        assert by_path[str(bad)] == {
+            "path": str(bad), "raw_loc": 1, "error": {"message": message, "line": None},
+        }
+        assert by_path[str(good)]["impact"] == 0.6
+    else:
+        assert f"{bad}\n  error: {message}\n" in captured.out
+        assert f"{good}\n  raw LOC: 2\n" in captured.out
+    [record] = caplog.records
+    assert str(bad) in record.getMessage() and record.exc_info[0] is ZeroDivisionError

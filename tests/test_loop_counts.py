@@ -178,6 +178,13 @@ def test_pragma_between_the_parts_of_a_construct_lapses(source, line):
         pytest.param("for (i = 0;\n// @iters 5\ni < 9; i++) x();", 2, id="for_header_line"),
         pytest.param("while /* @iters 5 */ (a) x();", 1, id="before_while_paren"),
         pytest.param("if (a /* @iters 5 */) x();", 1, id="if_header"),
+        pytest.param("x = 1 /* @iters 5 */;\nwhile (a) y();", 1, id="statement"),
+        pytest.param(
+            "switch (a) { case 1 /* @iters 5 */: x(); }\nwhile (a) y();", 1, id="case_label"
+        ),
+        pytest.param(
+            "int f(void) /* @iters 5 */ {\nwhile (a) y();\n}", 1, id="function_header"
+        ),
     ],
 )
 def test_pragma_in_a_header_lapses(source, line):
