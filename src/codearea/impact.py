@@ -91,30 +91,35 @@ def _impact(nodes: list[BlockNode], weights: WeightTable) -> ImpactScore:
     """
     numerators, denominator = weights.scaled
     exception_multiplier = weights.exception_multiplier_enabled
-    total: Fraction | int = 0
-    stack: list[tuple[list[BlockNode], Fraction | int]] = [(nodes, 1)]
+    # A multiplier is an integer pair (numerator, divisor); the sums of
+    # the child lists are kept per divisor and put over one denominator
+    # at the end, so the walk builds no Fraction.
+    sums: dict[int, int] = {}
+    stack: list[tuple[list[BlockNode], int, int]] = [(nodes, 1, 1)]
     while stack:
-        children, m = stack.pop()
+        children, m, d = stack.pop()
         weight_sum = 0
         for node in children:
             if isinstance(node, Statement):
                 weight_sum += numerators[node.kind]
             elif isinstance(node, LoopBlock):
-                stack.append((node.body, m * node.count.value))
+                stack.append((node.body, m * node.count.value, d))
             elif isinstance(node, ConditionBlock):
-                share = Fraction(m, len(node.branches))
-                stack.extend((branch, share) for branch in node.branches)
+                divisor = d * len(node.branches)
+                stack.extend((branch, m, divisor) for branch in node.branches)
             elif isinstance(node, ExceptionBlock):
                 stack.append(
-                    (node.body, m * node.handlers if exception_multiplier else m)
+                    (node.body, m * node.handlers if exception_multiplier else m, d)
                 )
             elif isinstance(node, FunctionDef):
-                stack.append((node.body, m))
+                stack.append((node.body, m, d))
             else:
                 raise TypeError(f"not a block node: {node!r}")
         if weight_sum:
-            total += m * weight_sum
-    return Fraction(total, denominator)
+            sums[d] = sums.get(d, 0) + m * weight_sum
+    common = math.lcm(*sums)
+    total = sum(n * (common // d) for d, n in sums.items())
+    return Fraction(total, common * denominator)
 
 
 def block_impact(node: BlockNode, weights: WeightTable) -> ImpactScore:

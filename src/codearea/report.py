@@ -62,7 +62,11 @@ def json2(value: Fraction) -> str:
 
 
 def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
-    """Serialize *report* to UTF-8 bytes in the requested format."""
+    """Serialize *report* to UTF-8 bytes in the requested format.
+
+    The text format writes a path whose bytes are not UTF-8 (decoded by
+    Python with lone surrogates) as those original bytes.
+    """
     if fmt == "json":
         return _render_json(report)
     if fmt == "text":
@@ -277,4 +281,4 @@ def _render_text(report: AnalysisReport) -> bytes:
         for diag in report.diagnostics:
             lines.append(f"  - {diag}")
     lines.append("")
-    return "\n".join(lines).encode("utf-8")
+    return "\n".join(lines).encode("utf-8", errors="surrogateescape")

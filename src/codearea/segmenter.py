@@ -82,35 +82,43 @@ def segment(tree: list[BlockNode]) -> list[CodeSegment]:
     """Compute the default ordered segment partition of *tree*."""
     out: list[CodeSegment] = []
     run: list[Statement] = []
-
-    def flush() -> None:
-        if run:
-            out.append(CodeSegment(SegmentKind.SL, list(run), _span_of(run)))
-            run.clear()
-
-    def walk(nodes: list[BlockNode]) -> None:
-        for node in nodes:
-            if isinstance(node, Statement):
-                if run and _group(run[-1]) != _group(node):
-                    flush()
-                run.append(node)
-            elif isinstance(node, FunctionDef):
-                flush()
-                walk(node.body)
-                flush()
-            elif isinstance(node, ConditionBlock):
-                flush()
-                out.append(CodeSegment(SegmentKind.CL, [node], node.span))
-            elif isinstance(node, LoopBlock):
-                flush()
-                out.append(CodeSegment(SegmentKind.LL, [node], node.span))
-            elif isinstance(node, ExceptionBlock):
-                flush()
-                out.append(CodeSegment(SegmentKind.EL, [node], node.span))
-
-    walk(tree)
-    flush()
+    _partition(tree, out, run)
+    _flush(out, run)
     return out
+
+
+# Module-level helpers, not nested closures: a recursive closure is a
+# function <-> cell reference cycle, which would keep ``out`` and the tree
+# alive while ``analysis.analyze`` has the cyclic collector paused.
+
+
+def _flush(out: list[CodeSegment], run: list[Statement]) -> None:
+    if run:
+        out.append(CodeSegment(SegmentKind.SL, list(run), _span_of(run)))
+        run.clear()
+
+
+def _partition(
+    nodes: list[BlockNode], out: list[CodeSegment], run: list[Statement]
+) -> None:
+    for node in nodes:
+        if isinstance(node, Statement):
+            if run and _group(run[-1]) != _group(node):
+                _flush(out, run)
+            run.append(node)
+        elif isinstance(node, FunctionDef):
+            _flush(out, run)
+            _partition(node.body, out, run)
+            _flush(out, run)
+        elif isinstance(node, ConditionBlock):
+            _flush(out, run)
+            out.append(CodeSegment(SegmentKind.CL, [node], node.span))
+        elif isinstance(node, LoopBlock):
+            _flush(out, run)
+            out.append(CodeSegment(SegmentKind.LL, [node], node.span))
+        elif isinstance(node, ExceptionBlock):
+            _flush(out, run)
+            out.append(CodeSegment(SegmentKind.EL, [node], node.span))
 
 
 def segment_counts(segments: list[CodeSegment] | list[ScoredSegment]) -> SegmentCounts:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import pytest
 
@@ -45,6 +46,17 @@ def test_file_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main([str(tmp_path / "absent.c")]) == 1
+
+
+def test_path_that_is_not_utf8_is_reported_as_its_bytes(tmp_path, capsysbinary):
+    raw = os.fsencode(tmp_path) + b"/\xff.c"
+    with open(raw, "wb") as f:
+        f.write(b"x = 1;\n")
+    path = os.fsdecode(raw)
+    assert main([path]) == 0
+    assert raw + b"\n  raw LOC: 1\n" in capsysbinary.readouterr().out
+    assert main([path, "--format", "json"]) == 0
+    assert json.loads(capsysbinary.readouterr().out)["files"][0]["path"] == path
 
 
 def test_config_error_exit_code(tmp_path, capsys):

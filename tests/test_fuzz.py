@@ -3,7 +3,8 @@
 The parser records loops, labels, gotos and loop exits while it builds the
 tree, so braces, jumps and pragmas in any order must leave it consistent:
 every outcome is a ``FileResult``, a malformed file carries its error, and
-both report formats render it.
+both report formats render it.  Whatever the outcome, analysis and
+rendering make no reference cycles.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from codearea import Config, FileResult, analyze, analyze_source, emit_report
 from codearea.analysis import STDIN_LABEL
 
+from test_no_cycles import analyze_and_render, cyclic_garbage
+
 FRAGMENTS = [
     "{", "}", "(", ")", ";", ":", "\n",
     "if (a)", "else", "switch (x)", "case 1:", "default:",
@@ -29,8 +32,11 @@ FRAGMENTS = [
 ]
 
 
+SOUP = st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=3)), max_size=40)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=3)), max_size=40))
+@given(SOUP)
 def test_any_token_soup_gives_a_result_that_renders(parts):
     text = " ".join(parts)
     result = analyze_source(text, STDIN_LABEL, Config())
@@ -42,3 +48,11 @@ def test_any_token_soup_gives_a_result_that_renders(parts):
     doc = json.loads(emit_report(report, "json"))
     assert doc["files"][0]["path"] == STDIN_LABEL
     assert ("error" in doc["files"][0]) == (result.error is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SOUP)
+def test_any_token_soup_leaves_no_cyclic_garbage(parts):
+    text = " ".join(parts)
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        assert cyclic_garbage(lambda: analyze_and_render(["-"])) == 0

@@ -1,0 +1,97 @@
+"""Analysis makes no reference cycles, and pauses the collector safely.
+
+``analysis.analyze`` disables the cyclic collector while it runs, so
+every object the pipeline makes must be freed by reference counting
+alone: a collection after an analyze and both renderings, all run with
+the collector off, must find nothing unreachable.  ``analyze`` also
+leaves the collector as it found it, on or off, whatever a file did.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from codearea import Config, analyze, emit_report, impact
+
+from conftest import CORPUS_FILES
+
+
+def cyclic_garbage(run) -> int:
+    """How many unreachable objects *run* leaves, run with the collector off."""
+    was_on = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if was_on:
+            gc.enable()
+
+
+def fail_scoring(segment, weights):
+    raise ZeroDivisionError("boom")
+
+
+def analyze_and_render(paths: list[str], config: Config = Config()) -> None:
+    report = analyze(paths, config)
+    emit_report(report, "text")
+    emit_report(report, "json")
+
+
+@pytest.fixture
+def mixed_inputs(tmp_path) -> list[str]:
+    """The golden corpus (its service loop has a sidecar), a file with its
+    own sidecar, one with a bad sidecar, a malformed one and a missing one."""
+    sided = tmp_path / "sided.c"
+    sided.write_text("x = 1;\ny = 2;\nwhile (a) z();\n", encoding="utf-8")
+    (tmp_path / "sided.c.segments").write_text("1 2 SL\n3 3 LL\n", encoding="utf-8")
+    bad_sidecar = tmp_path / "bad_sidecar.c"
+    bad_sidecar.write_text("x = 1;\ny = 2;\n", encoding="utf-8")
+    (tmp_path / "bad_sidecar.c.segments").write_text("1 1 SL\n", encoding="utf-8")
+    malformed = tmp_path / "malformed.c"
+    malformed.write_text("void f() { if (a) }\n", encoding="utf-8")
+    paths = [str(p) for p in CORPUS_FILES]
+    return paths + [str(sided), str(bad_sidecar), str(malformed), str(tmp_path / "gone.c")]
+
+
+def test_analysis_and_rendering_leave_no_cyclic_garbage(mixed_inputs):
+    report = analyze(mixed_inputs, Config())
+    errors = [f.error.split(":")[0] for f in report.files if f.error]
+    assert errors == ["SegmentOverrideError", "MalformedHeaderError", "Io"]
+    assert cyclic_garbage(lambda: analyze_and_render(mixed_inputs)) == 0
+
+
+def test_an_internal_error_leaves_no_cyclic_garbage(mixed_inputs, monkeypatch):
+    monkeypatch.setattr(impact, "segment_impact", fail_scoring)
+    report = analyze([str(CORPUS_FILES[0])], Config())
+    assert report.files[0].error == "InternalError: ZeroDivisionError: boom"
+    assert cyclic_garbage(lambda: analyze_and_render(mixed_inputs)) == 0
+
+
+@pytest.mark.parametrize("collector_on", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("outcome", ["analyzed", "internal_error", "raised"])
+def test_analyze_restores_the_collector_state(monkeypatch, collector_on, outcome):
+    if outcome == "internal_error":
+        monkeypatch.setattr(impact, "segment_impact", fail_scoring)
+    elif outcome == "raised":
+        def interrupt(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("codearea.analysis._read_input", interrupt)
+    was_on = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        try:
+            report = analyze([str(CORPUS_FILES[3])], Config())
+        except KeyboardInterrupt:
+            assert outcome == "raised"
+        else:
+            assert outcome != "raised"
+            assert (report.files[0].error is not None) == (outcome == "internal_error")
+        assert gc.isenabled() == collector_on
+    finally:
+        (gc.enable if was_on else gc.disable)()
+
