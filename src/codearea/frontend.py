@@ -25,6 +25,12 @@ the innermost loop.  A ``break`` exits the innermost loop or ``switch``,
 and a ``switch`` absorbs it, so it counts as no loop's exit.  A function
 body starts with no loop around it.
 
+Each statement's tokens are walked once: the scan that finds where a
+statement ends also gathers what the classification rules read, and
+:func:`classify_statement` applies the same scan and rules to any token
+list.  Block nodes are slotted dataclasses, so they take no attributes
+beyond their fields.
+
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the next loop;
 a ``for`` header of the shape *init-to-constant / compare-to-constant /
@@ -65,6 +71,14 @@ class Token(NamedTuple):
     text: str
     line: int
     lead: str = ""  # whitespace between the previous token and this one
+
+
+_IDENTIFIER = TokenKind.IDENTIFIER
+_KEYWORD = TokenKind.KEYWORD
+_PUNCTUATION = TokenKind.PUNCTUATION
+_LITERAL = TokenKind.LITERAL
+_COMMENT = TokenKind.COMMENT
+_PREPROCESSOR = TokenKind.PREPROCESSOR
 
 
 class TokenStream(list):
@@ -224,6 +238,100 @@ _ASSIGN_OPS = frozenset({
 })
 
 
+def _scan_statement(tokens: list[Token], start: int, stop: bool) -> tuple:
+    """Walk a statement's tokens once and gather what the rules read.
+
+    With *stop*, the walk ends the way a statement does in the parser:
+    after a ``;`` or before a ``{`` or ``}`` outside ``(`` and ``[``.
+    Without it, the walk takes every token from *start* on.  Returns the
+    index where the walk ended, whether a comment on the way may hold an
+    ``@iters`` pragma, and the facts :func:`_statement_kind` reads: the
+    number of calls (an identifier right before ``(``), the first call's
+    name, the number of operators, whether one of them assigns, and the
+    first five tokens other than ``;`` and comments.
+    """
+    calls = ops = depth = 0
+    first_call = callee = None
+    has_assign = pragma = False
+    body: list[Token] = []
+    room = 5  # body tokens still to take
+    end = len(tokens)
+    for j in range(start, end):
+        tok = tokens[j]
+        kind, text, _, _ = tok
+        if kind is _PUNCTUATION:
+            if text in _OPERATORS:
+                ops += 1
+                if text in _ASSIGN_OPS:
+                    has_assign = True
+            elif text == "(":
+                depth += 1
+                if callee is not None:
+                    calls += 1
+                    if first_call is None:
+                        first_call = callee
+            elif text == ")" or text == "]":
+                depth -= 1
+            elif text == "[":
+                depth += 1
+            elif text == ";":
+                if stop and depth == 0:
+                    end = j + 1
+                    break
+                callee = None
+                continue
+            elif (text == "{" or text == "}") and stop and depth == 0:
+                end = j
+                break
+            callee = None
+        elif kind is _COMMENT:
+            callee = None
+            if "@iters" in text:
+                pragma = True
+            continue
+        else:
+            callee = text if kind is _IDENTIFIER else None
+        if room:
+            body.append(tok)
+            room -= 1
+    return end, pragma, (calls, first_call, ops, has_assign, body)
+
+
+def _statement_kind(
+    first: Token, facts: tuple, init_termination_calls: frozenset[str]
+) -> StatementKind:
+    """The rules of :func:`classify_statement`, on a statement's first token
+    and the facts :func:`_scan_statement` gathered from it."""
+    calls, first_call, ops, has_assign, body = facts
+    kind, text, _, _ = first
+    if kind is _COMMENT:
+        return StatementKind.COMMENT
+    if kind is _PREPROCESSOR:
+        return StatementKind.HEADER_INCLUDE
+    if kind is _KEYWORD:
+        if text == "return":
+            return StatementKind.RETURN
+        if text in DECLARATION_STARTERS and not calls:
+            return StatementKind.DECLARATION
+    # ident = [-]literal
+    if len(body) == 4 and body[2].text == "-":
+        del body[2]
+    if (
+        len(body) == 3
+        and body[0].kind is _IDENTIFIER
+        and body[1].text == "="
+        and body[2].kind is _LITERAL
+    ) or (calls == 1 and first_call in init_termination_calls):
+        return StatementKind.INIT_TERMINATION
+    if calls and not has_assign:
+        return StatementKind.FUNCTION_CALL
+    if not calls and ops == 1:
+        return StatementKind.SIMPLE_ASSIGNMENT
+    if (not calls and 2 <= ops <= 3) or (calls == 1 and ops <= 3):
+        return StatementKind.COMPLEX_ASSIGNMENT
+    return StatementKind.EXPRESSION
+
+
 def classify_statement(
     tokens: list[Token],
     init_termination_calls: frozenset[str] = DEFAULT_INIT_TERMINATION_CALLS,
@@ -235,68 +343,14 @@ def classify_statement(
     single call from the open/close/alloc/free name list), function call
     (call without assignment), simple assignment (one operator, no call),
     complex assignment (two or three operators, or one call with at most
-    three operators), expression (everything else).
+    three operators), expression (everything else).  The parser applies
+    the same rules to the facts it gathers while it finds a statement's
+    end.
     """
     if not tokens:
         return StatementKind.EXPRESSION
-    first = tokens[0]
-    if first.kind is TokenKind.COMMENT:
-        return StatementKind.COMMENT
-    if first.kind is TokenKind.PREPROCESSOR:
-        return StatementKind.HEADER_INCLUDE
-    if first.kind is TokenKind.KEYWORD and first.text == "return":
-        return StatementKind.RETURN
-    # One pass: calls (an identifier right before "("), the first call's
-    # name, operators, any assignment operator, and the first five tokens
-    # other than ";" and comments, for the literal-init rule.
-    calls = ops = 0
-    first_call = callee = None
-    has_assign = False
-    body: list[Token] = []
-    punct, identifier, comment = TokenKind.PUNCTUATION, TokenKind.IDENTIFIER, TokenKind.COMMENT
-    for tok in tokens:
-        kind, text, _, _ = tok
-        if kind is punct:
-            if text in _OPERATORS:
-                ops += 1
-                if text in _ASSIGN_OPS:
-                    has_assign = True
-            elif text == "(" and callee is not None:
-                calls += 1
-                if first_call is None:
-                    first_call = callee
-            callee = None
-            if text == ";":
-                continue
-        else:
-            callee = text if kind is identifier else None
-            if kind is comment:
-                continue
-        if len(body) < 5:
-            body.append(tok)
-    if (
-        first.kind is TokenKind.KEYWORD
-        and first.text in DECLARATION_STARTERS
-        and not calls
-    ):
-        return StatementKind.DECLARATION
-    # ident = [-]literal
-    if len(body) == 4 and body[2].text == "-":
-        del body[2]
-    if (
-        len(body) == 3
-        and body[0].kind is TokenKind.IDENTIFIER
-        and body[1].text == "="
-        and body[2].kind is TokenKind.LITERAL
-    ) or (calls == 1 and first_call in init_termination_calls):
-        return StatementKind.INIT_TERMINATION
-    if calls and not has_assign:
-        return StatementKind.FUNCTION_CALL
-    if not calls and ops == 1:
-        return StatementKind.SIMPLE_ASSIGNMENT
-    if (not calls and 2 <= ops <= 3) or (calls == 1 and ops <= 3):
-        return StatementKind.COMPLEX_ASSIGNMENT
-    return StatementKind.EXPRESSION
+    _, _, facts = _scan_statement(tokens, 0, False)
+    return _statement_kind(tokens[0], facts, init_termination_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +364,7 @@ class CountProvenance(enum.Enum):
     CONFIG_DEFAULT = "default"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationCount:
     value: int
     provenance: CountProvenance
@@ -319,34 +373,34 @@ class IterationCount:
 Span = tuple[int, int]  # inclusive 1-based line range
 
 
-@dataclass
+@dataclass(slots=True)
 class Statement:
     kind: StatementKind
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class ConditionBlock:
     branches: list[list["BlockNode"]]
     span: Span
     from_switch: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class LoopBlock:
     count: IterationCount
     body: list["BlockNode"]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class ExceptionBlock:
     handlers: int
     body: list["BlockNode"]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionDef:
     name: str
     body: list["BlockNode"]
@@ -495,6 +549,10 @@ def resolve_loop_count(
 # NestingTooDeepError instead of exhausting the interpreter's stack.
 MAX_NESTING = 100
 
+_LOOP_KEYWORDS = frozenset({"for", "while", "do"})
+# Keywords that continue a construct, so none can start one.
+_LATER_PARTS = frozenset({"else", "catch", "finally", "case", "default"})
+
 
 class _Parser:
     def __init__(
@@ -508,7 +566,7 @@ class _Parser:
         self.default_iterations = default_iterations
         self.init_calls = init_termination_calls
         self.pending_pragma: tuple[int, int] | None = None  # (value, line)
-        self.depth = 0  # constructs open around the current token
+        self.depth = 0  # constructs that hold others, open around the current token
         self.diagnostics: list[str] = []
         self.loops: list[tuple[int, IterationCount]] = []
         self.flow = FlowFacts({}, [], [])
@@ -533,33 +591,33 @@ class _Parser:
             raise MalformedHeaderError(f"expected '{text}'", context_line)
         return self._next()
 
-    def _balanced_parens(self, context_line: int) -> list[Token]:
-        """Consume ``( ... )`` and return its inner tokens, skipping comments."""
-        while (tok := self._peek()) is not None and tok.kind is TokenKind.COMMENT:
+    def _balanced_parens(self, context_line: int, keep: bool = False) -> list[Token] | None:
+        """Consume ``( ... )``, skipping comments; return its inner tokens
+        when *keep* is set, else ``None``."""
+        while (tok := self._peek()) is not None and tok.kind is _COMMENT:
             self._header_comment(self._next())
         self._expect_text("(", context_line)
-        toks, depth = self.toks, 1
-        inner: list[Token] = []
-        for j in range(self.i, len(toks)):
-            tok = toks[j]
-            if tok.kind is TokenKind.COMMENT:
+        toks, depth, start = self.toks, 1, self.i
+        for j in range(start, len(toks)):
+            kind, text, _, _ = tok = toks[j]
+            if kind is _COMMENT:
                 self._header_comment(tok)
-                continue
-            if tok.text == "(":
+            elif text == "(":
                 depth += 1
-            elif tok.text == ")":
+            elif text == ")":
                 depth -= 1
                 if depth == 0:
                     self.i = j + 1
-                    return inner
-            inner.append(tok)
+                    if keep:
+                        return [t for t in toks[start:j] if t.kind is not _COMMENT]
+                    return None
         raise MalformedHeaderError("unterminated header", context_line)
 
     def _next_part(self, texts: tuple[str, ...], out: list[BlockNode]) -> Token | None:
         """If the next part of a construct, one of *texts*, follows any comments,
         parse them into *out*, lapse any pragma, and return its token unconsumed."""
         j = self.i
-        while j < len(self.toks) and self.toks[j].kind is TokenKind.COMMENT:
+        while j < len(self.toks) and self.toks[j].kind is _COMMENT:
             j += 1
         if j == len(self.toks) or self.toks[j].text not in texts:
             return None
@@ -570,8 +628,7 @@ class _Parser:
 
     def _header_comment(self, tok: Token) -> None:
         """A pragma in a header lapses, since no loop can follow it there."""
-        value = pragma_value(tok.text)
-        if value is not None:
+        if "@iters" in tok.text and (value := pragma_value(tok.text)) is not None:
             self.pending_pragma = (value, tok.line)
             self._lapse_pragma()
 
@@ -595,7 +652,7 @@ class _Parser:
     def parse_top(self) -> list[BlockNode]:
         nodes: list[BlockNode] = []
         while (tok := self._peek()) is not None:
-            if tok.text == "}" and tok.kind is TokenKind.PUNCTUATION:
+            if tok.text == "}" and tok.kind is _PUNCTUATION:
                 raise UnbalancedBracesError("unmatched '}'", tok.line)
             self.parse_construct(nodes)
         self._lapse_pragma()
@@ -603,124 +660,128 @@ class _Parser:
 
     def parse_construct(self, out: list[BlockNode]) -> None:
         """Parse one construct and append its nodes, if any, to *out*."""
-        tok = self._peek()
-        assert tok is not None
+        kind, text, line, _ = self.toks[self.i]
         # Every nested construct passes through here, so this bounds the
-        # parser's recursion.
+        # parser's recursion.  Only a construct that holds others counts
+        # toward the depth while it parses; an error ends the whole parse,
+        # so no error path restores the count.
         if self.depth == MAX_NESTING:
-            raise NestingTooDeepError(
-                f"constructs nested more than {MAX_NESTING} deep", tok.line
-            )
-        self.depth += 1
-        try:
-            # A pending pragma lapses at anything but a loop, which takes
-            # it; a new pragma lapses the one before it.
-            if tok.kind is TokenKind.KEYWORD and tok.text in ("for", "while", "do"):
-                return self.parse_loop(out)
-            self._lapse_pragma()
-            if tok.kind is TokenKind.COMMENT:
-                self._next()
-                value = pragma_value(tok.text)
-                if value is not None:
-                    self.pending_pragma = (value, tok.line)
-                else:
-                    out.append(Statement(StatementKind.COMMENT, (tok.line, tok.line)))
-                return
-            if tok.kind is TokenKind.PREPROCESSOR:
-                self._next()
-                out.append(Statement(StatementKind.HEADER_INCLUDE, (tok.line, tok.line)))
-                return
-            if tok.kind is TokenKind.KEYWORD:
-                if tok.text == "if":
-                    return self.parse_if(out)
-                if tok.text == "switch":
-                    return self.parse_switch(out)
-                if tok.text == "try":
-                    return self.parse_try(out)
-                if tok.text in ("else", "catch", "finally", "case", "default"):
-                    raise MalformedHeaderError(f"unexpected '{tok.text}'", tok.line)
-            if tok.text == ";" and tok.kind is TokenKind.PUNCTUATION:
-                self._next()
-            elif tok.text == "{" and tok.kind is TokenKind.PUNCTUATION:
-                self._next()
-                self.parse_until_close(tok.line, out)
-            else:
-                self.parse_statement_or_function(out)
-        finally:
+            raise NestingTooDeepError(f"constructs nested more than {MAX_NESTING} deep", line)
+        # A pending pragma lapses at anything but a loop, which takes it;
+        # a new pragma lapses the one before it.
+        if kind is _KEYWORD and text in _LOOP_KEYWORDS:
+            self.depth += 1
+            self.parse_loop(out)
             self.depth -= 1
+            return
+        if self.pending_pragma is not None:
+            self._lapse_pragma()
+        if kind is _PUNCTUATION:
+            if text == ";":
+                self.i += 1
+                return
+            if text == "{":
+                self.i += 1
+                self.depth += 1
+                self.parse_until_close(line, out)
+                self.depth -= 1
+                return
+        elif kind is _COMMENT:
+            self.i += 1
+            if "@iters" in text and (value := pragma_value(text)) is not None:
+                self.pending_pragma = (value, line)
+            else:
+                out.append(Statement(StatementKind.COMMENT, (line, line)))
+            return
+        elif kind is _PREPROCESSOR:
+            self.i += 1
+            out.append(Statement(StatementKind.HEADER_INCLUDE, (line, line)))
+            return
+        elif kind is _KEYWORD:
+            if text == "if":
+                parse = self.parse_if
+            elif text == "switch":
+                parse = self.parse_switch
+            elif text == "try":
+                parse = self.parse_try
+            elif text in _LATER_PARTS:
+                raise MalformedHeaderError(f"unexpected '{text}'", line)
+            else:
+                return self.parse_statement_or_function(out)
+            self.depth += 1
+            parse(out)
+            self.depth -= 1
+            return
+        self.parse_statement_or_function(out)
 
     def parse_until_close(self, open_line: int, out: list[BlockNode]) -> int:
         """Parse nodes into *out* up to the matching ``}``; return its line."""
+        toks = self.toks
+        n = len(toks)
         while True:
-            tok = self._peek()
-            if tok is None:
+            i = self.i
+            if i >= n:
                 raise UnbalancedBracesError("unclosed '{'", open_line)
-            if tok.text == "}" and tok.kind is TokenKind.PUNCTUATION:
-                self._lapse_pragma()
-                self._next()
+            tok = toks[i]
+            if tok.text == "}" and tok.kind is _PUNCTUATION:
+                if self.pending_pragma is not None:
+                    self._lapse_pragma()
+                self.i = i + 1
                 return tok.line
             self.parse_construct(out)
 
     def parse_body(self, context_line: int, out: list[BlockNode]) -> int:
         """Any comments, then a braced block, a lone ``;`` or a single
         construct, parsed into *out*; return the body's last line."""
+        toks = self.toks
         while True:
-            tok = self._peek()
-            if tok is None or (tok.kind is TokenKind.PUNCTUATION and tok.text == "}"):
+            if self.i >= len(toks):
                 raise MalformedHeaderError("missing body", context_line)
-            if tok.kind is TokenKind.PUNCTUATION and tok.text == "{":
-                self._next()
-                return self.parse_until_close(tok.line, out)
-            if tok.kind is TokenKind.PUNCTUATION and tok.text == ";":
-                self._next()
-                return tok.line
+            kind, text, line, _ = toks[self.i]
+            if kind is _PUNCTUATION:
+                if text == "}":
+                    raise MalformedHeaderError("missing body", context_line)
+                if text == "{":
+                    self.i += 1
+                    return self.parse_until_close(line, out)
+                if text == ";":
+                    self.i += 1
+                    return line
             self.parse_construct(out)
-            if tok.kind is not TokenKind.COMMENT:
+            if kind is not _COMMENT:
                 return out[-1].span[1]
 
     def parse_statement_or_function(self, out: list[BlockNode]) -> None:
-        toks = self.toks
-        j = self.i
-        depth = 0
-        n = len(toks)
-        while j < n:
-            kind, text, _, _ = toks[j]
-            if kind is TokenKind.PUNCTUATION:
-                if text in "([":
-                    depth += 1
-                elif text in ")]":
-                    depth -= 1
-                elif depth == 0 and text == ";":
-                    j += 1
-                    break
-                elif depth == 0 and text in "{}":
-                    break
-            elif kind is TokenKind.COMMENT:
-                self._header_comment(toks[j])
-            j += 1
-        prefix = toks[self.i:j]
-        self.i = j
-        if j == n or toks[j].text != "{" or toks[j].kind is not TokenKind.PUNCTUATION:
-            out.append(self._make_statement(prefix))
+        toks, start = self.toks, self.i
+        end, pragma, facts = _scan_statement(toks, start, True)
+        if pragma:  # a pragma in a statement or a function header lapses
+            for tok in toks[start:end]:
+                if tok.kind is _COMMENT:
+                    self._header_comment(tok)
+        self.i = end
+        if end == len(toks) or toks[end].text != "{" or toks[end].kind is not _PUNCTUATION:
+            out.append(self._make_statement(start, end, facts))
             return
         brace = self._next()
-        name = self._function_name(prefix)
+        name = self._function_name(toks[start:end])
+        self.depth += 1
         if name is not None:
             body: list[BlockNode] = []
             outer = self.loop, self.absorber
             self.loop = self.absorber = None
             close_line = self.parse_until_close(brace.line, body)
             self.loop, self.absorber = outer
-            out.append(FunctionDef(name, body, (prefix[0].line, close_line)))
-            return
-        # Brace after a non-function prefix (struct/enum body, stray
-        # block): keep the prefix as a statement and splice the block.
-        out.append(self._make_statement(prefix))
-        self.parse_until_close(brace.line, out)
+            out.append(FunctionDef(name, body, (toks[start].line, close_line)))
+        else:
+            # Brace after a non-function prefix (struct/enum body, stray
+            # block): keep the prefix as a statement and splice the block.
+            out.append(self._make_statement(start, end, facts))
+            self.parse_until_close(brace.line, out)
+        self.depth -= 1
 
     @staticmethod
     def _function_name(prefix: list[Token]) -> str | None:
-        prefix = [t for t in prefix if t.kind is not TokenKind.COMMENT]
+        prefix = [t for t in prefix if t.kind is not _COMMENT]
         if len(prefix) < 3 or prefix[-1].text != ")":
             return None
         depth = 0
@@ -731,27 +792,32 @@ class _Parser:
             elif text == "(":
                 depth -= 1
                 if depth == 0:
-                    if k > 0 and prefix[k - 1].kind is TokenKind.IDENTIFIER:
+                    if k > 0 and prefix[k - 1].kind is _IDENTIFIER:
                         return prefix[k - 1].text
                     return None
         return None
 
-    def _make_statement(self, tokens: list[Token]) -> Statement:
-        """Classify a statement and record its jump, if it is one."""
+    def _make_statement(self, start: int, end: int, facts: tuple) -> Statement:
+        """Classify the statement ``toks[start:end]`` from the facts its scan
+        gathered, and record its jump, if it is one."""
+        toks = self.toks
+        first = toks[start]
         # A statement never starts with a comment, so these texts are keywords.
-        head_kind, head, line, _ = tokens[0]
-        next_kind, next_text = tokens[1][:2] if len(tokens) > 1 else (None, None)
+        head_kind, head, line, _ = first
+        after = toks[start + 1] if end - start > 1 else None
         flow = self.flow
-        if head_kind is TokenKind.IDENTIFIER and next_text == ":":
+        if head_kind is _IDENTIFIER and after is not None and after.text == ":":
             flow.labels.setdefault(head, line)
         elif head == "goto":
-            flow.gotos.append((next_text if next_kind is TokenKind.IDENTIFIER else None, line))
+            target = after.text if after is not None and after.kind is _IDENTIFIER else None
+            flow.gotos.append((target, line))
         elif head == "break":
             if self.absorber is not None:
                 flow.loop_exits[self.absorber] += 1
         elif head == "continue" and self.loop is not None:
             flow.loop_exits[self.loop] += 1
-        return Statement(classify_statement(tokens, self.init_calls), (line, tokens[-1].line))
+        kind = _statement_kind(first, facts, self.init_calls)
+        return Statement(kind, (line, toks[end - 1].line))
 
     def parse_if(self, out: list[BlockNode]) -> None:
         # One branch per pass: ``tok`` is the ``if`` or ``else`` before it.
@@ -778,7 +844,9 @@ class _Parser:
         key = len(self.loops)
         self.loops.append(None)
         self.flow.loop_exits.append(0)
-        header = [] if kw.text == "do" else self._balanced_parens(kw.line)
+        header = None
+        if kw.text != "do":
+            header = self._balanced_parens(kw.line, keep=kw.text == "for")
         body: list[BlockNode] = []
         outer = self.loop, self.absorber
         self.loop = self.absorber = key
@@ -792,7 +860,7 @@ class _Parser:
             if (tok := self._peek()) is not None and tok.text == ";":
                 end = self._next().line
         count = resolve_loop_count(
-            header if kw.text == "for" else [],
+            header or [],
             pragma,
             default_iterations=self.default_iterations,
             line=kw.line,
@@ -813,23 +881,23 @@ class _Parser:
             tok = self._peek()
             if tok is None:
                 raise UnbalancedBracesError("unclosed '{'", open_tok.line)
-            if tok.text == "}" and tok.kind is TokenKind.PUNCTUATION:
+            if tok.text == "}" and tok.kind is _PUNCTUATION:
                 self._lapse_pragma()
                 self._next()
                 break
-            if tok.kind is TokenKind.KEYWORD and tok.text in ("case", "default"):
+            if tok.kind is _KEYWORD and tok.text in ("case", "default"):
                 self._next()
                 while (lbl := self._peek()) is not None and lbl.text != ":":
                     if lbl.text in "{}":
                         raise MalformedHeaderError("unterminated case label", tok.line)
-                    if lbl.kind is TokenKind.COMMENT:
+                    if lbl.kind is _COMMENT:
                         self._header_comment(lbl)
                     self._next()
                 self._expect_text(":", tok.line)
                 branches.append(leading)
                 leading = []
                 continue
-            if not branches and tok.kind is not TokenKind.COMMENT and tok.text != ";":
+            if not branches and tok.kind is not _COMMENT and tok.text != ";":
                 raise MalformedHeaderError("statement before first case", tok.line)
             self.parse_construct(branches[-1] if branches else leading)
         if not branches:

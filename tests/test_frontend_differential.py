@@ -3,6 +3,7 @@ character-by-character and multi-scan versions they replaced."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,3 +142,56 @@ def test_token_is_a_named_tuple_with_a_lead_default():
     tok = Token(TokenKind.LITERAL, "1", 3)
     assert tok == (TokenKind.LITERAL, "1", 3, "")
     assert (tok.kind, tok.text, tok.line, tok.lead) == tuple(tok)
+
+
+# Token runs where a scan that also tracks bracket depth and statement
+# ends could classify differently: "(" or "[" after an identifier inside
+# brackets, ";", "{" or "}" mid-list, a leading comment, preprocessor line
+# or "return", and literal initializers with a minus sign.
+EDGE_TEXTS = [
+    "a = f(g(x))", "x = m[i](y)", "f(a[b(c)])", "y = (z)(w)", "q = p [ r ] ( s )",
+    "free(q(p))", "v = a[f(1)] + g(2)", "f(a; b)", "a[i; j] = 1", "x = f(y) ; g(z)",
+    "x = 1 ; y = 2", "a = { 1 , 2 }", "g(x) { y }", "} a = 0", "{ free(p)",
+    "/* c */ a = 0", "// c\nx = f(y)", "#define X 1\nx = 1", "/* @iters 2 */ for",
+    "return f(x)", "return x = -1", "return", "x = -1", "x = - 1u", "x = -y",
+    "x = -(1)", "x = -1 -1", "x = -'c'", "n = -0x1F", "x = - - 1",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+@pytest.mark.parametrize("calls", [None, frozenset({"g", "q"})])
+def test_classifier_matches_reference_on_edge_cases(text, calls):
+    assert_same_kind(list(tokenize(text)), calls)
+
+
+EDGE_SKELETONS = [list(tokenize(text)) for text in EDGE_TEXTS]
+EDGE_INSERTS = [
+    Token(_T.PUNCTUATION, ";", 1), Token(_T.PUNCTUATION, "{", 1),
+    Token(_T.PUNCTUATION, "}", 1), Token(_T.PUNCTUATION, "(", 1),
+    Token(_T.PUNCTUATION, ")", 1), Token(_T.PUNCTUATION, "[", 1),
+    Token(_T.PUNCTUATION, "]", 1), Token(_T.PUNCTUATION, "-", 1),
+    Token(_T.PUNCTUATION, "=", 1), Token(_T.IDENTIFIER, "g", 1),
+    Token(_T.IDENTIFIER, "free", 1), Token(_T.LITERAL, "1", 1),
+    Token(_T.COMMENT, "// c", 1), Token(_T.COMMENT, "/* @iters 3 */", 1),
+]
+EDGE_LEADERS = [
+    Token(_T.COMMENT, "/* c */", 1), Token(_T.PREPROCESSOR, "#if X", 1),
+    Token(_T.KEYWORD, "return", 1), Token(_T.KEYWORD, "int", 1),
+]
+
+
+@st.composite
+def edge_runs(draw) -> list[Token]:
+    tokens = list(draw(st.sampled_from(EDGE_SKELETONS)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        tokens.insert(at, draw(st.sampled_from(EDGE_INSERTS)))
+    if draw(st.booleans()):
+        tokens.insert(0, draw(st.sampled_from(EDGE_LEADERS)))
+    return tokens
+
+
+@given(edge_runs(), st.sampled_from([None, frozenset({"g", "q"})]))
+@settings(max_examples=600, deadline=None)
+def test_classifier_matches_reference_on_edge_runs(tokens, calls):
+    assert_same_kind(tokens, calls)

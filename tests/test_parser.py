@@ -420,3 +420,23 @@ def test_a_block_comment_after_each_line_changes_nothing_else(lines):
     tree = parse_source(commented)
     assert _without_comments_on(tree, marked) == parse_source(as_source(lines))
     assert analyze_source(commented, "generated.c", Config()).error is None
+
+
+def test_block_nodes_are_slotted():
+    tree = parse_source(
+        "int f(int n) { for (i = 0; i < 3; i++) { if (a) x = 1; } try { y(); } catch (e) {} }"
+    )
+    function = tree[0]
+    loop = function.body[0]
+    nodes = [function, loop, loop.count, loop.body[0], loop.body[0].branches[0][0], function.body[1]]
+    assert [type(node) for node in nodes] == [
+        FunctionDef, LoopBlock, type(loop.count), ConditionBlock, Statement, ExceptionBlock,
+    ]
+    for node in nodes:
+        assert not hasattr(node, "__dict__")
+        # Python 3.11 refuses a new attribute on a frozen slotted dataclass
+        # (IterationCount) with TypeError instead of AttributeError.
+        with pytest.raises((AttributeError, TypeError)):
+            node.extra = 1
+    with pytest.raises(AttributeError):
+        loop.count.value = 4

@@ -1,0 +1,92 @@
+"""Differential tests: the parser against the one it replaced.
+
+The package's parser classifies each statement in the scan that finds the
+statement's end, and lets only constructs that hold others count toward
+the nesting limit.  ``reference_parser`` finds each end first and then
+classifies the statement with the multi-scan classifier.  On every input
+both must give the same tree, diagnostics, loops and flow facts, or raise
+the same error with the same message and line.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from codearea import tokenize
+from codearea.frontend import MAX_NESTING, parse_tokens
+
+import reference_parser
+from conftest import CORPUS
+from test_fuzz import SOUP
+
+
+def outcome(parse, tokens, **options):
+    try:
+        return parse(tokens, **options)
+    except Exception as error:  # the error is the outcome being compared
+        return type(error), str(error), getattr(error, "line", None)
+
+
+def assert_same_parse(source: str, **options) -> None:
+    tokens = tokenize(source)
+    got = outcome(parse_tokens, tokens, **options)
+    assert got == outcome(reference_parser.parse_tokens, tokens, **options)
+
+
+OPTIONS = [{}, {"default_iterations": 4, "init_termination_calls": frozenset({"printf", "f"})}]
+
+
+@pytest.mark.parametrize("options", OPTIONS, ids=["defaults", "options"])
+def test_parser_matches_reference_on_corpus(options):
+    paths = sorted(CORPUS.glob("*.c"))
+    assert paths
+    for path in paths:
+        assert_same_parse(path.read_text(encoding="utf-8"), **options)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SOUP)
+def test_parser_matches_reference_on_token_soup(parts):
+    assert_same_parse(" ".join(parts))
+
+
+# Pieces that put brackets, nested calls, comments and @iters comments
+# inside statements and function headers, among the constructs around them.
+PIECES = [
+    "a[i] = b[j + 1];", "x = f(g(a), h[2]);", "m[f(1)](2);", "g(x)(y);",
+    "[", "]", "(", ")", "{", "}", ";", "f(", "a [ b ( c ) ]", "= -1;", "x = -1;",
+    "/* @iters 4 */", "// @iters 2\n", "/* @iters -3 */", "/* @iters x */", "// c\n",
+    "int f(int a /* @iters 3 */)", "int g(/* c */ void)", "void h(int n) // @iters 5\n",
+    "x = /* @iters 1 */ f(2);", "y = p /* c */ (q);", "s[/* @iters 2 */ 0] = 1;",
+    "for (i = 0; i < 4; i++)", "for (i = 0; a[i] < 4; i++)", "while (b[f(1)])", "do",
+    "if (f(a))", "else", "switch (x[0])", "case 1:", "default:", "try", "catch (e)",
+    "L:", "goto L;", "break;", "continue;", "return f(x);", "#define N 3\n",
+    "struct s", "int n;", "free(p);", "p = malloc(n);",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=40))
+def test_parser_matches_reference_on_brackets_calls_and_comments(parts):
+    assert_same_parse(" ".join(parts))
+
+
+NESTED = {
+    "braces": lambda n: "{" * n + "}" * n,
+    "ifs": lambda n: "if (a) " * n + "x;",
+    "do_loops": lambda n: "do " * n + "x;" + " while (a);" * n,
+    "switches": lambda n: "switch (a) { case 1: " * n + "x;" + " }" * n,
+    "tries": lambda n: "try { " * n + "x;" + " } catch (e) {}" * n,
+    "functions": lambda n: "int f() {\n" * n + "}" * n,
+    "structs": lambda n: "struct s {\n" * n + "}" * n,
+    "statement_then_block": lambda n: "x; {\n" * n + "}" * n,
+    "comments_and_statements": lambda n: "while (a) {\n// c\n#if X\nx;\n" * n + "}" * n,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_parser_matches_reference_at_the_nesting_limit(shape, delta):
+    assert_same_parse(NESTED[shape](MAX_NESTING + delta))
