@@ -99,6 +99,7 @@ def analyze_source(
             default_iterations=config.default_iterations,
             init_termination_calls=config.init_termination_calls,
         )
+        del tokens  # the tree holds none of them, so free them before scoring
         if sidecar is not None:
             overrides = segmenter.parse_segment_overrides(sidecar)
             segments = segmenter.apply_segment_overrides(parsed.tree, overrides)

@@ -14,8 +14,8 @@ Before a construct's next part (``else``, the ``if`` of ``else if``,
 ``while``, the ``{`` of ``try``) they end the part before it, and before
 the ``{`` of ``switch`` they open the first case.  Comments after an
 ``if`` that no ``else`` follows stay after it.  Comments in a header,
-including any before its ``(``, are skipped.  An ``@iters`` pragma
-between two parts, or in a header, lapses.
+including any before its ``(``, and in a ``case`` label are skipped.
+An ``@iters`` pragma between two parts, or in a header, lapses.
 
 The parser also records what flow analysis reads, so no later stage
 walks the tree for it.  A statement ``name :`` is a label, and the first
@@ -30,6 +30,10 @@ statement ends also gathers what the classification rules read, and
 :func:`classify_statement` applies the same scan and rules to any token
 list.  Block nodes are slotted dataclasses, so they take no attributes
 beyond their fields.
+
+Equal words and equal newline leads in one token stream share one
+string.  The block tree holds no tokens, so ``analysis.analyze_source``
+drops the token list once it is parsed.
 
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the next loop;
@@ -109,6 +113,8 @@ DECLARATION_STARTERS = frozenset({
     "struct", "enum", "union", "typedef", "auto",
 })
 
+_KEYWORD_WORDS = {text: (TokenKind.KEYWORD, text) for text in KEYWORDS}
+
 _NUMBER = (
     r"(?:0[xX][0-9a-fA-F]+|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)[uUlLfF]*"
@@ -116,14 +122,16 @@ _NUMBER = (
 _HSPACE = " \t\r\f\v"  # whitespace other than the newline
 
 # One alternative per token class, tried in order where the previous
-# token ended.  ``lead`` takes the whitespace before the token; ``nl``
-# takes part when that whitespace holds a newline or the scan is at the
-# start of the text, the only places ``#`` opens a preprocessor line.
-# ``unknown`` excludes whitespace, so ``lead`` never gives a character
-# back to it, and ``end`` takes the trailing whitespace, so the scan
-# never backtracks or skips ahead at the end of the text.
+# token ended.  ``lead`` takes the whitespace before the token; ``start``
+# takes part at the start of the text and ``nl`` when the whitespace holds
+# a newline, the only places ``#`` opens a preprocessor line.  ``lead``
+# reads horizontal space up to the first newline, so it never retries a
+# shorter run to find one; ``unknown`` excludes whitespace, so ``lead``
+# never gives a character back to it; and ``end`` takes the trailing
+# whitespace, so the scan never backtracks or skips ahead at the end of
+# the text.  Possessive quantifiers would need Python 3.11.
 _SCANNER = re.compile(
-    r"(?P<lead>(?:(?P<nl>\A|[ \t\r\f\v]*\n)[ \t\r\n\f\v]*)?[ \t\r\f\v]*)"
+    r"(?P<lead>(?P<start>\A)?[ \t\r\f\v]*(?:(?P<nl>\n)[ \t\r\n\f\v]*)?)"
     r"(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<number>(?=[0-9]|\.[0-9])" + _NUMBER + r")"
     r"|(?P<line_comment>//[^\n]*)"
@@ -131,7 +139,7 @@ _SCANNER = re.compile(
     r"|(?P<string>\"[^\"\\\n]*(?:\\.?[^\"\\\n]*)*\"?|'[^'\\\n]*(?:\\.?[^'\\\n]*)*'?)"
     r"|(?P<punct><<=|>>=|\.\.\.|->|\+\+|--|==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%="
     r"|&=|\|=|\^=|<<|>>|::|[-+*/%<>=!&|^~?:;,.(){}\[\]])"
-    r"|(?(nl)(?P<preprocessor>\#[^\n]*)|(?!))"
+    r"|(?P<preprocessor>(?(start)|(?(nl)|(?!)))\#[^\n]*)"
     r"|(?P<unknown>[^ \t\r\n\f\v])"
     r"|(?P<end>\Z))"
 )
@@ -156,13 +164,19 @@ def tokenize(source: str) -> TokenStream:
     Concatenating each token's ``lead`` whitespace and ``text`` (plus the
     stream's ``tail``) reproduces the input byte for byte.  Unknown
     characters become single-character punctuation tokens and are
-    recorded on the stream's ``unknown`` list.
+    recorded on the stream's ``unknown`` list.  Equal identifier and
+    keyword texts in one stream are one string, and so are equal leads
+    that hold a newline.
     """
     tokens = TokenStream()
     append = tokens.append
     new = tuple.__new__
     kinds = _GROUP_KINDS
     identifier = TokenKind.IDENTIFIER
+    # Per call, so nothing outlives the stream: word text -> (kind, the
+    # text every token of that word shares), and newline lead -> itself.
+    words = dict(_KEYWORD_WORDS)
+    leads: dict[str, str] = {}
     line = 1
     rest = ""  # what an unterminated block comment leaves after its last line
     for m in _SCANNER.finditer(source):
@@ -171,6 +185,7 @@ def tokenize(source: str) -> TokenStream:
         text = m[group]
         if "\n" in lead:
             line += lead.count("\n")
+            lead = leads.setdefault(lead, lead)
         kind = kinds[group]
         if kind is None:
             if group == _BLOCK_COMMENT:
@@ -180,7 +195,10 @@ def tokenize(source: str) -> TokenStream:
                     chunk = raw.strip(_HSPACE)
                     if chunk:
                         skip = raw.index(chunk[0])
-                        append(new(Token, (TokenKind.COMMENT, chunk, line, lead + raw[:skip])))
+                        lead += raw[:skip]
+                        if "\n" in lead:
+                            lead = leads.setdefault(lead, lead)
+                        append(new(Token, (TokenKind.COMMENT, chunk, line, lead)))
                         lead = raw[skip + len(chunk):]
                     else:
                         lead += raw
@@ -194,8 +212,10 @@ def tokenize(source: str) -> TokenStream:
                 break
             tokens.unknown.append((text, line))
             kind = TokenKind.PUNCTUATION
-        elif kind is identifier and text in KEYWORDS:
-            kind = TokenKind.KEYWORD
+        elif kind is identifier:
+            if (word := words.get(text)) is None:
+                word = words[text] = (identifier, text)
+            kind, text = word
         append(new(Token, (kind, text, line, lead)))
     return tokens
 
@@ -220,6 +240,9 @@ class StatementKind(enum.Enum):
     EXPRESSION = "expression"
     FUNCTION_CALL = "function_call"
     RETURN = "return"
+
+    # Members are singletons, so identity hashing is exact, and it runs in C.
+    __hash__ = object.__hash__
 
 
 # Call names that mark a statement as an open/close/alloc/free idiom.
@@ -887,11 +910,14 @@ class _Parser:
                 break
             if tok.kind is _KEYWORD and tok.text in ("case", "default"):
                 self._next()
-                while (lbl := self._peek()) is not None and lbl.text != ":":
-                    if lbl.text in "{}":
-                        raise MalformedHeaderError("unterminated case label", tok.line)
+                while (lbl := self._peek()) is not None:
                     if lbl.kind is _COMMENT:
                         self._header_comment(lbl)
+                    elif lbl.kind is _PUNCTUATION:
+                        if lbl.text == ":":
+                            break
+                        if lbl.text == "{" or lbl.text == "}":
+                            raise MalformedHeaderError("unterminated case label", tok.line)
                     self._next()
                 self._expect_text(":", tok.line)
                 branches.append(leading)

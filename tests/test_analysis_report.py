@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from codearea import analysis, segmenter
 from codearea import (
     ConditionBlock,
     Config,
@@ -165,6 +167,35 @@ def test_file_result_keeps_no_block_nodes(path):
     assert result.error is None and result.segments
     nodes = (Statement, LoopBlock, ConditionBlock, ExceptionBlock, FunctionDef)
     assert not [obj for obj in _reachable(result) if isinstance(obj, nodes)]
+
+
+@pytest.mark.parametrize("name", ["nested_repeat.c", "service_loop.c"])
+def test_tokens_are_freed_before_segmentation(monkeypatch, name):
+    path = CORPUS / name
+    sidecar_path = path.with_name(name + ".segments")
+    sidecar = sidecar_path.read_text(encoding="utf-8") if sidecar_path.exists() else None
+    streams, checked = [], []
+    tokenize = analysis.tokenize
+
+    def tokenize_keeping_a_weakref(text):
+        stream = tokenize(text)
+        streams.append(weakref.ref(stream))
+        return stream
+
+    def after_tokens_die(layer):
+        def check(*args, **kwargs):
+            assert streams and streams[-1]() is None
+            checked.append(layer.__name__)
+            return layer(*args, **kwargs)
+
+        return check
+
+    monkeypatch.setattr(analysis, "tokenize", tokenize_keeping_a_weakref)
+    for layer in ("segment", "apply_segment_overrides"):
+        monkeypatch.setattr(segmenter, layer, after_tokens_die(getattr(segmenter, layer)))
+    result = analyze_source(path.read_text(encoding="utf-8"), str(path), Config(), sidecar=sidecar)
+    assert result.error is None
+    assert checked[0] == ("segment" if sidecar is None else "apply_segment_overrides")
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,23 @@ def test_scanner_matches_reference_on_corpus():
         assert_same_tokens(path.read_text(encoding="utf-8"))
 
 
+# Where ``lead`` decides whether "#" opens a preprocessor line: after
+# leading spaces, "\r\n" or "\v\f", mid-line, right after a block
+# comment's "*/", and in text that is only whitespace or ends in an
+# unterminated block comment with trailing whitespace.
+LEAD_EDGE_TEXTS = [
+    "   #define N 1\n", "\t #x", "a;\r\n#if X\n", "a;\r\n  #if X", "a;\v\f#if X\n",
+    "a;\n\v\f #x", "a # b\n", "a;\t# b", "/* c */#x\n", "a;\n/* c */ #x",
+    "/* a\n b */#x", "", " ", " \t\r\n\v\f \n ", "\n\n", "/* open \t ",
+    "/* open\n  \n\t ", "a /* open\n x \t\n",
+]
+
+
+@pytest.mark.parametrize("source", LEAD_EDGE_TEXTS)
+def test_scanner_matches_reference_on_lead_edge_cases(source):
+    assert_same_tokens(source)
+
+
 def _statements(tokens: list[Token]) -> list[list[Token]]:
     """Split a token stream after every ";"."""
     out, current = [], []

@@ -107,6 +107,13 @@ def test_switch_cases_become_branches():
     assert len(block.branches) == 3
 
 
+@pytest.mark.parametrize("line", ["}", ":", "b"])
+def test_comment_lines_inside_a_case_label_are_skipped(line):
+    tree = parse_source(f"switch (x) {{ case 1 /* a\n{line}\n*/ : y = 1; }}")
+    init = Statement(StatementKind.INIT_TERMINATION, (3, 3))
+    assert tree == [ConditionBlock([[init]], (1, 3), from_switch=True)]
+
+
 def test_try_catch_handlers_counted():
     tree = parse_source(
         "try { risky(); } catch (e) { soothe(); } catch (f) { soothe(); }"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,3 +119,33 @@ def test_token_lines_within_file(source):
     total = source.count("\n") + 1
     for tok in tokenize(source):
         assert 1 <= tok.line <= total
+
+
+def test_equal_words_and_newline_leads_share_one_string():
+    source = "".join(p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.c")))
+    source += "/* lines\n   of a\n   block comment */\n"
+    tokens = tokenize(source)
+    words = [t.text for t in tokens if t.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)]
+    leads = [t.lead for t in tokens if "\n" in t.lead]
+    for texts in (words, leads):
+        assert len(texts) > len(set(texts))  # some values repeat
+        assert len({id(text) for text in texts}) == len(set(texts))
+
+
+def test_scanner_compiles_on_python_3_10():
+    # Possessive quantifiers and atomic groups compile only from Python
+    # 3.11, and the package supports 3.10.
+    parser = pytest.importorskip("re._parser")  # 3.11+; on 3.10 importing codearea proves it
+    from codearea.frontend import _SCANNER
+
+    def ops(node):
+        if isinstance(node, parser.SubPattern):
+            for op, arg in node.data:
+                yield op
+                yield from ops(arg)
+        elif isinstance(node, (tuple, list)):
+            for item in node:
+                yield from ops(item)
+
+    newer = {parser.POSSESSIVE_REPEAT, parser.ATOMIC_GROUP}
+    assert not newer & set(ops(parser.parse(_SCANNER.pattern)))
