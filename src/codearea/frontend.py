@@ -25,15 +25,16 @@ the innermost loop.  A ``break`` exits the innermost loop or ``switch``,
 and a ``switch`` absorbs it, so it counts as no loop's exit.  A function
 body starts with no loop around it.
 
-Each statement's tokens are walked once: the scan that finds where a
-statement ends also gathers what the classification rules read, and
-:func:`classify_statement` applies the same scan and rules to any token
-list.  Block nodes are slotted dataclasses, so they take no attributes
-beyond their fields.
-
-Equal words and equal newline leads in one token stream share one
-string.  The block tree holds no tokens, so ``analysis.analyze_source``
-drops the token list once it is parsed.
+A :class:`TokenStream` keeps its tokens as parallel columns over the
+source: kind codes, texts (equal words share one string), lines and
+start offsets.  ``stream[i]`` builds a :class:`Token` on demand, and its
+``lead``, like the stream's ``tail``, is a slice of the source.  The
+parser reads the columns by index.  Each statement's tokens are walked
+once: the scan that finds where a statement ends also gathers what the
+classification rules read, and :func:`classify_statement` applies the
+same scan and rules to any token sequence.  Block nodes are slotted
+dataclasses and hold no tokens, so ``analysis.analyze_source`` drops the
+stream once it is parsed.
 
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the next loop;
@@ -46,6 +47,8 @@ from __future__ import annotations
 
 import enum
 import re
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,43 +80,71 @@ class Token(NamedTuple):
     lead: str = ""  # whitespace between the previous token and this one
 
 
-_IDENTIFIER = TokenKind.IDENTIFIER
-_KEYWORD = TokenKind.KEYWORD
-_PUNCTUATION = TokenKind.PUNCTUATION
-_LITERAL = TokenKind.LITERAL
-_COMMENT = TokenKind.COMMENT
-_PREPROCESSOR = TokenKind.PREPROCESSOR
+# A stream keeps each token's kind as its index in TokenKind.
+_KINDS = tuple(TokenKind)
+_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_IDENTIFIER, _KEYWORD, _PUNCTUATION, _LITERAL, _COMMENT, _PREPROCESSOR = range(len(_KINDS))
 
 
-class TokenStream(list):
-    """A ``list`` of tokens that also remembers trailing whitespace and
-    any characters the tokenizer did not recognize."""
+class TokenStream:
+    """The tokens of one source text as parallel columns: each token's
+    kind code, text, line and start offset in ``source``.  ``unknown``
+    lists the characters the tokenizer did not recognize.  As a sequence
+    the stream yields :class:`Token` values built on demand, whose
+    ``lead`` is the source between the token before and this one."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.tail: str = ""
-        self.unknown: list[tuple[str, int]] = []
+    __slots__ = ("source", "kinds", "texts", "lines", "starts", "unknown", "__weakref__")
+
+    def __init__(self, source: str):
+        self.source = source
+        typecode = "I" if len(source) < 0xFFFFFFFF else "Q"  # holds any line or offset
+        self.kinds, self.texts, self.unknown = bytearray(), [], []
+        self.lines, self.starts = array(typecode), array(typecode)
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def _end(self, i: int) -> int:
+        """Offset just past token *i*, or 0 before the first token."""
+        return self.starts[i] + len(self.texts[i]) if i >= 0 else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self.texts)))]
+        text = self.texts[i]
+        if i < 0:
+            i += len(self.texts)
+        lead = self.source[self._end(i - 1):self.starts[i]]
+        return Token(_KINDS[self.kinds[i]], text, self.lines[i], lead)
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(self.__getitem__, range(len(self.texts)))
+
+    @property
+    def tail(self) -> str:
+        return self.source[self._end(len(self.texts) - 1):]
 
 
-KEYWORDS = frozenset({
-    "if", "else", "for", "while", "do", "switch", "case", "default",
-    "break", "continue", "return", "goto", "try", "catch", "finally",
-    "throw", "sizeof",
-    "void", "char", "short", "int", "long", "float", "double",
-    "signed", "unsigned", "bool",
-    "const", "static", "volatile", "register", "extern", "inline",
-    "struct", "enum", "union", "typedef", "auto",
-})
+def _columns(tokens: Sequence[Token]) -> tuple[bytearray, list[str], Sequence[int]]:
+    """The kind, text and line columns of a stream or of any token sequence."""
+    if isinstance(tokens, TokenStream):
+        return tokens.kinds, tokens.texts, tokens.lines
+    kinds = bytearray(_CODES[t.kind] for t in tokens)
+    return kinds, [t.text for t in tokens], [t.line for t in tokens]
+
 
 # Keywords that can open a declaration.
 DECLARATION_STARTERS = frozenset({
-    "void", "char", "short", "int", "long", "float", "double",
-    "signed", "unsigned", "bool",
+    "void", "char", "short", "int", "long", "float", "double", "signed", "unsigned", "bool",
     "const", "static", "volatile", "register", "extern", "inline",
     "struct", "enum", "union", "typedef", "auto",
 })
+KEYWORDS = DECLARATION_STARTERS | {
+    "if", "else", "for", "while", "do", "switch", "case", "default", "break", "continue",
+    "return", "goto", "try", "catch", "finally", "throw", "sizeof",
+}
 
-_KEYWORD_WORDS = {text: (TokenKind.KEYWORD, text) for text in KEYWORDS}
+_KEYWORD_WORDS = {text: (_KEYWORD, text) for text in KEYWORDS}
 
 _NUMBER = (
     r"(?:0[xX][0-9a-fA-F]+|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
@@ -144,17 +175,13 @@ _SCANNER = re.compile(
     r"|(?P<end>\Z))"
 )
 _GROUP = _SCANNER.groupindex
-_BLOCK_COMMENT, _END = _GROUP["block_comment"], _GROUP["end"]
-# Token kind by group number; None marks the groups tokenize handles itself.
+_NL, _BLOCK_COMMENT, _END = _GROUP["nl"], _GROUP["block_comment"], _GROUP["end"]
+# Token kind code by group number; None marks the groups tokenize handles itself.
 _GROUP_KINDS = [None] * (_SCANNER.groups + 1)
-for _name, _kind in (
-    ("word", TokenKind.IDENTIFIER),
-    ("number", TokenKind.LITERAL),
-    ("string", TokenKind.LITERAL),
-    ("punct", TokenKind.PUNCTUATION),
-    ("line_comment", TokenKind.COMMENT),
-    ("preprocessor", TokenKind.PREPROCESSOR),
-):
+for _name, _kind in dict(
+    word=_IDENTIFIER, number=_LITERAL, string=_LITERAL,
+    punct=_PUNCTUATION, line_comment=_COMMENT, preprocessor=_PREPROCESSOR,
+).items():
     _GROUP_KINDS[_GROUP[_name]] = _kind
 
 
@@ -165,59 +192,47 @@ def tokenize(source: str) -> TokenStream:
     stream's ``tail``) reproduces the input byte for byte.  Unknown
     characters become single-character punctuation tokens and are
     recorded on the stream's ``unknown`` list.  Equal identifier and
-    keyword texts in one stream are one string, and so are equal leads
-    that hold a newline.
+    keyword texts in one stream are one string.
     """
-    tokens = TokenStream()
-    append = tokens.append
-    new = tuple.__new__
+    stream = TokenStream(source)
+    add_kind, add_text = stream.kinds.append, stream.texts.append
+    add_line, add_start = stream.lines.append, stream.starts.append
     kinds = _GROUP_KINDS
-    identifier = TokenKind.IDENTIFIER
     # Per call, so nothing outlives the stream: word text -> (kind, the
-    # text every token of that word shares), and newline lead -> itself.
+    # text every token of that word shares).
     words = dict(_KEYWORD_WORDS)
-    leads: dict[str, str] = {}
     line = 1
-    rest = ""  # what an unterminated block comment leaves after its last line
     for m in _SCANNER.finditer(source):
         group = m.lastindex
-        lead = m[1]
+        if m[_NL]:
+            line += source.count("\n", m.start(), m.end(1))
         text = m[group]
-        if "\n" in lead:
-            line += lead.count("\n")
-            lead = leads.setdefault(lead, lead)
         kind = kinds[group]
         if kind is None:
             if group == _BLOCK_COMMENT:
-                # One token per non-blank line; what surrounds the text of a
-                # line, its newline and any blank lines go into the next lead.
-                for raw in text.split("\n"):
-                    chunk = raw.strip(_HSPACE)
-                    if chunk:
-                        skip = raw.index(chunk[0])
-                        lead += raw[:skip]
-                        if "\n" in lead:
-                            lead = leads.setdefault(lead, lead)
-                        append(new(Token, (TokenKind.COMMENT, chunk, line, lead)))
-                        lead = raw[skip + len(chunk):]
-                    else:
-                        lead += raw
-                    lead += "\n"
-                    line += 1
-                line -= 1
-                rest = lead[:-1]
+                # One token per non-blank line, its text stripped.
+                at = m.start(group)
+                for line, raw in enumerate(text.split("\n"), line):
+                    if chunk := raw.strip(_HSPACE):
+                        add_kind(_COMMENT)
+                        add_text(chunk)
+                        add_line(line)
+                        add_start(at + raw.index(chunk[0]))
+                    at += len(raw) + 1
                 continue
             if group == _END:
-                tokens.tail = rest + lead
                 break
-            tokens.unknown.append((text, line))
-            kind = TokenKind.PUNCTUATION
-        elif kind is identifier:
+            stream.unknown.append((text, line))
+            kind = _PUNCTUATION
+        elif kind == _IDENTIFIER:
             if (word := words.get(text)) is None:
-                word = words[text] = (identifier, text)
+                word = words[text] = (_IDENTIFIER, text)
             kind, text = word
-        append(new(Token, (kind, text, line, lead)))
-    return tokens
+        add_kind(kind)
+        add_text(text)
+        add_line(line)
+        add_start(m.start(group))
+    return stream
 
 
 def reconstruct(tokens: TokenStream) -> str:
@@ -250,18 +265,14 @@ DEFAULT_INIT_TERMINATION_CALLS = frozenset({
     "open", "close", "fopen", "fclose", "malloc", "calloc", "realloc", "free",
 })
 
-_OPERATORS = frozenset({
-    "=", "+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "!=",
-    "&&", "||", "!", "&", "|", "^", "~", "<<", ">>",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
-    "++", "--", "?", "->", ".",
-})
-_ASSIGN_OPS = frozenset({
-    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
-})
+_ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
+_OPERATORS = _ASSIGN_OPS | {
+    "+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "!=",
+    "&&", "||", "!", "&", "|", "^", "~", "<<", ">>", "++", "--", "?", "->", ".",
+}
 
 
-def _scan_statement(tokens: list[Token], start: int, stop: bool) -> tuple:
+def _scan_statement(kinds: bytearray, texts: list[str], start: int, stop: bool) -> tuple:
     """Walk a statement's tokens once and gather what the rules read.
 
     With *stop*, the walk ends the way a statement does in the parser:
@@ -271,18 +282,18 @@ def _scan_statement(tokens: list[Token], start: int, stop: bool) -> tuple:
     ``@iters`` pragma, and the facts :func:`_statement_kind` reads: the
     number of calls (an identifier right before ``(``), the first call's
     name, the number of operators, whether one of them assigns, and the
-    first five tokens other than ``;`` and comments.
+    indices of the first five tokens other than ``;`` and comments.
     """
     calls = ops = depth = 0
     first_call = callee = None
     has_assign = pragma = False
-    body: list[Token] = []
+    body: list[int] = []
     room = 5  # body tokens still to take
-    end = len(tokens)
+    end = len(texts)
     for j in range(start, end):
-        tok = tokens[j]
-        kind, text, _, _ = tok
-        if kind is _PUNCTUATION:
+        kind = kinds[j]
+        text = texts[j]
+        if kind == _PUNCTUATION:
             if text in _OPERATORS:
                 ops += 1
                 if text in _ASSIGN_OPS:
@@ -307,44 +318,45 @@ def _scan_statement(tokens: list[Token], start: int, stop: bool) -> tuple:
                 end = j
                 break
             callee = None
-        elif kind is _COMMENT:
+        elif kind == _COMMENT:
             callee = None
             if "@iters" in text:
                 pragma = True
             continue
         else:
-            callee = text if kind is _IDENTIFIER else None
+            callee = text if kind == _IDENTIFIER else None
         if room:
-            body.append(tok)
+            body.append(j)
             room -= 1
     return end, pragma, (calls, first_call, ops, has_assign, body)
 
 
 def _statement_kind(
-    first: Token, facts: tuple, init_termination_calls: frozenset[str]
+    kinds: bytearray, texts: list[str], first: int, facts: tuple, init_calls: frozenset[str]
 ) -> StatementKind:
     """The rules of :func:`classify_statement`, on a statement's first token
     and the facts :func:`_scan_statement` gathered from it."""
     calls, first_call, ops, has_assign, body = facts
-    kind, text, _, _ = first
-    if kind is _COMMENT:
+    kind = kinds[first]
+    if kind == _COMMENT:
         return StatementKind.COMMENT
-    if kind is _PREPROCESSOR:
+    if kind == _PREPROCESSOR:
         return StatementKind.HEADER_INCLUDE
-    if kind is _KEYWORD:
+    if kind == _KEYWORD:
+        text = texts[first]
         if text == "return":
             return StatementKind.RETURN
         if text in DECLARATION_STARTERS and not calls:
             return StatementKind.DECLARATION
     # ident = [-]literal
-    if len(body) == 4 and body[2].text == "-":
+    if len(body) == 4 and texts[body[2]] == "-":
         del body[2]
     if (
         len(body) == 3
-        and body[0].kind is _IDENTIFIER
-        and body[1].text == "="
-        and body[2].kind is _LITERAL
-    ) or (calls == 1 and first_call in init_termination_calls):
+        and kinds[body[0]] == _IDENTIFIER
+        and texts[body[1]] == "="
+        and kinds[body[2]] == _LITERAL
+    ) or (calls == 1 and first_call in init_calls):
         return StatementKind.INIT_TERMINATION
     if calls and not has_assign:
         return StatementKind.FUNCTION_CALL
@@ -356,7 +368,7 @@ def _statement_kind(
 
 
 def classify_statement(
-    tokens: list[Token],
+    tokens: Sequence[Token],
     init_termination_calls: frozenset[str] = DEFAULT_INIT_TERMINATION_CALLS,
 ) -> StatementKind:
     """Assign exactly one kind to a statement, first matching rule wins.
@@ -372,8 +384,9 @@ def classify_statement(
     """
     if not tokens:
         return StatementKind.EXPRESSION
-    _, _, facts = _scan_statement(tokens, 0, False)
-    return _statement_kind(tokens[0], facts, init_termination_calls)
+    kinds, texts, _ = _columns(tokens)
+    _, _, facts = _scan_statement(kinds, texts, 0, False)
+    return _statement_kind(kinds, texts, 0, facts, init_termination_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +475,7 @@ _INT_LITERAL = re.compile(
 
 def pragma_value(comment_text: str) -> int | None:
     """Return N when a comment's trimmed text is exactly ``@iters N``."""
-    text = comment_text.strip()
-    if text.startswith("//"):
-        text = text[2:]
-    if text.startswith("/*"):
-        text = text[2:]
-    if text.endswith("*/"):
-        text = text[:-2]
+    text = comment_text.strip().removeprefix("//").removeprefix("/*").removesuffix("*/")
     text = text.strip(" \t*")
     m = _PRAGMA_RE.fullmatch(text)
     return int(m.group(1)) if m else None
@@ -526,16 +533,10 @@ def _literal_bound(header: list[Token]) -> int | None:
         direction = -1
     else:
         return None
-    if cmp == "<" and direction == 1:
-        return bound - start
-    if cmp == "<=" and direction == 1:
-        return bound - start + 1
-    if cmp == ">" and direction == -1:
-        return start - bound
-    if cmp == ">=" and direction == -1:
-        return start - bound + 1
     if cmp == "!=":
         return (bound - start) * direction
+    if (cmp[0] == "<") == (direction == 1):  # the step runs toward the bound
+        return (bound - start) * direction + (cmp[-1] == "=")
     return None
 
 
@@ -579,15 +580,13 @@ _LATER_PARTS = frozenset({"else", "catch", "finally", "case", "default"})
 
 class _Parser:
     def __init__(
-        self,
-        tokens: list[Token],
-        default_iterations: int,
-        init_termination_calls: frozenset[str],
+        self, tokens: Sequence[Token], default_iterations: int, init_calls: frozenset[str]
     ):
-        self.toks = tokens
+        self.kinds, self.texts, self.lines = _columns(tokens)
+        self.n = len(self.texts)
         self.i = 0
         self.default_iterations = default_iterations
-        self.init_calls = init_termination_calls
+        self.init_calls = init_calls
         self.pending_pragma: tuple[int, int] | None = None  # (value, line)
         self.depth = 0  # constructs that hold others, open around the current token
         self.diagnostics: list[str] = []
@@ -600,59 +599,65 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def _peek(self) -> Token | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def _next(self) -> int:
+        i = self.i
+        self.i = i + 1
+        return i
 
-    def _next(self) -> Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def _expect_text(self, text: str, context_line: int) -> Token:
-        tok = self._peek()
-        if tok is None or tok.text != text:
+    def _expect_text(self, text: str, context_line: int) -> int:
+        """Consume a token with *text*; return its line."""
+        i = self.i
+        if i == self.n or self.texts[i] != text:
             raise MalformedHeaderError(f"expected '{text}'", context_line)
-        return self._next()
+        self.i = i + 1
+        return self.lines[i]
 
     def _balanced_parens(self, context_line: int, keep: bool = False) -> list[Token] | None:
         """Consume ``( ... )``, skipping comments; return its inner tokens
         when *keep* is set, else ``None``."""
-        while (tok := self._peek()) is not None and tok.kind is _COMMENT:
+        kinds, texts = self.kinds, self.texts
+        while self.i < self.n and kinds[self.i] == _COMMENT:
             self._header_comment(self._next())
         self._expect_text("(", context_line)
-        toks, depth, start = self.toks, 1, self.i
-        for j in range(start, len(toks)):
-            kind, text, _, _ = tok = toks[j]
-            if kind is _COMMENT:
-                self._header_comment(tok)
-            elif text == "(":
+        depth, start = 1, self.i
+        for j in range(start, self.n):
+            if kinds[j] == _COMMENT:
+                self._header_comment(j)
+                continue
+            text = texts[j]
+            if text == "(":
                 depth += 1
             elif text == ")":
                 depth -= 1
                 if depth == 0:
                     self.i = j + 1
                     if keep:
-                        return [t for t in toks[start:j] if t.kind is not _COMMENT]
+                        return [
+                            Token(_KINDS[kinds[k]], texts[k], self.lines[k])
+                            for k in range(start, j)
+                            if kinds[k] != _COMMENT
+                        ]
                     return None
         raise MalformedHeaderError("unterminated header", context_line)
 
-    def _next_part(self, texts: tuple[str, ...], out: list[BlockNode]) -> Token | None:
+    def _next_part(self, texts: tuple[str, ...], out: list[BlockNode]) -> bool:
         """If the next part of a construct, one of *texts*, follows any comments,
-        parse them into *out*, lapse any pragma, and return its token unconsumed."""
+        parse them into *out*, lapse any pragma, and leave the part unconsumed."""
         j = self.i
-        while j < len(self.toks) and self.toks[j].kind is _COMMENT:
+        while j < self.n and self.kinds[j] == _COMMENT:
             j += 1
-        if j == len(self.toks) or self.toks[j].text not in texts:
-            return None
+        if j == self.n or self.texts[j] not in texts:
+            return False
         while self.i < j:
             self.parse_construct(out)
             self._lapse_pragma()
-        return self.toks[j]
+        return True
 
-    def _header_comment(self, tok: Token) -> None:
+    def _header_comment(self, i: int) -> None:
         """A pragma in a header lapses, since no loop can follow it there."""
-        if "@iters" in tok.text and (value := pragma_value(tok.text)) is not None:
-            self.pending_pragma = (value, tok.line)
+        text = self.texts[i]
+        if "@iters" in text and (value := pragma_value(text)) is not None:
+            self.pending_pragma = (value, self.lines[i])
             self._lapse_pragma()
 
     def _lapse_pragma(self) -> None:
@@ -663,27 +668,21 @@ class _Parser:
             )
             self.pending_pragma = None
 
-    def _take_pragma(self) -> int | None:
-        if self.pending_pragma is None:
-            return None
-        value, _ = self.pending_pragma
-        self.pending_pragma = None
-        return value
-
     # -- grammar ------------------------------------------------------------
 
     def parse_top(self) -> list[BlockNode]:
         nodes: list[BlockNode] = []
-        while (tok := self._peek()) is not None:
-            if tok.text == "}" and tok.kind is _PUNCTUATION:
-                raise UnbalancedBracesError("unmatched '}'", tok.line)
+        while (i := self.i) < self.n:
+            if self.texts[i] == "}" and self.kinds[i] == _PUNCTUATION:
+                raise UnbalancedBracesError("unmatched '}'", self.lines[i])
             self.parse_construct(nodes)
         self._lapse_pragma()
         return nodes
 
     def parse_construct(self, out: list[BlockNode]) -> None:
         """Parse one construct and append its nodes, if any, to *out*."""
-        kind, text, line, _ = self.toks[self.i]
+        i = self.i
+        kind, text, line = self.kinds[i], self.texts[i], self.lines[i]
         # Every nested construct passes through here, so this bounds the
         # parser's recursion.  Only a construct that holds others counts
         # toward the depth while it parses; an error ends the whole parse,
@@ -692,35 +691,35 @@ class _Parser:
             raise NestingTooDeepError(f"constructs nested more than {MAX_NESTING} deep", line)
         # A pending pragma lapses at anything but a loop, which takes it;
         # a new pragma lapses the one before it.
-        if kind is _KEYWORD and text in _LOOP_KEYWORDS:
+        if kind == _KEYWORD and text in _LOOP_KEYWORDS:
             self.depth += 1
             self.parse_loop(out)
             self.depth -= 1
             return
         if self.pending_pragma is not None:
             self._lapse_pragma()
-        if kind is _PUNCTUATION:
+        if kind == _PUNCTUATION:
             if text == ";":
-                self.i += 1
+                self.i = i + 1
                 return
             if text == "{":
-                self.i += 1
+                self.i = i + 1
                 self.depth += 1
                 self.parse_until_close(line, out)
                 self.depth -= 1
                 return
-        elif kind is _COMMENT:
-            self.i += 1
+        elif kind == _COMMENT:
+            self.i = i + 1
             if "@iters" in text and (value := pragma_value(text)) is not None:
                 self.pending_pragma = (value, line)
             else:
                 out.append(Statement(StatementKind.COMMENT, (line, line)))
             return
-        elif kind is _PREPROCESSOR:
-            self.i += 1
+        elif kind == _PREPROCESSOR:
+            self.i = i + 1
             out.append(Statement(StatementKind.HEADER_INCLUDE, (line, line)))
             return
-        elif kind is _KEYWORD:
+        elif kind == _KEYWORD:
             if text == "if":
                 parse = self.parse_if
             elif text == "switch":
@@ -739,227 +738,227 @@ class _Parser:
 
     def parse_until_close(self, open_line: int, out: list[BlockNode]) -> int:
         """Parse nodes into *out* up to the matching ``}``; return its line."""
-        toks = self.toks
-        n = len(toks)
+        kinds, texts, n = self.kinds, self.texts, self.n
         while True:
             i = self.i
             if i >= n:
                 raise UnbalancedBracesError("unclosed '{'", open_line)
-            tok = toks[i]
-            if tok.text == "}" and tok.kind is _PUNCTUATION:
+            if texts[i] == "}" and kinds[i] == _PUNCTUATION:
                 if self.pending_pragma is not None:
                     self._lapse_pragma()
                 self.i = i + 1
-                return tok.line
+                return self.lines[i]
             self.parse_construct(out)
 
     def parse_body(self, context_line: int, out: list[BlockNode]) -> int:
         """Any comments, then a braced block, a lone ``;`` or a single
         construct, parsed into *out*; return the body's last line."""
-        toks = self.toks
+        kinds, texts = self.kinds, self.texts
         while True:
-            if self.i >= len(toks):
+            i = self.i
+            if i >= self.n:
                 raise MalformedHeaderError("missing body", context_line)
-            kind, text, line, _ = toks[self.i]
-            if kind is _PUNCTUATION:
+            kind = kinds[i]
+            if kind == _PUNCTUATION:
+                text = texts[i]
                 if text == "}":
                     raise MalformedHeaderError("missing body", context_line)
                 if text == "{":
-                    self.i += 1
-                    return self.parse_until_close(line, out)
+                    self.i = i + 1
+                    return self.parse_until_close(self.lines[i], out)
                 if text == ";":
-                    self.i += 1
-                    return line
+                    self.i = i + 1
+                    return self.lines[i]
             self.parse_construct(out)
-            if kind is not _COMMENT:
+            if kind != _COMMENT:
                 return out[-1].span[1]
 
     def parse_statement_or_function(self, out: list[BlockNode]) -> None:
-        toks, start = self.toks, self.i
-        end, pragma, facts = _scan_statement(toks, start, True)
+        kinds, texts, start = self.kinds, self.texts, self.i
+        end, pragma, facts = _scan_statement(kinds, texts, start, True)
         if pragma:  # a pragma in a statement or a function header lapses
-            for tok in toks[start:end]:
-                if tok.kind is _COMMENT:
-                    self._header_comment(tok)
+            for j in range(start, end):
+                if kinds[j] == _COMMENT:
+                    self._header_comment(j)
         self.i = end
-        if end == len(toks) or toks[end].text != "{" or toks[end].kind is not _PUNCTUATION:
+        if end == self.n or texts[end] != "{" or kinds[end] != _PUNCTUATION:
             out.append(self._make_statement(start, end, facts))
             return
-        brace = self._next()
-        name = self._function_name(toks[start:end])
+        brace_line = self.lines[self._next()]
+        name = self._function_name(start, end)
         self.depth += 1
         if name is not None:
             body: list[BlockNode] = []
             outer = self.loop, self.absorber
             self.loop = self.absorber = None
-            close_line = self.parse_until_close(brace.line, body)
+            close_line = self.parse_until_close(brace_line, body)
             self.loop, self.absorber = outer
-            out.append(FunctionDef(name, body, (toks[start].line, close_line)))
+            out.append(FunctionDef(name, body, (self.lines[start], close_line)))
         else:
             # Brace after a non-function prefix (struct/enum body, stray
             # block): keep the prefix as a statement and splice the block.
             out.append(self._make_statement(start, end, facts))
-            self.parse_until_close(brace.line, out)
+            self.parse_until_close(brace_line, out)
         self.depth -= 1
 
-    @staticmethod
-    def _function_name(prefix: list[Token]) -> str | None:
-        prefix = [t for t in prefix if t.kind is not _COMMENT]
-        if len(prefix) < 3 or prefix[-1].text != ")":
+    def _function_name(self, start: int, end: int) -> str | None:
+        kinds, texts = self.kinds, self.texts
+        prefix = [j for j in range(start, end) if kinds[j] != _COMMENT]
+        if len(prefix) < 3 or texts[prefix[-1]] != ")":
             return None
         depth = 0
-        for k in range(len(prefix) - 1, -1, -1):
-            text = prefix[k].text
-            if text == ")":
-                depth += 1
-            elif text == "(":
-                depth -= 1
-                if depth == 0:
-                    if k > 0 and prefix[k - 1].kind is _IDENTIFIER:
-                        return prefix[k - 1].text
-                    return None
+        for k in range(len(prefix) - 1, 0, -1):
+            text = texts[prefix[k]]
+            depth += (text == ")") - (text == "(")
+            if depth == 0:  # at the "(" that the last ")" closes
+                name = prefix[k - 1]
+                return texts[name] if kinds[name] == _IDENTIFIER else None
         return None
 
     def _make_statement(self, start: int, end: int, facts: tuple) -> Statement:
-        """Classify the statement ``toks[start:end]`` from the facts its scan
-        gathered, and record its jump, if it is one."""
-        toks = self.toks
-        first = toks[start]
+        """Classify the statement of tokens ``start`` to ``end`` from the facts
+        its scan gathered, and record its jump, if it is one."""
+        kinds, texts, line = self.kinds, self.texts, self.lines[start]
         # A statement never starts with a comment, so these texts are keywords.
-        head_kind, head, line, _ = first
-        after = toks[start + 1] if end - start > 1 else None
+        head = texts[start]
+        after = start + 1 if end - start > 1 else None
         flow = self.flow
-        if head_kind is _IDENTIFIER and after is not None and after.text == ":":
+        if kinds[start] == _IDENTIFIER and after is not None and texts[after] == ":":
             flow.labels.setdefault(head, line)
         elif head == "goto":
-            target = after.text if after is not None and after.kind is _IDENTIFIER else None
+            target = texts[after] if after is not None and kinds[after] == _IDENTIFIER else None
             flow.gotos.append((target, line))
         elif head == "break":
             if self.absorber is not None:
                 flow.loop_exits[self.absorber] += 1
         elif head == "continue" and self.loop is not None:
             flow.loop_exits[self.loop] += 1
-        kind = _statement_kind(first, facts, self.init_calls)
-        return Statement(kind, (line, toks[end - 1].line))
+        kind = _statement_kind(kinds, texts, start, facts, self.init_calls)
+        return Statement(kind, (line, self.lines[end - 1]))
 
     def parse_if(self, out: list[BlockNode]) -> None:
         # One branch per pass: ``tok`` is the ``if`` or ``else`` before it.
+        texts, lines = self.texts, self.lines
         kw = tok = self._next()
         branches: list[list[BlockNode]] = []
         while True:
-            if tok.text == "if":
-                self._balanced_parens(tok.line)
+            if texts[tok] == "if":
+                self._balanced_parens(lines[tok])
             body: list[BlockNode] = []
             branches.append(body)
-            end = self.parse_body(tok.line, body)
-            if tok.text == "else" or self._next_part(("else",), body) is None:
+            end = self.parse_body(lines[tok], body)
+            if texts[tok] == "else" or not self._next_part(("else",), body):
                 break
             tok = self._next()
-            if self._next_part(("if",), body) is not None:
+            if self._next_part(("if",), body):
                 tok = self._next()
-        out.append(ConditionBlock(branches, (kw.line, end)))
+        out.append(ConditionBlock(branches, (lines[kw], end)))
 
     def parse_loop(self, out: list[BlockNode]) -> None:
         kw = self._next()
-        pragma = self._take_pragma()
+        word, line = self.texts[kw], self.lines[kw]
+        pending, self.pending_pragma = self.pending_pragma, None  # the loop takes it
+        pragma = None if pending is None else pending[0]
         # The loop takes its slot here, so loops are listed in pre-order,
         # and fills it after its count resolves, once its body has parsed.
         key = len(self.loops)
         self.loops.append(None)
         self.flow.loop_exits.append(0)
         header = None
-        if kw.text != "do":
-            header = self._balanced_parens(kw.line, keep=kw.text == "for")
+        if word != "do":
+            header = self._balanced_parens(line, keep=word == "for")
         body: list[BlockNode] = []
         outer = self.loop, self.absorber
         self.loop = self.absorber = key
-        end = self.parse_body(kw.line, body)
+        end = self.parse_body(line, body)
         self.loop, self.absorber = outer
-        if kw.text == "do":
+        if word == "do":
             self._next_part(("while",), body)
-            self._expect_text("while", kw.line)
-            self._balanced_parens(kw.line)
-            end = self.toks[self.i - 1].line  # the header's ``)``
-            if (tok := self._peek()) is not None and tok.text == ";":
-                end = self._next().line
+            self._expect_text("while", line)
+            self._balanced_parens(line)
+            end = self.lines[self.i - 1]  # the header's ``)``
+            if self.i < self.n and self.texts[self.i] == ";":
+                end = self.lines[self._next()]
         count = resolve_loop_count(
-            header or [],
-            pragma,
-            default_iterations=self.default_iterations,
-            line=kw.line,
+            header or [], pragma, default_iterations=self.default_iterations, line=line
         )
-        self.loops[key] = (kw.line, count)
-        out.append(LoopBlock(count, body, (kw.line, end)))
+        self.loops[key] = (line, count)
+        out.append(LoopBlock(count, body, (line, end)))
 
     def parse_switch(self, out: list[BlockNode]) -> None:
-        kw = self._next()
-        self._balanced_parens(kw.line)
+        kinds, texts, lines = self.kinds, self.texts, self.lines
+        line = lines[self._next()]
+        self._balanced_parens(line)
         absorber, self.absorber = self.absorber, None
         # Comments before the first case, even before the ``{``, join it.
         leading: list[BlockNode] = []
         self._next_part(("{",), leading)
-        open_tok = self._expect_text("{", kw.line)
+        open_line = self._expect_text("{", line)
         branches: list[list[BlockNode]] = []
         while True:
-            tok = self._peek()
-            if tok is None:
-                raise UnbalancedBracesError("unclosed '{'", open_tok.line)
-            if tok.text == "}" and tok.kind is _PUNCTUATION:
+            i = self.i
+            if i == self.n:
+                raise UnbalancedBracesError("unclosed '{'", open_line)
+            kind, text = kinds[i], texts[i]
+            if text == "}" and kind == _PUNCTUATION:
                 self._lapse_pragma()
-                self._next()
+                self.i = i + 1
                 break
-            if tok.kind is _KEYWORD and tok.text in ("case", "default"):
-                self._next()
-                while (lbl := self._peek()) is not None:
-                    if lbl.kind is _COMMENT:
-                        self._header_comment(lbl)
-                    elif lbl.kind is _PUNCTUATION:
-                        if lbl.text == ":":
+            if kind == _KEYWORD and text in ("case", "default"):
+                j = i + 1
+                while j < self.n:
+                    if kinds[j] == _COMMENT:
+                        self._header_comment(j)
+                    elif kinds[j] == _PUNCTUATION:
+                        if texts[j] == ":":
                             break
-                        if lbl.text == "{" or lbl.text == "}":
-                            raise MalformedHeaderError("unterminated case label", tok.line)
-                    self._next()
-                self._expect_text(":", tok.line)
+                        if texts[j] == "{" or texts[j] == "}":
+                            raise MalformedHeaderError("unterminated case label", lines[i])
+                    j += 1
+                self.i = j
+                self._expect_text(":", lines[i])
                 branches.append(leading)
                 leading = []
                 continue
-            if not branches and tok.kind is not _COMMENT and tok.text != ";":
-                raise MalformedHeaderError("statement before first case", tok.line)
+            if not branches and kind != _COMMENT and text != ";":
+                raise MalformedHeaderError("statement before first case", lines[i])
             self.parse_construct(branches[-1] if branches else leading)
         if not branches:
-            raise MalformedHeaderError("switch without cases", kw.line)
+            raise MalformedHeaderError("switch without cases", line)
         self.absorber = absorber
-        out.append(ConditionBlock(branches, (kw.line, tok.line), from_switch=True))
+        out.append(ConditionBlock(branches, (line, lines[i]), from_switch=True))
 
     def parse_try(self, out: list[BlockNode]) -> None:
         # One part per pass, all into the one body: ``tok`` is the
         # ``try``, ``catch`` or ``finally`` that opens the part.
+        texts, lines = self.texts, self.lines
         kw = tok = self._next()
         body: list[BlockNode] = []
         handlers = 0
         while True:
-            if tok.text == "catch":
+            if texts[tok] == "catch":
                 handlers += 1
-                if self._next_part(("(",), body) is not None:
-                    self._balanced_parens(tok.line)
+                if self._next_part(("(",), body):
+                    self._balanced_parens(lines[tok])
             self._next_part(("{",), body)
-            brace = self._expect_text("{", tok.line)
-            end = self.parse_until_close(brace.line, body)
-            if tok.text == "finally" or self._next_part(("catch", "finally"), body) is None:
+            brace_line = self._expect_text("{", lines[tok])
+            end = self.parse_until_close(brace_line, body)
+            if texts[tok] == "finally" or not self._next_part(("catch", "finally"), body):
                 break
             tok = self._next()
         # A bare try/finally still carries one implicit handler.
-        out.append(ExceptionBlock(max(1, handlers), body, (kw.line, end)))
+        out.append(ExceptionBlock(max(1, handlers), body, (lines[kw], end)))
 
 
 def parse_tokens(
-    tokens: list[Token],
+    tokens: Sequence[Token],
     *,
     default_iterations: int = 1,
     init_termination_calls: frozenset[str] = DEFAULT_INIT_TERMINATION_CALLS,
 ) -> ParseResult:
-    """Parse a token stream into a block tree, the parser's diagnostics,
-    each loop's line and count in pre-order, and the file's flow facts."""
+    """Parse a token stream, or any sequence of tokens, into a block tree,
+    the parser's diagnostics, each loop's line and count in pre-order, and
+    the file's flow facts."""
     parser = _Parser(tokens, default_iterations, init_termination_calls)
     tree = parser.parse_top()
     return ParseResult(tree, parser.diagnostics, parser.loops, parser.flow)

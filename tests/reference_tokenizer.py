@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from codearea.frontend import KEYWORDS, Token, TokenKind, TokenStream
+from codearea.frontend import KEYWORDS, Token, TokenKind
 
 _PUNCT_3 = ("<<=", ">>=", "...")
 _PUNCT_2 = (
@@ -27,6 +27,17 @@ _NUMBER_RE = re.compile(
     r"|\d+(?:[eE][+-]?\d+)?)[uUlLfF]*"
 )
 _WHITESPACE = " \t\r\n\f\v"
+
+
+class TokenStream(list):
+    """A ``list`` of tokens that also remembers trailing whitespace and
+    any characters the tokenizer did not recognize."""
+
+    tail: str = ""
+
+    def __init__(self):
+        super().__init__()
+        self.unknown: list[tuple[str, int]] = []
 
 
 def tokenize(source: str) -> TokenStream:

@@ -73,6 +73,24 @@ def test_scanner_matches_reference_on_lead_edge_cases(source):
     assert_same_tokens(source)
 
 
+# The stream keeps columns and builds each Token, lead included, on demand:
+# an empty source, whitespace only, an unterminated block comment with
+# trailing whitespace, and "#" right after a block comment's "*/".
+@pytest.mark.parametrize("source", ["", " \t\r\n\v\f \n ", "a /* open\n x \t\n", "/* c */#x\n"])
+def test_stream_view_matches_reference(source):
+    got, want = tokenize(source), reference_tokenizer.tokenize(source)
+    n = len(want)
+    assert len(got) == n
+    assert list(got) == want
+    assert got[1:] == want[1:] and got[::-2] == want[::-2]
+    if n:
+        assert got[-1] == want[-1] and got[-n] == want[0] and got[n - 1] == want[-1]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            got[i]
+    assert got.tail == want.tail
+
+
 def _statements(tokens: list[Token]) -> list[list[Token]]:
     """Split a token stream after every ";"."""
     out, current = [], []

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codearea import tokenize
+from codearea import classify_statement, tokenize
 from codearea.frontend import MAX_NESTING, parse_tokens
 
 import reference_parser
@@ -44,6 +44,15 @@ def test_parser_matches_reference_on_corpus(options):
     assert paths
     for path in paths:
         assert_same_parse(path.read_text(encoding="utf-8"), **options)
+
+
+@pytest.mark.parametrize("options", OPTIONS, ids=["defaults", "options"])
+def test_parser_and_classifier_take_a_token_list(options):
+    # The public API takes any sequence of tokens, not just a stream.
+    for path in sorted(CORPUS.glob("*.c")):
+        tokens = tokenize(path.read_text(encoding="utf-8"))
+        assert parse_tokens(list(tokens), **options) == parse_tokens(tokens, **options)
+        assert classify_statement(list(tokens)) == classify_statement(tokens)
 
 
 @settings(max_examples=300, deadline=None)

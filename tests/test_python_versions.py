@@ -1,0 +1,89 @@
+"""The CLI gives the same bytes on every Python the package supports.
+
+``pyproject.toml`` declares ``requires-python >= 3.10``, but the suite
+runs on one interpreter.  This test collects ``python3.10`` to
+``python3.13`` from ``PATH``, plus any interpreters listed in the
+``CODEAREA_TEST_PYTHONS`` environment variable (separated by
+``os.pathsep``), and keeps each one that runs and is not the interpreter
+running the suite.  On each it runs the CLI, in text and JSON, on the
+golden corpus and on one small generated file, and requires the same
+stdout bytes and exit code as the current interpreter.  It skips when it
+finds no other interpreter.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+from conftest import CORPUS, REPO_ROOT
+
+SRC = REPO_ROOT / "src"
+
+
+def _interpreter(python: str) -> str | None:
+    """The real path of the interpreter *python* starts, or None if it
+    cannot run."""
+    try:
+        probe = subprocess.run(
+            [python, "-c", "import sys; print(sys.executable)"],
+            capture_output=True, text=True, timeout=60,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return os.path.realpath(probe.stdout.strip()) if probe.returncode == 0 else None
+
+
+def _other_pythons() -> list[str]:
+    names = [shutil.which(f"python3.{minor}") for minor in range(10, 14)]
+    names += os.environ.get("CODEAREA_TEST_PYTHONS", "").split(os.pathsep)
+    found = {os.path.realpath(sys.executable)}
+    others = []
+    for name in filter(None, names):
+        real = _interpreter(name)
+        if real is not None and real not in found:
+            found.add(real)
+            others.append(name)
+    return others
+
+
+def _small_generated_file(directory) -> str:
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", REPO_ROOT / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    (file,) = workloads.generate("deep_logic", 11, scale=0.05).files
+    (directory / file.name).write_text(file.text, encoding="utf-8")
+    return file.name
+
+
+def _cli(python: str, args: list[str], cwd) -> tuple[int, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [python, "-m", "codearea", *args], cwd=cwd, env=env, capture_output=True, timeout=300
+    )
+    return done.returncode, done.stdout
+
+
+def test_cli_gives_the_same_bytes_on_every_other_python(tmp_path):
+    others = _other_pythons()
+    if not others:
+        pytest.skip("no other Python interpreter found")
+    golden = [str(p.relative_to(REPO_ROOT)) for p in sorted(CORPUS.glob("*.c"))]
+    runs = [
+        (REPO_ROOT, golden + ["--exec-time", "88", "--qr", "1,2,0,1,2"]),
+        (tmp_path, [_small_generated_file(tmp_path)]),
+    ]
+    for cwd, args in runs:
+        for fmt in ("text", "json"):
+            want = _cli(sys.executable, args + ["--format", fmt], cwd)
+            assert want[1]
+            for python in others:
+                assert _cli(python, args + ["--format", fmt], cwd) == want, (python, fmt)
