@@ -8,15 +8,15 @@ Exit codes: 0 on success, 1 when any input file fails to analyze,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import replace
-from fractions import Fraction
+from collections.abc import Iterator
 
 from .analysis import analyze
 from .config import REPORT_FORMATS, Config, load_config
 from .errors import CodeAreaError
 from .frontend import StatementKind
-from .metrics import PerSegmentAverage, QualityAttributes, TotalSeconds
+from .metrics import QUALITY_ATTRIBUTE_NAMES
 from .report import emit_report
 
 EXIT_OK = 0
@@ -70,42 +70,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_qr_flag(value: str) -> QualityAttributes:
-    parts = value.split(",")
-    if len(parts) != 5:
-        raise CodeAreaError(f"--qr expects five comma-separated scores, got {value!r}")
-    try:
-        scores = [int(p.strip()) for p in parts]
-    except ValueError:
-        raise CodeAreaError(f"--qr scores must be integers, got {value!r}") from None
-    return QualityAttributes(*scores)
-
-
-def _parse_seconds(value: str, flag: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise CodeAreaError(f"{flag} expects a number, got {value!r}") from None
-
-
-def _apply_flags(config: Config, args: argparse.Namespace) -> Config:
+def _flag_items(args: argparse.Namespace) -> Iterator[tuple[str, str, dict[str, str]]]:
+    """Yield each setting flag given as ``(flag, config section, items)``,
+    lazily, so that ``load_config`` reports the config file's errors first."""
     if args.exec_time is not None:
-        config = replace(
-            config,
-            exec_time=TotalSeconds(_parse_seconds(args.exec_time, "--exec-time")),
-        )
+        yield "--exec-time", "analysis", {"exec_time": args.exec_time}
     if args.exec_time_avg is not None:
-        config = replace(
-            config,
-            exec_time=PerSegmentAverage(
-                _parse_seconds(args.exec_time_avg, "--exec-time-avg")
-            ),
-        )
+        yield "--exec-time-avg", "analysis", {"exec_time_avg": args.exec_time_avg}
     if args.qr is not None:
-        config = replace(config, qr=_parse_qr_flag(args.qr))
+        scores = args.qr.split(",")
+        if len(scores) != len(QUALITY_ATTRIBUTE_NAMES):
+            raise CodeAreaError(f"--qr expects five comma-separated scores, got {args.qr!r}")
+        yield "--qr", "qr", dict(zip(QUALITY_ATTRIBUTE_NAMES, scores))
     if args.format is not None:
-        config = replace(config, report_format=args.format)
-    return config
+        yield "--format", "analysis", {"report_format": args.format}
 
 
 def _dump_weights(config: Config) -> None:
@@ -116,27 +94,31 @@ def _dump_weights(config: Config) -> None:
     print(f"exception_multiplier = {state}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+def _pin_mmap_threshold() -> None:
+    """Stop glibc raising its 128 KiB mmap threshold as large blocks are
+    freed, which leaves the token columns in holey heap layouts."""
     try:
-        config = load_config(args.config)
-        config = _apply_flags(config, args)
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            import ctypes
+            ctypes.CDLL(None).mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD
+    except (AttributeError, ImportError, OSError, ValueError):
+        pass
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_arg_parser().parse_args(argv)
+    try:
+        config = load_config(args.config, _flag_items(args))
         if args.segments is not None and len(args.paths) != 1:
             raise CodeAreaError("--segments requires exactly one input file")
-    except CodeAreaError as exc:
-        print(f"codearea: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    if args.weights_dump:
-        _dump_weights(config)
-        return EXIT_OK
-
-    try:
+        if args.weights_dump:
+            _dump_weights(config)
+            return EXIT_OK
+        _pin_mmap_threshold()
+        # Aggregate-level failures (e.g. per-segment timing with an empty
+        # corpus) are configuration/input mismatches too.
         report = analyze(args.paths, config, sidecar_path=args.segments)
     except CodeAreaError as exc:
-        # Aggregate-level failures (e.g. per-segment timing with an empty
-        # corpus) are configuration/input mismatches.
         print(f"codearea: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -46,7 +46,9 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from .classifier import (
     DEFAULT_FLOW_EXIT_LIMIT,
@@ -65,6 +67,7 @@ from .metrics import (
 )
 
 REPORT_FORMATS = ("text", "json")
+_SECTIONS = ("weights", "qr", "rubric", "analysis")
 
 _WEIGHT_KEYS = {kind.value: kind for kind in StatementKind}
 _ANALYSIS_KEYS = frozenset({
@@ -120,12 +123,12 @@ def _parse_weights(items: dict[str, str]) -> dict[StatementKind, Fraction]:
     return overrides
 
 
-def _parse_qr(items: dict[str, str]) -> QualityAttributes:
+def _parse_qr(items: dict[str, str], where: str | None) -> QualityAttributes:
     values = {}
     for key, value in items.items():
         if key not in QUALITY_ATTRIBUTE_NAMES:
             raise UnknownKeyError(f"unknown qr key: {key!r}")
-        values[key] = _int(value, f"qr.{key}")
+        values[key] = _int(value, where or f"qr.{key}")
     return QualityAttributes(**values)
 
 
@@ -141,68 +144,69 @@ def _parse_rubric(items: dict[str, str]) -> dict[str, int]:
     return answers
 
 
-def load_config(path: str | Path | None = None) -> Config:
-    """Load a configuration file, or the documented defaults when absent."""
-    if path is None:
-        return Config()
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=(";", "#")
-    )
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-        parser.read_string(text, source=str(path))
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read config: {exc}") from None
-    except configparser.Error as exc:
-        lineno = getattr(exc, "lineno", None)
-        where = f"{path}:{lineno}" if lineno else str(path)
-        raise ConfigParseError(f"{where}: {exc.message}") from None
-
-    for section in parser.sections():
-        if section not in ("weights", "qr", "rubric", "analysis"):
-            raise UnknownKeyError(f"unknown section: [{section}]")
+def load_config(
+    path: str | Path | None = None,
+    flags: Iterable[tuple[str, str, dict[str, str]]] = (),
+) -> Config:
+    """Load a configuration file, or the documented defaults when absent,
+    then apply *flags*: ``(name, section, items)`` triples read after the
+    file's sections and as they are, except that a bad ``[qr]`` score or
+    ``exec_time``/``exec_time_avg`` number is reported under *name*."""
+    sections = []
+    if path is not None:
+        parser = configparser.ConfigParser(
+            interpolation=None, inline_comment_prefixes=(";", "#")
+        )
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+            parser.read_string(text, source=str(path))
+        except OSError as exc:
+            raise ConfigParseError(f"cannot read config: {exc}") from None
+        except configparser.Error as exc:
+            lineno = getattr(exc, "lineno", None)
+            where = f"{path}:{lineno}" if lineno else str(path)
+            raise ConfigParseError(f"{where}: {exc.message}") from None
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise UnknownKeyError(f"unknown section: [{section}]")
+        sections = [
+            (None, name, dict(parser.items(name)))
+            for name in _SECTIONS
+            if parser.has_section(name)
+        ]
 
     config = Config()
-    if parser.has_section("weights"):
-        overrides = _parse_weights(dict(parser.items("weights")))
-        config = replace(config, weights=config.weights.replace(overrides))
-    if parser.has_section("qr"):
-        config = replace(config, qr=_parse_qr(dict(parser.items("qr"))))
-    if parser.has_section("rubric"):
-        config = replace(config, rubric=_parse_rubric(dict(parser.items("rubric"))))
-    if parser.has_section("analysis"):
-        config = _apply_analysis(config, dict(parser.items("analysis")))
+    for where, section, items in chain(sections, flags):
+        if section == "weights":
+            weights = {**config.weights.weights, **_parse_weights(items)}
+            config = replace(config, weights=replace(config.weights, weights=weights))
+        elif section == "qr":
+            config = replace(config, qr=_parse_qr(items, where))
+        elif section == "rubric":
+            config = replace(config, rubric=_parse_rubric(items))
+        else:
+            config = _apply_analysis(config, items, where)
     return config
 
 
-def _apply_analysis(config: Config, items: dict[str, str]) -> Config:
+def _apply_analysis(config: Config, items: dict[str, str], where: str | None) -> Config:
     for key in items:
         if key not in _ANALYSIS_KEYS:
             raise UnknownKeyError(f"unknown analysis key: {key!r}")
     if "exec_time" in items and "exec_time_avg" in items:
         raise ConfigParseError("exec_time and exec_time_avg are mutually exclusive")
 
-    if "default_iterations" in items:
-        n = _int(items["default_iterations"], "analysis.default_iterations")
-        if n < 0:
-            raise ConfigParseError("default_iterations must be >= 0")
-        config = replace(config, default_iterations=n)
-    if "flow_exit_limit" in items:
-        n = _int(items["flow_exit_limit"], "analysis.flow_exit_limit")
-        if n < 0:
-            raise ConfigParseError("flow_exit_limit must be >= 0")
-        config = replace(config, flow_exit_limit=n)
-    if "flow_penalty" in items:
-        penalty = _fraction(items["flow_penalty"], "analysis.flow_penalty")
-        if penalty < 0:
-            raise ConfigParseError("flow_penalty must be >= 0")
-        config = replace(config, flow_penalty=penalty)
-    if "exec_time" in items:
-        seconds = _fraction(items["exec_time"], "analysis.exec_time")
-        config = replace(config, exec_time=TotalSeconds(seconds))
-    if "exec_time_avg" in items:
-        seconds = _fraction(items["exec_time_avg"], "analysis.exec_time_avg")
-        config = replace(config, exec_time=PerSegmentAverage(seconds))
+    for key, parse in (("default_iterations", _int), ("flow_exit_limit", _int),
+                       ("flow_penalty", _fraction)):
+        if key in items:
+            value = parse(items[key], f"analysis.{key}")
+            if value < 0:
+                raise ConfigParseError(f"{key} must be >= 0")
+            config = replace(config, **{key: value})
+    for key, model in (("exec_time", TotalSeconds), ("exec_time_avg", PerSegmentAverage)):
+        if key in items:
+            seconds = _fraction(items[key], where or f"analysis.{key}")
+            config = replace(config, exec_time=model(seconds))
     if "exception_multiplier" in items:
         raw = items["exception_multiplier"].strip().lower()
         if raw not in _BOOL_VALUES:

@@ -151,6 +151,12 @@ _NUMBER = (
     r"|\d+(?:[eE][+-]?\d+)?)[uUlLfF]*"
 )
 _HSPACE = " \t\r\f\v"  # whitespace other than the newline
+# Multi-character punctuators, longest first, each mapped to the one
+# string every token of it shares.
+_OPERATOR_TEXTS = {text: text for text in (
+    "<<=", ">>=", "...", "->", "++", "--", "==", "!=", "<=", ">=", "&&", "||",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>", "::",
+)}
 
 # One alternative per token class, tried in order where the previous
 # token ended.  ``lead`` takes the whitespace before the token; ``start``
@@ -168,14 +174,15 @@ _SCANNER = re.compile(
     r"|(?P<line_comment>//[^\n]*)"
     r"|(?P<block_comment>/\*[^*]*(?:\*(?!/)[^*]*)*(?:\*/)?)"
     r"|(?P<string>\"[^\"\\\n]*(?:\\.?[^\"\\\n]*)*\"?|'[^'\\\n]*(?:\\.?[^'\\\n]*)*'?)"
-    r"|(?P<punct><<=|>>=|\.\.\.|->|\+\+|--|==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%="
-    r"|&=|\|=|\^=|<<|>>|::|[-+*/%<>=!&|^~?:;,.(){}\[\]])"
+    r"|(?P<operator>" + "|".join(map(re.escape, _OPERATOR_TEXTS)) + ")"
+    r"|(?P<punct>[-+*/%<>=!&|^~?:;,.(){}\[\]])"
     r"|(?P<preprocessor>(?(start)|(?(nl)|(?!)))\#[^\n]*)"
     r"|(?P<unknown>[^ \t\r\n\f\v])"
     r"|(?P<end>\Z))"
 )
 _GROUP = _SCANNER.groupindex
 _NL, _BLOCK_COMMENT, _END = _GROUP["nl"], _GROUP["block_comment"], _GROUP["end"]
+_OPERATOR = _GROUP["operator"]
 # Token kind code by group number; None marks the groups tokenize handles itself.
 _GROUP_KINDS = [None] * (_SCANNER.groups + 1)
 for _name, _kind in dict(
@@ -192,7 +199,8 @@ def tokenize(source: str) -> TokenStream:
     stream's ``tail``) reproduces the input byte for byte.  Unknown
     characters become single-character punctuation tokens and are
     recorded on the stream's ``unknown`` list.  Equal identifier and
-    keyword texts in one stream are one string.
+    keyword texts in one stream are one string, and so are equal
+    multi-character punctuators.
     """
     stream = TokenStream(source)
     add_kind, add_text = stream.kinds.append, stream.texts.append
@@ -209,7 +217,9 @@ def tokenize(source: str) -> TokenStream:
         text = m[group]
         kind = kinds[group]
         if kind is None:
-            if group == _BLOCK_COMMENT:
+            if group == _OPERATOR:
+                text = _OPERATOR_TEXTS[text]
+            elif group == _BLOCK_COMMENT:
                 # One token per non-blank line, its text stripped.
                 at = m.start(group)
                 for line, raw in enumerate(text.split("\n"), line):
@@ -220,9 +230,10 @@ def tokenize(source: str) -> TokenStream:
                         add_start(at + raw.index(chunk[0]))
                     at += len(raw) + 1
                 continue
-            if group == _END:
+            elif group == _END:
                 break
-            stream.unknown.append((text, line))
+            else:
+                stream.unknown.append((text, line))
             kind = _PUNCTUATION
         elif kind == _IDENTIFIER:
             if (word := words.get(text)) is None:

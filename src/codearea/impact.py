@@ -77,11 +77,6 @@ class WeightTable:
         denominator = math.lcm(*(w.denominator for w in self.weights.values()))
         return {k: int(w * denominator) for k, w in self.weights.items()}, denominator
 
-    def replace(self, overrides: Mapping[StatementKind, Fraction]) -> "WeightTable":
-        merged = dict(self.weights)
-        merged.update(overrides)
-        return WeightTable(merged, self.exception_multiplier_enabled)
-
 
 def _impact(nodes: list[BlockNode], weights: WeightTable) -> ImpactScore:
     """Sum, over the statements under *nodes*, each kind's weight times

@@ -57,23 +57,22 @@ class QualityAttributes:
 
 
 @dataclass(frozen=True)
-class TotalSeconds:
+class _Seconds:
+    """A time in seconds, which must be positive."""
+
     seconds: Fraction
 
     def __post_init__(self):
         if self.seconds <= 0:
-            raise NonPositiveTimeError(f"total time must be > 0, got {self.seconds}")
+            raise NonPositiveTimeError(f"{self.what} must be > 0, got {self.seconds}")
 
 
-@dataclass(frozen=True)
-class PerSegmentAverage:
-    seconds: Fraction
+class TotalSeconds(_Seconds):
+    what = "total time"
 
-    def __post_init__(self):
-        if self.seconds <= 0:
-            raise NonPositiveTimeError(
-                f"per-segment time must be > 0, got {self.seconds}"
-            )
+
+class PerSegmentAverage(_Seconds):
+    what = "per-segment time"
 
 
 ExecutionTimeModel = TotalSeconds | PerSegmentAverage

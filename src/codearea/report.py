@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 from .analysis import AnalysisReport, FileResult
 from .classifier import FlowReport
@@ -82,22 +82,18 @@ def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
 # indent=2)``: every key sits at a depth the schema fixes, so each object
 # is an f-string with its indent written in.  Numbers are written by
 # ``repr`` (plain keys by ``json2``), strings from the input by
-# ``json.dumps``, which escapes them to ASCII.  The pieces go into one
-# flat list, joined and encoded once.
+# ``json.dumps``, which escapes them to ASCII.  Each file's pieces are
+# joined into one string; the report's list, a few pieces per file, is
+# joined and encoded once.
 
 
-def _array(
-    out: list[str],
-    items: Iterable,
-    indent: str,
-    write: Callable[[list[str], Any], object] = list.append,
-) -> None:
-    """Append a JSON array of *items*, each appended by ``write(out, item)``
-    one level deeper than *indent*, the array's own."""
+def _array(out: list[str], items: Iterable[str], indent: str) -> None:
+    """Append a JSON array of *items*, each written one level deeper than
+    *indent*, the array's own."""
     start = len(out)
     for item in items:
         out.append(",\n" if len(out) > start else "[\n")
-        write(out, item)
+        out.append(item)
     out.append(f"\n{indent}]" if len(out) > start else "[]")
 
 
@@ -123,18 +119,15 @@ def _flow(flow: FlowReport, indent: str) -> str:
     )
 
 
-def _write_file(out: list[str], f: FileResult) -> None:
-    out.append(
-        f'    {{\n      "path": {json.dumps(f.path)},\n      "raw_loc": {f.raw_loc},\n'
-    )
+def _file_json(f: FileResult) -> str:
+    head = f'    {{\n      "path": {json.dumps(f.path)},\n      "raw_loc": {f.raw_loc},\n'
     if f.error is not None:
         line = "null" if f.error_line is None else f.error_line
-        out.append(
-            f'      "error": {{\n        "message": {json.dumps(f.error)},\n'
+        return (
+            f'{head}      "error": {{\n        "message": {json.dumps(f.error)},\n'
             f'        "line": {line}\n      }}\n    }}'
         )
-        return
-    out.append('      "segments": ')
+    out = [head, '      "segments": ']
     # Segment kinds are fixed ASCII names and need no escaping.
     _array(
         out,
@@ -169,11 +162,12 @@ def _write_file(out: list[str], f: FileResult) -> None:
         "      ",
     )
     out.append(f',\n      "flow": {_flow(f.flow, "      ")}\n    }}')
+    return "".join(out)
 
 
 def _render_json(report: AnalysisReport) -> bytes:
     out = [f'{{\n  "v": {SCHEMA_VERSION},\n  "files": ']
-    _array(out, report.files, "  ", _write_file)
+    _array(out, map(_file_json, report.files), "  ")
     attrs = ",\n".join(
         f'    "{name}": {score}'
         for name, score in zip(QUALITY_ATTRIBUTE_NAMES, report.qr_attrs.as_tuple())

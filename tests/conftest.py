@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,18 @@ def segments_of(source: str, weights: WeightTable | None = None):
 
 def total_impact(source: str, weights: WeightTable | None = None):
     return sum((seg.impact for seg in segments_of(source, weights)), start=0)
+
+
+def bench_workloads():
+    """The bench's workload generator, ``bench/workloads.py``, imported
+    from its file without touching it."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", REPO_ROOT / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 # ---------------------------------------------------------------------------

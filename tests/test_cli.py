@@ -3,11 +3,13 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from codearea import analysis
-from codearea.cli import main
+from codearea.cli import _pin_mmap_threshold, main
 
 from conftest import CORPUS_FILES
 
@@ -142,6 +144,82 @@ def test_exec_time_flags_are_mutually_exclusive():
     with pytest.raises(SystemExit) as err:
         main(["--exec-time", "1", "--exec-time-avg", "2"])
     assert err.value.code == 2
+
+
+def test_flags_replace_the_same_config_settings(tmp_path, capsys):
+    conf = tmp_path / "c.ini"
+    conf.write_text(
+        "[qr]\nsecurity = 0\n[analysis]\nexec_time = 88\nreport_format = json\n",
+        encoding="utf-8",
+    )
+    base = [*corpus_args(), "--config", str(conf)]
+    assert main(base) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["execution_time_s"] == 88 and doc["quality_attributes"]["security"] == 0
+    assert main([*base, "--exec-time-avg", "2", "--qr", "2,2,2,2,2", "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    segments = int(out.split("total=")[1].split()[0])
+    assert f"execution time:    {2 * segments}.00 s" in out
+    assert "quality quotient:  10/10" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--exec-time", "abc"), ("--exec-time-avg", "abc"), ("--qr", "1,2,x,1,2"), ("--qr", "1,2,3")],
+)
+def test_bad_flag_value_is_a_config_error_naming_the_flag(capsys, flag, value):
+    assert main([*corpus_args(), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("codearea: config error: ") and flag in err
+
+
+def test_config_file_errors_come_before_flag_errors(tmp_path, capsys):
+    conf = tmp_path / "bad.ini"
+    conf.write_text("[weights]\ncomment = 2.0\n", encoding="utf-8")
+    assert main(["--config", str(conf), "--exec-time", "abc", "--qr", "1,2,3"]) == 2
+    err = capsys.readouterr().err
+    assert "comment" in err and "--exec-time" not in err and "--qr" not in err
+
+
+def test_large_blocks_keep_their_own_mappings_after_a_large_free():
+    # In a fresh interpreter, whose heap has little free space: unpinned,
+    # freeing the 4 MiB block would raise the threshold past 1 MiB.
+    probe = """if 1:
+        import ctypes
+        from codearea.cli import _pin_mmap_threshold
+
+        class Mallinfo2(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd",
+                "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+        libc = ctypes.CDLL(None)
+        libc.mallinfo2.restype = Mallinfo2
+        _pin_mmap_threshold()
+        bytearray(4 << 20)
+        mapped = libc.mallinfo2().hblks
+        block = bytearray(1 << 20)
+        print(libc.mallinfo2().hblks - mapped)
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError):
+        glibc = None
+    if not glibc or tuple(map(int, glibc.split()[1].split(".")[:2])) < (2, 33):
+        pytest.skip("needs mallinfo2, from glibc 2.33")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "1\n"
+
+
+def test_mmap_threshold_is_left_alone_off_glibc(monkeypatch):
+    def not_glibc(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "confstr", not_glibc)
+    monkeypatch.setattr("ctypes.CDLL", None)  # any call would raise TypeError
+    _pin_mmap_threshold()
 
 
 def test_missing_body_fails_only_its_file(tmp_path, capsys):

@@ -101,6 +101,23 @@ def test_analysis_section(tmp_path):
     assert config.init_termination_calls == frozenset({"setup", "teardown"})
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("default_iterations", "-1", "default_iterations must be >= 0"),
+        ("flow_exit_limit", "-1", "flow_exit_limit must be >= 0"),
+        ("flow_penalty", "-1/2", "flow_penalty must be >= 0"),
+        ("default_iterations", "1.5", "analysis.default_iterations: not an integer: '1.5'"),
+        ("flow_penalty", "x", "analysis.flow_penalty: not a number: 'x'"),
+        ("exec_time_avg", "x", "analysis.exec_time_avg: not a number: 'x'"),
+    ],
+)
+def test_bad_analysis_value_is_named(tmp_path, key, value, message):
+    with pytest.raises(ConfigParseError) as err:
+        load_config(write(tmp_path, f"[analysis]\n{key} = {value}\n"))
+    assert str(err.value) == message
+
+
 def test_exec_time_avg(tmp_path):
     config = load_config(write(tmp_path, "[analysis]\nexec_time_avg = 2.5\n"))
     assert config.exec_time == PerSegmentAverage(Fraction(5, 2))

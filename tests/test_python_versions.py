@@ -13,7 +13,6 @@ finds no other interpreter.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import shutil
 import subprocess
@@ -21,7 +20,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, REPO_ROOT
+from conftest import CORPUS, REPO_ROOT, bench_workloads
 
 SRC = REPO_ROOT / "src"
 
@@ -53,13 +52,7 @@ def _other_pythons() -> list[str]:
 
 
 def _small_generated_file(directory) -> str:
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", REPO_ROOT / "bench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    (file,) = workloads.generate("deep_logic", 11, scale=0.05).files
+    (file,) = bench_workloads().generate("deep_logic", 11, scale=0.05).files
     (directory / file.name).write_text(file.text, encoding="utf-8")
     return file.name
 

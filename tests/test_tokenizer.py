@@ -126,10 +126,13 @@ def test_token_lines_within_file(source):
 def test_equal_words_share_one_string():
     source = "".join(p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.c")))
     source += "/* lines\n   of a\n   block comment */\n"
+    source += "if (a->b == c->d && e <= f) g <<= h >> 2 && i++ == j++;\n"
     tokens = tokenize(source)
     words = [t.text for t in tokens if t.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)]
-    assert len(words) > len(set(words))  # some words repeat
-    assert len({id(text) for text in words}) == len(set(words))
+    operators = [t.text for t in tokens if t.kind is TokenKind.PUNCTUATION and len(t.text) > 1]
+    for texts in (words, operators):
+        assert len(texts) > len(set(texts))  # some texts repeat
+        assert len({id(text) for text in texts}) == len(set(texts))
 
 
 def test_a_token_stream_holds_at_most_40_bytes_per_token():
