@@ -72,7 +72,7 @@ from .metrics import (
     execution_time,
     quality_quotient,
 )
-from .report import emit_report
+from .report import emit_report, iter_report
 from .segmenter import (
     CodeSegment,
     SegmentKind,

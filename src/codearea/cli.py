@@ -17,7 +17,7 @@ from .config import REPORT_FORMATS, Config, load_config
 from .errors import CodeAreaError
 from .frontend import StatementKind
 from .metrics import QUALITY_ATTRIBUTE_NAMES
-from .report import emit_report
+from .report import iter_report
 
 EXIT_OK = 0
 EXIT_FILE_ERROR = 1
@@ -122,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"codearea: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    sys.stdout.buffer.write(emit_report(report, config.report_format))
+    # File by file, so no whole rendered report is ever held.
+    sys.stdout.buffer.writelines(iter_report(report, config.report_format))
     sys.stdout.buffer.flush()
 
     if report.failed_files:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .analysis import AnalysisReport, FileResult
 from .classifier import FlowReport
@@ -61,17 +61,26 @@ def json2(value: Fraction) -> str:
     return _digits(cents)
 
 
-def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
-    """Serialize *report* to UTF-8 bytes in the requested format.
+def iter_report(report: AnalysisReport, fmt: str = "text") -> Iterator[bytes]:
+    """Serialize *report* in the requested format as UTF-8 chunks: a head,
+    one chunk per file, then the aggregate.
 
     The text format writes a path whose bytes are not UTF-8 (decoded by
-    Python with lone surrogates) as those original bytes.
+    Python with lone surrogates) as those original bytes.  JSON chunks are
+    ASCII, since ``json.dumps`` escapes every string from the input.
     """
     if fmt == "json":
-        return _render_json(report)
-    if fmt == "text":
-        return _render_text(report)
-    raise ValueError(f"unknown report format: {fmt!r}")
+        chunks = _json_chunks(report)
+    elif fmt == "text":
+        chunks = _text_chunks(report)
+    else:
+        raise ValueError(f"unknown report format: {fmt!r}")
+    return (chunk.encode("utf-8", "surrogateescape") for chunk in chunks)
+
+
+def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
+    """The whole report: the chunks of :func:`iter_report`, joined."""
+    return b"".join(iter_report(report, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +91,19 @@ def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
 # indent=2)``: every key sits at a depth the schema fixes, so each object
 # is an f-string with its indent written in.  Numbers are written by
 # ``repr`` (plain keys by ``json2``), strings from the input by
-# ``json.dumps``, which escapes them to ASCII.  Each file's pieces are
-# joined into one string; the report's list, a few pieces per file, is
-# joined and encoded once.
+# ``json.dumps``, which escapes them to ASCII.  Each file is rendered
+# into one string when its turn comes, so a streamed report holds one
+# file's text at a time.
 
 
-def _array(out: list[str], items: Iterable[str], indent: str) -> None:
-    """Append a JSON array of *items*, each written one level deeper than
-    *indent*, the array's own."""
-    start = len(out)
+def _array(items: Iterable[str], indent: str) -> Iterator[str]:
+    """Yield a JSON array of *items*, each written one level deeper than
+    *indent*, the array's own, and led by its separator."""
+    sep = "[\n"
     for item in items:
-        out.append(",\n" if len(out) > start else "[\n")
-        out.append(item)
-    out.append(f"\n{indent}]" if len(out) > start else "[]")
+        yield sep + item
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else f"\n{indent}]"
 
 
 def _pair(value: Fraction, indent: str) -> str:
@@ -129,8 +138,7 @@ def _file_json(f: FileResult) -> str:
         )
     out = [head, '      "segments": ']
     # Segment kinds are fixed ASCII names and need no escaping.
-    _array(
-        out,
+    out += _array(
         (
             f'        {{\n'
             f'          "kind": "{seg.kind.value}",\n'
@@ -149,8 +157,7 @@ def _file_json(f: FileResult) -> str:
         f'      "impact_exact": {_pair(f.impact, "      ")},\n'
         '      "loops": '
     )
-    _array(
-        out,
+    out += _array(
         (
             f'        {{\n'
             f'          "line": {lp.line},\n'
@@ -165,15 +172,15 @@ def _file_json(f: FileResult) -> str:
     return "".join(out)
 
 
-def _render_json(report: AnalysisReport) -> bytes:
-    out = [f'{{\n  "v": {SCHEMA_VERSION},\n  "files": ']
-    _array(out, map(_file_json, report.files), "  ")
+def _json_chunks(report: AnalysisReport) -> Iterator[str]:
+    yield f'{{\n  "v": {SCHEMA_VERSION},\n  "files": '
+    yield from _array(map(_file_json, report.files), "  ")
     attrs = ",\n".join(
         f'    "{name}": {score}'
         for name, score in zip(QUALITY_ATTRIBUTE_NAMES, report.qr_attrs.as_tuple())
     )
     time_s, efficiency = report.execution_time_s, report.efficiency
-    out.append(
+    yield (
         f',\n  "raw_loc": {report.raw_loc},\n'
         f'  "segment_counts": {_counts(report.counts, "  ")},\n'
         f'  "code_area": {json2(report.code_area)},\n'
@@ -197,11 +204,8 @@ def _render_json(report: AnalysisReport) -> bytes:
         f'  "flow": {_flow(report.flow, "  ")},\n'
         '  "diagnostics": '
     )
-    _array(out, (f"    {json.dumps(d)}" for d in report.diagnostics), "  ")
-    out.append("\n}\n")
-    text = "".join(out)
-    del out  # free the pieces before the encoded copy is made
-    return text.encode("utf-8")
+    yield from _array((f"    {json.dumps(d)}" for d in report.diagnostics), "  ")
+    yield "\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -209,40 +213,38 @@ def _render_json(report: AnalysisReport) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _render_text(report: AnalysisReport) -> bytes:
-    lines = [
-        "impact-weighted code metrics",
-        "============================",
-        f"files: {len(report.files)}",
-        "",
-    ]
-    for f in report.files:
-        lines.append(f"{f.path}")
-        if f.error is not None:
-            lines.append(f"  error: {f.error}")
-            lines.append("")
-            continue
-        lines.append(f"  raw LOC: {f.raw_loc}")
-        for seg in f.segments:
-            lines.append(
-                f"  {seg.kind.value}  lines {seg.span[0]:>4}-{seg.span[1]:<4} "
-                f"impact {render2(seg.impact)}"
-            )
-        for lp in f.loops:
-            lines.append(
-                f"  loop at line {lp.line}: count {lp.count} ({lp.provenance})"
-            )
-        lines.append(f"  file impact: {render2(f.impact)}")
-        lines.append("")
-    c = report.counts
-    lines.append("aggregate")
-    lines.append("---------")
-    lines.append(f"  raw LOC:           {report.raw_loc}")
-    lines.append(
-        f"  segments:          SL={c.simple} CL={c.condition} LL={c.loop} "
-        f"EL={c.exception} total={c.total}"
+def _file_text(f: FileResult) -> str:
+    if f.error is not None:
+        return f"{f.path}\n  error: {f.error}\n\n"
+    lines = [f.path, f"  raw LOC: {f.raw_loc}"]
+    lines += (
+        f"  {seg.kind.value}  lines {seg.span[0]:>4}-{seg.span[1]:<4} "
+        f"impact {render2(seg.impact)}"
+        for seg in f.segments
     )
-    lines.append(f"  code area:         {render2(report.code_area)}")
+    lines += (
+        f"  loop at line {lp.line}: count {lp.count} ({lp.provenance})"
+        for lp in f.loops
+    )
+    lines.append(f"  file impact: {render2(f.impact)}")
+    return "\n".join(lines) + "\n\n"
+
+
+def _text_chunks(report: AnalysisReport) -> Iterator[str]:
+    yield (
+        "impact-weighted code metrics\n============================\n"
+        f"files: {len(report.files)}\n\n"
+    )
+    yield from map(_file_text, report.files)
+    c = report.counts
+    lines = [
+        "aggregate",
+        "---------",
+        f"  raw LOC:           {report.raw_loc}",
+        f"  segments:          SL={c.simple} CL={c.condition} LL={c.loop} "
+        f"EL={c.exception} total={c.total}",
+        f"  code area:         {render2(report.code_area)}",
+    ]
     if report.execution_time_s is None:
         lines.append("  execution time:    n/a")
         lines.append("  efficiency:        n/a")
@@ -269,10 +271,6 @@ def _render_text(report: AnalysisReport) -> bytes:
         f"unstructured={report.flow.unstructured_exits})"
     )
     if report.diagnostics:
-        lines.append("")
-        lines.append("diagnostics")
-        lines.append("-----------")
-        for diag in report.diagnostics:
-            lines.append(f"  - {diag}")
-    lines.append("")
-    return "\n".join(lines).encode("utf-8", errors="surrogateescape")
+        lines += ["", "diagnostics", "-----------"]
+        lines += (f"  - {diag}" for diag in report.diagnostics)
+    yield "\n".join(lines) + "\n"

@@ -20,6 +20,7 @@ from codearea import (
     analyze,
     analyze_source,
     emit_report,
+    iter_report,
 )
 
 from conftest import CORPUS
@@ -243,6 +244,13 @@ def test_empty_text_report_shows_zero_files():
     text = emit_report(analyze([], Config()), "text").decode("utf-8")
     assert text.splitlines()[0] == "impact-weighted code metrics"
     assert "files: 0" in text
+
+
+def test_an_unknown_report_format_fails_at_the_call():
+    report = analyze([], Config())
+    for render in (iter_report, emit_report):
+        with pytest.raises(ValueError, match="unknown report format: 'xml'"):
+            render(report, "xml")
 
 
 def test_text_report_mentions_errors(tmp_path):

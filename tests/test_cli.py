@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from codearea import analysis
+from codearea import (
+    Config, QualityAttributes, TotalSeconds, analysis, analyze, emit_report,
+)
 from codearea.cli import _pin_mmap_threshold, main
 
 from conftest import CORPUS_FILES
@@ -283,3 +289,65 @@ def test_unexpected_exception_fails_only_its_file(tmp_path, capsys, caplog, monk
         assert f"{good}\n  raw LOC: 2\n" in captured.out
     [record] = caplog.records
     assert str(bad) in record.getMessage() and record.exc_info[0] is ZeroDivisionError
+
+
+WORKED_EXAMPLE_FLAGS = ["--exec-time", "88", "--qr", "1,2,0,1,2"]
+WORKED_EXAMPLE_CONFIG = Config(
+    exec_time=TotalSeconds(Fraction(88)), qr=QualityAttributes(1, 2, 0, 1, 2)
+)
+STDIN_SOURCE = "x = probe(a) + probe(b);\n"
+
+
+def stdout_case(case: str, tmp_path) -> tuple[list[str], list[str], Config]:
+    """The input paths of one case, its setting flags and the config those
+    flags amount to."""
+    if case == "corpus":
+        return corpus_args(), WORKED_EXAMPLE_FLAGS, WORKED_EXAMPLE_CONFIG
+    if case == "no_files":
+        return [], [], Config()
+    if case == "good_and_failing":
+        (tmp_path / "good.c").write_text("a = b;\nwhile (c) d();\n", encoding="utf-8")
+        (tmp_path / "bad.c").write_text("}\n", encoding="utf-8")
+        return [str(tmp_path / "good.c"), str(tmp_path / "bad.c")], [], Config()
+    if case == "stdin":
+        return ["-"], [], Config()
+    raw = os.fsencode(tmp_path) + b"/\xff.c"
+    with open(raw, "wb") as f:
+        f.write(b"x = 1;\n")
+    return [os.fsdecode(raw)], [], Config()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "case", ["corpus", "no_files", "good_and_failing", "stdin", "non_utf8_path"]
+)
+def test_stdout_is_the_emitted_report(tmp_path, monkeypatch, capsysbinary, case, fmt):
+    paths, flags, config = stdout_case(case, tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(STDIN_SOURCE))
+    code = main(paths + flags + ["--format", fmt])
+    out = capsysbinary.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(STDIN_SOURCE))
+    report = analyze(paths, config)
+    assert out == emit_report(report, fmt)
+    assert code == (1 if report.failed_files else 0)
+    if case == "no_files":
+        assert (b'"files": [],' if fmt == "json" else b"files: 0\n") in out
+    if case == "non_utf8_path" and fmt == "text":
+        assert b"/\xff.c\n  raw LOC: 1\n" in out
+
+
+def test_the_cli_holds_one_rendered_file_at_a_time(monkeypatch):
+    corpus = analyze(corpus_args(), WORKED_EXAMPLE_CONFIG)
+    report = dataclasses.replace(corpus, files=corpus.files * 100)
+    report_size = len(emit_report(report, "json"))
+    monkeypatch.setattr("codearea.cli.analyze", lambda *args, **kwargs: report)
+    with open(os.devnull, "wb") as discard:
+        monkeypatch.setattr("sys.stdout", SimpleNamespace(buffer=discard))
+        assert main(["--format", "json"]) == 0  # imports and caches come first
+        tracemalloc.start()
+        try:
+            assert main(["--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < report_size / 4

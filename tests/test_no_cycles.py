@@ -13,7 +13,7 @@ import gc
 
 import pytest
 
-from codearea import Config, analyze, emit_report, impact
+from codearea import Config, analyze, emit_report, impact, iter_report
 
 from conftest import CORPUS_FILES
 
@@ -69,6 +69,18 @@ def test_an_internal_error_leaves_no_cyclic_garbage(mixed_inputs, monkeypatch):
     report = analyze([str(CORPUS_FILES[0])], Config())
     assert report.files[0].error == "InternalError: ZeroDivisionError: boom"
     assert cyclic_garbage(lambda: analyze_and_render(mixed_inputs)) == 0
+
+
+def test_streaming_the_report_leaves_no_cyclic_garbage(mixed_inputs):
+    report = analyze(mixed_inputs, Config())
+
+    def stream() -> None:
+        for fmt in ("text", "json"):
+            for _ in iter_report(report, fmt):
+                pass
+            next(iter_report(report, fmt))  # a stream dropped part way
+
+    assert cyclic_garbage(stream) == 0
 
 
 @pytest.mark.parametrize("collector_on", [True, False], ids=["on", "off"])

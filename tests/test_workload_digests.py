@@ -4,7 +4,9 @@ Each workload is generated at seed 11 from ``bench/workloads.py`` (read,
 not changed), written to a temporary directory and analyzed there with
 the settings the bench passes on the command line: ``--exec-time 88
 --qr 1,2,0,1,2``.  The sha256 of the text and JSON reports must match the
-digests the bench has recorded since its first run.
+digests the bench has recorded since its first run.  The CLI, which
+streams the report file by file, must write the same bytes for
+``source_tree``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from codearea import Config, QualityAttributes, TotalSeconds, analyze, emit_report
+from codearea.cli import main
 
 from conftest import bench_workloads
 
@@ -45,3 +48,16 @@ def test_workload_report_bytes_are_pinned(name, tmp_path, monkeypatch):
         hashlib.sha256(emit_report(report, fmt)).hexdigest() for fmt in ("text", "json")
     )
     assert digests == DIGESTS[name]
+
+
+def test_cli_streams_the_pinned_source_tree_reports(tmp_path, monkeypatch, capsysbinary):
+    workload = bench_workloads().generate("source_tree", 11)
+    workload.write(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    args = [f.name for f in workload.files] + ["--exec-time", "88", "--qr", "1,2,0,1,2"]
+    exit_code = 1 if any(f.expected.error for f in workload.files) else 0
+    digests = []
+    for fmt in ("text", "json"):
+        assert main(args + ["--format", fmt]) == exit_code
+        digests.append(hashlib.sha256(capsysbinary.readouterr().out).hexdigest())
+    assert tuple(digests) == DIGESTS["source_tree"]
