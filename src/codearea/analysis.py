@@ -130,14 +130,15 @@ def analyze_source(
 
 
 def _read_input(path: str) -> tuple[str, str, str | None]:
-    """Return (label, text, sidecar text or None) for one input path."""
+    """Return (label, text, sidecar text or None) for one input path,
+    without a leading UTF-8 byte-order mark."""
     if path == STDIN_PATH:
-        return STDIN_LABEL, sys.stdin.read(), None
-    text = Path(path).read_text(encoding="utf-8")
+        return STDIN_LABEL, sys.stdin.read().removeprefix("\ufeff"), None
+    text = Path(path).read_text(encoding="utf-8-sig")
     sidecar_path = Path(path + ".segments")
     sidecar = None
     if sidecar_path.is_file():
-        sidecar = sidecar_path.read_text(encoding="utf-8")
+        sidecar = sidecar_path.read_text(encoding="utf-8-sig")
     return path, text, sidecar
 
 
@@ -180,7 +181,7 @@ def analyze(
             try:
                 label, text, sidecar = _read_input(path)
                 if sidecar_path is not None:
-                    sidecar = Path(sidecar_path).read_text(encoding="utf-8")
+                    sidecar = Path(sidecar_path).read_text(encoding="utf-8-sig")
             except (OSError, UnicodeDecodeError) as exc:
                 files.append(FileResult(path=path, error=f"Io: {exc}"))
                 continue

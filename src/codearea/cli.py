@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"codearea: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    # File by file, so no whole rendered report is ever held.
+    # Segment by segment, so no whole rendered file is ever held.
     sys.stdout.buffer.writelines(iter_report(report, config.report_format))
     sys.stdout.buffer.flush()
 

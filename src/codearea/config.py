@@ -158,7 +158,7 @@ def load_config(
             interpolation=None, inline_comment_prefixes=(";", "#")
         )
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
             parser.read_string(text, source=str(path))
         except OSError as exc:
             raise ConfigParseError(f"cannot read config: {exc}") from None

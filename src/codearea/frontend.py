@@ -26,15 +26,16 @@ and a ``switch`` absorbs it, so it counts as no loop's exit.  A function
 body starts with no loop around it.
 
 A :class:`TokenStream` keeps its tokens as parallel columns over the
-source: kind codes, texts (equal words share one string), lines and
-start offsets.  ``stream[i]`` builds a :class:`Token` on demand, and its
-``lead``, like the stream's ``tail``, is a slice of the source.  The
-parser reads the columns by index.  Each statement's tokens are walked
-once: the scan that finds where a statement ends also gathers what the
-classification rules read, and :func:`classify_statement` applies the
-same scan and rules to any token sequence.  Block nodes are slotted
-dataclasses and hold no tokens, so ``analysis.analyze_source`` drops the
-stream once it is parsed.
+source: kind codes, texts (equal words share one string) and lines;
+start offsets are found the first time they are read.  ``stream[i]``
+builds a :class:`Token` on demand, and its ``lead``, like the stream's
+``tail``, is a slice of the source.  The parser reads the columns by
+index.  Each statement's tokens are walked once: the scan that finds
+where a statement ends also gathers what the classification rules read,
+and :func:`classify_statement` applies the same scan and rules to any
+token sequence.  Block nodes are slotted dataclasses and hold no tokens,
+so ``analysis.analyze_source`` drops the stream once it is parsed.  A
+:class:`Statement` keeps its first and last lines, not a span pair.
 
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the next loop;
@@ -88,18 +89,31 @@ _IDENTIFIER, _KEYWORD, _PUNCTUATION, _LITERAL, _COMMENT, _PREPROCESSOR = range(l
 
 class TokenStream:
     """The tokens of one source text as parallel columns: each token's
-    kind code, text, line and start offset in ``source``.  ``unknown``
-    lists the characters the tokenizer did not recognize.  As a sequence
-    the stream yields :class:`Token` values built on demand, whose
-    ``lead`` is the source between the token before and this one."""
+    kind code, text and line.  ``unknown`` lists the characters the
+    tokenizer did not recognize.  As a sequence the stream yields
+    :class:`Token` values built on demand, whose ``lead`` is the source
+    between the token before and this one."""
 
-    __slots__ = ("source", "kinds", "texts", "lines", "starts", "unknown", "__weakref__")
+    __slots__ = ("source", "kinds", "texts", "lines", "_starts", "unknown", "__weakref__")
 
     def __init__(self, source: str):
         self.source = source
-        typecode = "I" if len(source) < 0xFFFFFFFF else "Q"  # holds any line or offset
-        self.kinds, self.texts, self.unknown = bytearray(), [], []
-        self.lines, self.starts = array(typecode), array(typecode)
+        self.kinds, self.texts, self.unknown, self._starts = bytearray(), [], [], None
+        self.lines = array("I" if len(source) < 0xFFFFFFFF else "Q")  # holds any line or offset
+
+    @property
+    def starts(self) -> array:
+        """Each token's offset in ``source``, found on first read: the gaps
+        between tokens are whitespace, which starts no token, so a token
+        is its text's first match after the token before."""
+        if self._starts is None:
+            self._starts = starts = array(self.lines.typecode)
+            find, at = self.source.find, 0
+            for text in self.texts:
+                at = find(text, at)
+                starts.append(at)
+                at += len(text)
+        return self._starts
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -204,7 +218,7 @@ def tokenize(source: str) -> TokenStream:
     """
     stream = TokenStream(source)
     add_kind, add_text = stream.kinds.append, stream.texts.append
-    add_line, add_start = stream.lines.append, stream.starts.append
+    add_line = stream.lines.append
     kinds = _GROUP_KINDS
     # Per call, so nothing outlives the stream: word text -> (kind, the
     # text every token of that word shares).
@@ -221,14 +235,11 @@ def tokenize(source: str) -> TokenStream:
                 text = _OPERATOR_TEXTS[text]
             elif group == _BLOCK_COMMENT:
                 # One token per non-blank line, its text stripped.
-                at = m.start(group)
                 for line, raw in enumerate(text.split("\n"), line):
                     if chunk := raw.strip(_HSPACE):
                         add_kind(_COMMENT)
                         add_text(chunk)
                         add_line(line)
-                        add_start(at + raw.index(chunk[0]))
-                    at += len(raw) + 1
                 continue
             elif group == _END:
                 break
@@ -242,7 +253,6 @@ def tokenize(source: str) -> TokenStream:
         add_kind(kind)
         add_text(text)
         add_line(line)
-        add_start(m.start(group))
     return stream
 
 
@@ -423,7 +433,12 @@ Span = tuple[int, int]  # inclusive 1-based line range
 @dataclass(slots=True)
 class Statement:
     kind: StatementKind
-    span: Span
+    first: int  # the statement's first and last line
+    last: int
+
+    @property
+    def span(self) -> Span:
+        return (self.first, self.last)
 
 
 @dataclass(slots=True)
@@ -724,11 +739,11 @@ class _Parser:
             if "@iters" in text and (value := pragma_value(text)) is not None:
                 self.pending_pragma = (value, line)
             else:
-                out.append(Statement(StatementKind.COMMENT, (line, line)))
+                out.append(Statement(StatementKind.COMMENT, line, line))
             return
         elif kind == _PREPROCESSOR:
             self.i = i + 1
-            out.append(Statement(StatementKind.HEADER_INCLUDE, (line, line)))
+            out.append(Statement(StatementKind.HEADER_INCLUDE, line, line))
             return
         elif kind == _KEYWORD:
             if text == "if":
@@ -845,7 +860,9 @@ class _Parser:
         elif head == "continue" and self.loop is not None:
             flow.loop_exits[self.loop] += 1
         kind = _statement_kind(kinds, texts, start, facts, self.init_calls)
-        return Statement(kind, (line, self.lines[end - 1]))
+        last = self.lines[end - 1]
+        # A one-line statement holds one int object for both lines.
+        return Statement(kind, line, line if last == line else last)
 
     def parse_if(self, out: list[BlockNode]) -> None:
         # One branch per pass: ``tok`` is the ``if`` or ``else`` before it.

@@ -63,7 +63,7 @@ def json2(value: Fraction) -> str:
 
 def iter_report(report: AnalysisReport, fmt: str = "text") -> Iterator[bytes]:
     """Serialize *report* in the requested format as UTF-8 chunks: a head,
-    one chunk per file, then the aggregate.
+    each file's head, segments, loops and tail, then the aggregate.
 
     The text format writes a path whose bytes are not UTF-8 (decoded by
     Python with lone surrogates) as those original bytes.  JSON chunks are
@@ -91,17 +91,19 @@ def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
 # indent=2)``: every key sits at a depth the schema fixes, so each object
 # is an f-string with its indent written in.  Numbers are written by
 # ``repr`` (plain keys by ``json2``), strings from the input by
-# ``json.dumps``, which escapes them to ASCII.  Each file is rendered
-# into one string when its turn comes, so a streamed report holds one
-# file's text at a time.
+# ``json.dumps``, which escapes them to ASCII.  A file is yielded in
+# pieces, one per segment and loop, so a streamed report holds one
+# segment's text at a time.
 
 
-def _array(items: Iterable[str], indent: str) -> Iterator[str]:
-    """Yield a JSON array of *items*, each written one level deeper than
-    *indent*, the array's own, and led by its separator."""
+def _array(items: Iterable[Iterable[str]], indent: str) -> Iterator[str]:
+    """Yield a JSON array of *items*, each given as its pieces, written one
+    level deeper than *indent*, the array's own, and led by its separator."""
     sep = "[\n"
     for item in items:
-        yield sep + item
+        pieces = iter(item)
+        yield sep + next(pieces)
+        yield from pieces
         sep = ",\n"
     yield "[]" if sep == "[\n" else f"\n{indent}]"
 
@@ -128,48 +130,46 @@ def _flow(flow: FlowReport, indent: str) -> str:
     )
 
 
-def _file_json(f: FileResult) -> str:
+def _file_json(f: FileResult) -> Iterator[str]:
     head = f'    {{\n      "path": {json.dumps(f.path)},\n      "raw_loc": {f.raw_loc},\n'
     if f.error is not None:
         line = "null" if f.error_line is None else f.error_line
-        return (
+        yield (
             f'{head}      "error": {{\n        "message": {json.dumps(f.error)},\n'
             f'        "line": {line}\n      }}\n    }}'
         )
-    out = [head, '      "segments": ']
+        return
+    yield head + '      "segments": '
     # Segment kinds are fixed ASCII names and need no escaping.
-    out += _array(
-        (
+    yield from _array(
+        ((
             f'        {{\n'
             f'          "kind": "{seg.kind.value}",\n'
             f'          "start_line": {seg.span[0]},\n'
             f'          "end_line": {seg.span[1]},\n'
             f'          "impact": {json2(seg.impact)},\n'
             f'          "impact_exact": {_pair(seg.impact, "          ")}\n'
-            f'        }}'
-            for seg in f.segments
-        ),
+            f'        }}',
+        ) for seg in f.segments),
         "      ",
     )
-    out.append(
+    yield (
         f',\n      "segment_counts": {_counts(f.counts, "      ")},\n'
         f'      "impact": {json2(f.impact)},\n'
         f'      "impact_exact": {_pair(f.impact, "      ")},\n'
         '      "loops": '
     )
-    out += _array(
-        (
+    yield from _array(
+        ((
             f'        {{\n'
             f'          "line": {lp.line},\n'
             f'          "count": {lp.count},\n'
             f'          "provenance": {json.dumps(lp.provenance)}\n'
-            f'        }}'
-            for lp in f.loops
-        ),
+            f'        }}',
+        ) for lp in f.loops),
         "      ",
     )
-    out.append(f',\n      "flow": {_flow(f.flow, "      ")}\n    }}')
-    return "".join(out)
+    yield f',\n      "flow": {_flow(f.flow, "      ")}\n    }}'
 
 
 def _json_chunks(report: AnalysisReport) -> Iterator[str]:
@@ -204,7 +204,7 @@ def _json_chunks(report: AnalysisReport) -> Iterator[str]:
         f'  "flow": {_flow(report.flow, "  ")},\n'
         '  "diagnostics": '
     )
-    yield from _array((f"    {json.dumps(d)}" for d in report.diagnostics), "  ")
+    yield from _array(((f"    {json.dumps(d)}",) for d in report.diagnostics), "  ")
     yield "\n}\n"
 
 
@@ -213,21 +213,19 @@ def _json_chunks(report: AnalysisReport) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 
-def _file_text(f: FileResult) -> str:
+def _file_text(f: FileResult) -> Iterator[str]:
     if f.error is not None:
-        return f"{f.path}\n  error: {f.error}\n\n"
-    lines = [f.path, f"  raw LOC: {f.raw_loc}"]
-    lines += (
-        f"  {seg.kind.value}  lines {seg.span[0]:>4}-{seg.span[1]:<4} "
-        f"impact {render2(seg.impact)}"
-        for seg in f.segments
-    )
-    lines += (
-        f"  loop at line {lp.line}: count {lp.count} ({lp.provenance})"
-        for lp in f.loops
-    )
-    lines.append(f"  file impact: {render2(f.impact)}")
-    return "\n".join(lines) + "\n\n"
+        yield f"{f.path}\n  error: {f.error}\n\n"
+        return
+    yield f"{f.path}\n  raw LOC: {f.raw_loc}\n"
+    for seg in f.segments:
+        yield (
+            f"  {seg.kind.value}  lines {seg.span[0]:>4}-{seg.span[1]:<4} "
+            f"impact {render2(seg.impact)}\n"
+        )
+    for lp in f.loops:
+        yield f"  loop at line {lp.line}: count {lp.count} ({lp.provenance})\n"
+    yield f"  file impact: {render2(f.impact)}\n\n"
 
 
 def _text_chunks(report: AnalysisReport) -> Iterator[str]:
@@ -235,7 +233,8 @@ def _text_chunks(report: AnalysisReport) -> Iterator[str]:
         "impact-weighted code metrics\n============================\n"
         f"files: {len(report.files)}\n\n"
     )
-    yield from map(_file_text, report.files)
+    for f in report.files:
+        yield from _file_text(f)
     c = report.counts
     lines = [
         "aggregate",

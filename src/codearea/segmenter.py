@@ -74,8 +74,8 @@ def _group(statement: Statement) -> str:
     return "code"
 
 
-def _span_of(nodes: list[BlockNode]) -> Span:
-    return (min(n.span[0] for n in nodes), max(n.span[1] for n in nodes))
+def _span_of(run: list[Statement]) -> Span:
+    return (min(s.first for s in run), max(s.last for s in run))
 
 
 def segment(tree: list[BlockNode]) -> list[CodeSegment]:

@@ -168,11 +168,11 @@ class _Parser:
                 if value is not None:
                     self.pending_pragma = (value, tok.line)
                 else:
-                    out.append(Statement(StatementKind.COMMENT, (tok.line, tok.line)))
+                    out.append(Statement(StatementKind.COMMENT, tok.line, tok.line))
                 return
             if tok.kind is TokenKind.PREPROCESSOR:
                 self._next()
-                out.append(Statement(StatementKind.HEADER_INCLUDE, (tok.line, tok.line)))
+                out.append(Statement(StatementKind.HEADER_INCLUDE, tok.line, tok.line))
                 return
             if tok.kind is TokenKind.KEYWORD:
                 if tok.text == "if":
@@ -295,7 +295,7 @@ class _Parser:
                 flow.loop_exits[self.absorber] += 1
         elif head == "continue" and self.loop is not None:
             flow.loop_exits[self.loop] += 1
-        return Statement(classify_statement(tokens, self.init_calls), (line, tokens[-1].line))
+        return Statement(classify_statement(tokens, self.init_calls), line, tokens[-1].line)
 
     def parse_if(self, out: list[BlockNode]) -> None:
         # One branch per pass: ``tok`` is the ``if`` or ``else`` before it.

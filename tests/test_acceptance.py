@@ -217,7 +217,7 @@ def test_criterion_9a_additivity_over_concatenation(a, b):
 
 def _statement_nodes():
     return st.sampled_from(list(StatementKind)).map(
-        lambda kind: Statement(kind, (1, 1))
+        lambda kind: Statement(kind, 1, 1)
     )
 
 
@@ -361,7 +361,7 @@ def test_criterion_9e_insertion_never_decreases_impact(forest, kind, data):
     lists = _child_lists(forest)
     target = lists[data.draw(st.integers(0, len(lists) - 1))]
     target.insert(
-        data.draw(st.integers(0, len(target))), Statement(kind, (1, 1))
+        data.draw(st.integers(0, len(target))), Statement(kind, 1, 1)
     )
     after = sum((block_impact(n, W) for n in forest), Fraction(0))
     assert after >= before
@@ -374,7 +374,7 @@ def test_criterion_9e_insertion_never_decreases_impact(forest, kind, data):
 )
 @settings(max_examples=100, deadline=None)
 def test_criterion_9f_homogeneous_loop_reduces_to_product(kind, count, lines):
-    body = [Statement(kind, (1, 1)) for _ in range(lines)]
+    body = [Statement(kind, 1, 1) for _ in range(lines)]
     loop = LoopBlock(IterationCount(count, CountProvenance.LITERAL_BOUND), body, (1, 1))
     assert block_impact(loop, W) == count * lines * W.weight(kind)
 

@@ -336,18 +336,56 @@ def test_stdout_is_the_emitted_report(tmp_path, monkeypatch, capsysbinary, case,
         assert b"/\xff.c\n  raw LOC: 1\n" in out
 
 
-def test_the_cli_holds_one_rendered_file_at_a_time(monkeypatch):
-    corpus = analyze(corpus_args(), WORKED_EXAMPLE_CONFIG)
-    report = dataclasses.replace(corpus, files=corpus.files * 100)
-    report_size = len(emit_report(report, "json"))
+def cli_write_peak(monkeypatch, report, fmt: str) -> int:
+    """The tracemalloc peak of the CLI while it writes *report* in *fmt*."""
     monkeypatch.setattr("codearea.cli.analyze", lambda *args, **kwargs: report)
     with open(os.devnull, "wb") as discard:
         monkeypatch.setattr("sys.stdout", SimpleNamespace(buffer=discard))
-        assert main(["--format", "json"]) == 0  # imports and caches come first
+        assert main(["--format", fmt]) == 0  # imports and caches come first
         tracemalloc.start()
         try:
-            assert main(["--format", "json"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            assert main(["--format", fmt]) == 0
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < report_size / 4
+
+
+def test_the_cli_holds_one_rendered_file_at_a_time(monkeypatch):
+    corpus = analyze(corpus_args(), WORKED_EXAMPLE_CONFIG)
+    report = dataclasses.replace(corpus, files=corpus.files * 100)
+    assert cli_write_peak(monkeypatch, report, "json") < len(emit_report(report, "json")) / 4
+    # Nor a whole large file: it is written a segment at a time.
+    loops = next(f for f in corpus.files if f.loops)
+    large = dataclasses.replace(
+        loops, segments=loops.segments * 2000, loops=loops.loops * 2000
+    )
+    report = dataclasses.replace(corpus, files=[large])
+    for fmt in ("json", "text"):
+        assert cli_write_peak(monkeypatch, report, fmt) < len(emit_report(report, fmt)) / 4
+
+
+BOM_INPUTS = {
+    "a.c": "#include <stdio.h>\nx = probe(a) + probe(b);\n",
+    "a.c.segments": "1 2 CL\n",
+    "c.ini": "[weights]\nheader_include = 0.25\n",
+}
+
+
+@pytest.mark.parametrize("kind", ["source", "sidecar", "config", "stdin"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch, capsysbinary, kind):
+    marked = {"source": "a.c", "sidecar": "a.c.segments", "config": "c.ini"}.get(kind)
+    outputs = []
+    for bom in ("", "\ufeff"):
+        directory = tmp_path / f"bom{len(bom)}"
+        directory.mkdir()
+        for name, text in BOM_INPUTS.items():
+            (directory / name).write_text((bom if name == marked else "") + text, encoding="utf-8")
+        stdin = (bom if kind == "stdin" else "") + BOM_INPUTS["a.c"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.chdir(directory)
+        assert main(["a.c", "-", "--config", "c.ini", "--format", "json"]) == 0
+        outputs.append(capsysbinary.readouterr().out)
+    assert outputs[1] == outputs[0]
+    files = json.loads(outputs[0])["files"]
+    assert [seg["kind"] for seg in files[0]["segments"]] == ["CL"]  # the sidecar's
+    assert [f["impact"] for f in files] == [1.05, 1.05]  # 0.25 for the #include, 0.8

@@ -25,7 +25,7 @@ W = WeightTable()
 
 
 def stmt(kind: StatementKind) -> Statement:
-    return Statement(kind, (1, 1))
+    return Statement(kind, 1, 1)
 
 
 def run_impact(run, weights) -> Fraction:

@@ -7,17 +7,24 @@ Both parsers must find the same functions, ``for``, ``while`` and
 the same line.  pycparser nests ``else if`` as an ``If`` in the
 ``iffalse`` of the one before it, so those count as part of the chain
 that holds them, as in the block tree.
+
+With every weight 1, a file's impact is the sum, over its statements,
+of the product of the multipliers on each one's path, and that sum is
+also computed from pycparser's AST.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codearea import ConditionBlock, FunctionDef, LoopBlock
+from codearea import (
+    Config, ConditionBlock, FunctionDef, LoopBlock, StatementKind, WeightTable, analyze_source,
+)
 
 from conftest import parse_source
 
@@ -124,3 +131,56 @@ def test_constructs_and_start_lines_match_pycparser(source):
     got = ours(parse_source(source), source.splitlines(), [])
     assert sorted(got) == sorted(want)
     assert any(kind == "FuncDef" for kind, _ in got)
+
+
+# Not 1, so that ``while`` and ``do`` loops scale their bodies too.
+DEFAULT_ITERATIONS = 3
+UNIT_CONFIG = Config(
+    weights=WeightTable({kind: Fraction(1) for kind in StatementKind}),
+    default_iterations=DEFAULT_ITERATIONS,
+)
+
+
+def unit_impact(items, m: Fraction) -> Fraction:
+    """The summed path multipliers of the statements in a pycparser node
+    list, each on a path of multiplier *m*.  ``int y, i;`` is one
+    statement of two ``Decl`` nodes on one line; ``;`` is none."""
+    total = Fraction(0)
+    decl_lines = set()
+    for node in items or ():
+        if isinstance(node, c_ast.Decl):
+            if node.coord.line not in decl_lines:
+                decl_lines.add(node.coord.line)
+                total += m
+        elif isinstance(node, c_ast.FileAST):
+            total += unit_impact(node.ext, m)
+        elif isinstance(node, c_ast.Compound):
+            total += unit_impact(node.block_items, m)
+        elif isinstance(node, c_ast.FuncDef):
+            total += unit_impact([node.body], m)
+        elif isinstance(node, c_ast.For):  # for (i = start; i < bound; i++)
+            count = int(node.cond.right.value) - int(node.init.rvalue.value)
+            total += unit_impact([node.stmt], m * count)
+        elif isinstance(node, (c_ast.While, c_ast.DoWhile)):
+            total += unit_impact([node.stmt], m * DEFAULT_ITERATIONS)
+        elif isinstance(node, c_ast.If):  # the chain's branches share 1/branches
+            branches, rest = [node.iftrue], node.iffalse
+            while isinstance(rest, c_ast.If):
+                branches.append(rest.iftrue)
+                rest = rest.iffalse
+            branches += [rest] if rest is not None else []
+            total += unit_impact(branches, m / len(branches))
+        elif isinstance(node, c_ast.Switch):  # its cases share 1/cases
+            cases = node.stmt.block_items
+            total += sum(unit_impact(case.stmts, m / len(cases)) for case in cases)
+        elif not isinstance(node, c_ast.EmptyStatement):
+            total += m
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(translation_units())
+def test_unit_weight_impact_matches_pycparser(source):
+    result = analyze_source(source, "generated.c", UNIT_CONFIG)
+    assert result.error is None
+    assert result.impact == unit_impact([pycparser.CParser().parse(source)], Fraction(1))
