@@ -9,7 +9,8 @@ recomputed from the per-file results, so a report is always
 self-consistent.
 
 A sidecar named ``<source>.segments`` next to an input file replaces
-that file's computed segmentation (see :mod:`codearea.segmenter`).
+that file's computed segmentation (see :mod:`codearea.segmenter`), unless
+a sidecar is passed explicitly, which is then the only one read.
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ def analyze_source(
     *,
     sidecar: str | None = None,
 ) -> FileResult:
-    """Analyze one file's contents; parse errors land on the result."""
+    """Analyze one file's contents, without a leading UTF-8 byte-order
+    mark; parse errors land on the result."""
+    text = text.removeprefix("\ufeff")
     result = FileResult(path=path, raw_loc=_count_lines(text))
     tokens = tokenize(text)
     for ch, line in tokens.unknown:
@@ -129,17 +132,19 @@ def analyze_source(
     return result
 
 
-def _read_input(path: str) -> tuple[str, str, str | None]:
-    """Return (label, text, sidecar text or None) for one input path,
-    without a leading UTF-8 byte-order mark."""
+def _read_input(path: str, sidecar_path: str | None) -> tuple[str, str, str | None]:
+    """Return (label, text, sidecar text or None) for one input path.  The
+    sidecar is *sidecar_path* when given, else ``<path>.segments`` if that
+    file exists."""
     if path == STDIN_PATH:
-        return STDIN_LABEL, sys.stdin.read().removeprefix("\ufeff"), None
-    text = Path(path).read_text(encoding="utf-8-sig")
-    sidecar_path = Path(path + ".segments")
-    sidecar = None
-    if sidecar_path.is_file():
-        sidecar = sidecar_path.read_text(encoding="utf-8-sig")
-    return path, text, sidecar
+        label, text = STDIN_LABEL, sys.stdin.read()
+    else:
+        label, text = path, Path(path).read_text(encoding="utf-8")
+        if sidecar_path is None and Path(path + ".segments").is_file():
+            sidecar_path = path + ".segments"
+    if sidecar_path is None:
+        return label, text, None
+    return label, text, Path(sidecar_path).read_text(encoding="utf-8-sig")
 
 
 def _resolve_qr(config: Config, diagnostics: list[str]) -> metrics.QualityAttributes:
@@ -166,9 +171,8 @@ def analyze(
 ) -> AnalysisReport:
     """Analyze *paths* in order and assemble the aggregate report.
 
-    ``sidecar_path`` forces an explicit segmentation override file and is
-    only meaningful for a single input; otherwise sidecars are discovered
-    next to each source file.
+    ``sidecar_path`` is an explicit segmentation override file, read in
+    place of sidecar discovery; it is only meaningful for a single input.
     """
     files: list[FileResult] = []
     # The pipeline makes no reference cycles (tests/test_no_cycles.py), so
@@ -179,9 +183,7 @@ def analyze(
     try:
         for path in paths:
             try:
-                label, text, sidecar = _read_input(path)
-                if sidecar_path is not None:
-                    sidecar = Path(sidecar_path).read_text(encoding="utf-8-sig")
+                label, text, sidecar = _read_input(path, sidecar_path)
             except (OSError, UnicodeDecodeError) as exc:
                 files.append(FileResult(path=path, error=f"Io: {exc}"))
                 continue

@@ -26,7 +26,8 @@ class MalformedHeaderError(SourceError):
 
 
 class NegativeIterationsError(SourceError):
-    """A pragma or literal loop bound produced a negative count."""
+    """An ``@iters`` pragma gave a negative count.  A literal ``for`` bound
+    never does: one whose condition fails at once counts 0."""
 
 
 class NestingTooDeepError(SourceError):

@@ -15,7 +15,6 @@ Before a construct's next part (``else``, the ``if`` of ``else if``,
 the ``{`` of ``switch`` they open the first case.  Comments after an
 ``if`` that no ``else`` follows stay after it.  Comments in a header,
 including any before its ``(``, and in a ``case`` label are skipped.
-An ``@iters`` pragma between two parts, or in a header, lapses.
 
 The parser also records what flow analysis reads, so no later stage
 walks the tree for it.  A statement ``name :`` is a label, and the first
@@ -38,10 +37,14 @@ so ``analysis.analyze_source`` drops the stream once it is parsed.  A
 :class:`Statement` keeps its first and last lines, not a span pair.
 
 Loop iteration counts are resolved statically where possible.  A comment
-whose trimmed text is ``@iters N`` overrides the count of the next loop;
-a ``for`` header of the shape *init-to-constant / compare-to-constant /
-unit step* yields a literal bound; everything else falls back to a
-configurable default.
+whose trimmed text is ``@iters N`` overrides the count of the loop written
+right after it, or of the loop that opens the braced body right after it.
+The parser records every pragma it meets, wherever it stands, in one table
+by token index; a loop takes its own entry, and each entry left at the end
+lapses with a diagnostic.  A ``for`` header of the shape *init-to-constant
+/ compare-to-constant / unit step* yields a literal bound; one whose
+condition fails at once gives 0, and a ``!=`` bound that the step moves
+away from falls back.  Everything else falls back to a configurable default.
 """
 
 from __future__ import annotations
@@ -559,10 +562,11 @@ def _literal_bound(header: list[Token]) -> int | None:
         direction = -1
     else:
         return None
+    count = (bound - start) * direction
     if cmp == "!=":
-        return (bound - start) * direction
+        return count if count >= 0 else None  # a step away from it never meets the bound
     if (cmp[0] == "<") == (direction == 1):  # the step runs toward the bound
-        return (bound - start) * direction + (cmp[-1] == "=")
+        return max(0, count + (cmp[-1] == "="))  # 0 when the condition fails at once
     return None
 
 
@@ -577,7 +581,8 @@ def resolve_loop_count(
 
     A ``@iters N`` pragma wins over a literal header bound (the pragma
     exists precisely to correct headers whose literal bound is wrong),
-    the literal bound wins over the configured default.
+    the literal bound wins over the configured default.  A negative
+    pragma raises :class:`NegativeIterationsError`.
     """
     if pragma is not None:
         if pragma < 0:
@@ -585,8 +590,6 @@ def resolve_loop_count(
         return IterationCount(pragma, CountProvenance.PRAGMA_OVERRIDE)
     literal = _literal_bound(header)
     if literal is not None:
-        if literal < 0:
-            raise NegativeIterationsError(f"literal bound yields negative count {literal}", line)
         return IterationCount(literal, CountProvenance.LITERAL_BOUND)
     return IterationCount(default_iterations, CountProvenance.CONFIG_DEFAULT)
 
@@ -613,9 +616,11 @@ class _Parser:
         self.i = 0
         self.default_iterations = default_iterations
         self.init_calls = init_calls
-        self.pending_pragma: tuple[int, int] | None = None  # (value, line)
+        # Each ``@iters`` pragma met and not yet taken by a loop: token
+        # index -> value, in text order.
+        self.pragmas: dict[int, int] = {}
+        self.body_brace: int | None = None  # the last ``{`` that opened a body
         self.depth = 0  # constructs that hold others, open around the current token
-        self.diagnostics: list[str] = []
         self.loops: list[tuple[int, IterationCount]] = []
         self.flow = FlowFacts({}, [], [])
         # Indices into flow.loop_exits: the loop a continue exits, and the
@@ -643,12 +648,12 @@ class _Parser:
         when *keep* is set, else ``None``."""
         kinds, texts = self.kinds, self.texts
         while self.i < self.n and kinds[self.i] == _COMMENT:
-            self._header_comment(self._next())
+            self._pragma(self._next())
         self._expect_text("(", context_line)
         depth, start = 1, self.i
         for j in range(start, self.n):
             if kinds[j] == _COMMENT:
-                self._header_comment(j)
+                self._pragma(j)
                 continue
             text = texts[j]
             if text == "(":
@@ -668,7 +673,7 @@ class _Parser:
 
     def _next_part(self, texts: tuple[str, ...], out: list[BlockNode]) -> bool:
         """If the next part of a construct, one of *texts*, follows any comments,
-        parse them into *out*, lapse any pragma, and leave the part unconsumed."""
+        parse them into *out* and leave the part unconsumed."""
         j = self.i
         while j < self.n and self.kinds[j] == _COMMENT:
             j += 1
@@ -676,23 +681,15 @@ class _Parser:
             return False
         while self.i < j:
             self.parse_construct(out)
-            self._lapse_pragma()
         return True
 
-    def _header_comment(self, i: int) -> None:
-        """A pragma in a header lapses, since no loop can follow it there."""
+    def _pragma(self, i: int) -> bool:
+        """Record comment *i* if it is an ``@iters`` pragma; return whether it is."""
         text = self.texts[i]
         if "@iters" in text and (value := pragma_value(text)) is not None:
-            self.pending_pragma = (value, self.lines[i])
-            self._lapse_pragma()
-
-    def _lapse_pragma(self) -> None:
-        if self.pending_pragma is not None:
-            value, line = self.pending_pragma
-            self.diagnostics.append(
-                f"line {line}: pragma '@iters {value}' not followed by a loop; ignored"
-            )
-            self.pending_pragma = None
+            self.pragmas[i] = value
+            return True
+        return False
 
     # -- grammar ------------------------------------------------------------
 
@@ -702,7 +699,11 @@ class _Parser:
             if self.texts[i] == "}" and self.kinds[i] == _PUNCTUATION:
                 raise UnbalancedBracesError("unmatched '}'", self.lines[i])
             self.parse_construct(nodes)
-        self._lapse_pragma()
+        # A pragma that no loop took lapses.
+        self.diagnostics = [
+            f"line {self.lines[i]}: pragma '@iters {value}' not followed by a loop; ignored"
+            for i, value in self.pragmas.items()
+        ]
         return nodes
 
     def parse_construct(self, out: list[BlockNode]) -> None:
@@ -715,15 +716,11 @@ class _Parser:
         # so no error path restores the count.
         if self.depth == MAX_NESTING:
             raise NestingTooDeepError(f"constructs nested more than {MAX_NESTING} deep", line)
-        # A pending pragma lapses at anything but a loop, which takes it;
-        # a new pragma lapses the one before it.
         if kind == _KEYWORD and text in _LOOP_KEYWORDS:
             self.depth += 1
             self.parse_loop(out)
             self.depth -= 1
             return
-        if self.pending_pragma is not None:
-            self._lapse_pragma()
         if kind == _PUNCTUATION:
             if text == ";":
                 self.i = i + 1
@@ -736,9 +733,7 @@ class _Parser:
                 return
         elif kind == _COMMENT:
             self.i = i + 1
-            if "@iters" in text and (value := pragma_value(text)) is not None:
-                self.pending_pragma = (value, line)
-            else:
+            if not self._pragma(i):
                 out.append(Statement(StatementKind.COMMENT, line, line))
             return
         elif kind == _PREPROCESSOR:
@@ -770,8 +765,6 @@ class _Parser:
             if i >= n:
                 raise UnbalancedBracesError("unclosed '{'", open_line)
             if texts[i] == "}" and kinds[i] == _PUNCTUATION:
-                if self.pending_pragma is not None:
-                    self._lapse_pragma()
                 self.i = i + 1
                 return self.lines[i]
             self.parse_construct(out)
@@ -791,6 +784,7 @@ class _Parser:
                     raise MalformedHeaderError("missing body", context_line)
                 if text == "{":
                     self.i = i + 1
+                    self.body_brace = i
                     return self.parse_until_close(self.lines[i], out)
                 if text == ";":
                     self.i = i + 1
@@ -802,10 +796,10 @@ class _Parser:
     def parse_statement_or_function(self, out: list[BlockNode]) -> None:
         kinds, texts, start = self.kinds, self.texts, self.i
         end, pragma, facts = _scan_statement(kinds, texts, start, True)
-        if pragma:  # a pragma in a statement or a function header lapses
+        if pragma:
             for j in range(start, end):
                 if kinds[j] == _COMMENT:
-                    self._header_comment(j)
+                    self._pragma(j)
         self.i = end
         if end == self.n or texts[end] != "{" or kinds[end] != _PUNCTUATION:
             out.append(self._make_statement(start, end, facts))
@@ -885,8 +879,9 @@ class _Parser:
     def parse_loop(self, out: list[BlockNode]) -> None:
         kw = self._next()
         word, line = self.texts[kw], self.lines[kw]
-        pending, self.pending_pragma = self.pending_pragma, None  # the loop takes it
-        pragma = None if pending is None else pending[0]
+        # The loop takes the pragma right before it; a loop that opens a
+        # braced body takes the one right before that body's ``{``.
+        pragma = self.pragmas.pop(kw - 2 if kw - 1 == self.body_brace else kw - 1, None)
         # The loop takes its slot here, so loops are listed in pre-order,
         # and fills it after its count resolves, once its body has parsed.
         key = len(self.loops)
@@ -929,14 +924,13 @@ class _Parser:
                 raise UnbalancedBracesError("unclosed '{'", open_line)
             kind, text = kinds[i], texts[i]
             if text == "}" and kind == _PUNCTUATION:
-                self._lapse_pragma()
                 self.i = i + 1
                 break
             if kind == _KEYWORD and text in ("case", "default"):
                 j = i + 1
                 while j < self.n:
                     if kinds[j] == _COMMENT:
-                        self._header_comment(j)
+                        self._pragma(j)
                     elif kinds[j] == _PUNCTUATION:
                         if texts[j] == ":":
                             break

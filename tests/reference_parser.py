@@ -5,7 +5,10 @@ inside the scan that finds the statement's end.  It finds a statement's
 end in one walk and then hands the statement's tokens to the classifier,
 which walks them again; the classifier here is the multi-scan one from
 ``reference_classifier``, so this oracle shares no statement scan with
-the package.  The differential tests require
+the package.  It also keeps the design the package replaced for
+``@iters`` pragmas: one pending pragma that a loop takes and anything
+else lapses, where the package reads one table of pragmas by position.
+The differential tests require
 :func:`codearea.frontend.parse_tokens` to give the same tree,
 diagnostics, loops and flow facts, or the same error, on every input.
 It is not used outside the tests.
@@ -113,9 +116,11 @@ class _Parser:
         return self.toks[j]
 
     def _header_comment(self, tok: Token) -> None:
-        """A pragma in a header lapses, since no loop can follow it there."""
+        """A pragma in a header lapses, since no loop can follow it there,
+        after the pending one before it."""
         value = pragma_value(tok.text)
         if value is not None:
+            self._lapse_pragma()
             self.pending_pragma = (value, tok.line)
             self._lapse_pragma()
 
@@ -216,6 +221,7 @@ class _Parser:
                 self._next()
                 return self.parse_until_close(tok.line, out)
             if tok.kind is TokenKind.PUNCTUATION and tok.text == ";":
+                self._lapse_pragma()  # an empty body holds no loop
                 self._next()
                 return tok.line
             self.parse_construct(out)
@@ -362,6 +368,7 @@ class _Parser:
                 self._next()
                 break
             if tok.kind is TokenKind.KEYWORD and tok.text in ("case", "default"):
+                self._lapse_pragma()  # a label ends the case before it
                 self._next()
                 while (lbl := self._peek()) is not None and lbl.text != ":":
                     if lbl.text in "{}":

@@ -67,6 +67,13 @@ def test_sidecar_is_discovered_next_to_source():
     assert report.files[0].segments[0].impact == Fraction(48, 5)
 
 
+def test_a_leading_byte_order_mark_is_not_source():
+    text = "x = 1;\n"
+    marked = analyze_source("\ufeff" + text, "a.c", Config())
+    assert marked == analyze_source(text, "a.c", Config())
+    assert marked.diagnostics == []
+
+
 def test_empty_path_list_gives_empty_report():
     report = analyze([], Config())
     assert report.files == []

@@ -131,6 +131,17 @@ def test_explicit_segments_flag(tmp_path, capsys):
     assert kinds == ["SL", "CL"]
 
 
+def test_segments_flag_replaces_the_sidecar_next_to_the_input(tmp_path, capsys):
+    source = tmp_path / "a.c"
+    source.write_text("x = 1;\ny = probe(x) + probe(y);\n", encoding="utf-8")
+    (tmp_path / "a.c.segments").write_bytes(b"\xff not utf-8\n")
+    good = tmp_path / "good.segments"
+    good.write_text("1 2 CL\n", encoding="utf-8")
+    assert main([str(source), "--segments", str(good), "--format", "json"]) == 0
+    [entry] = json.loads(capsys.readouterr().out)["files"]
+    assert [seg["kind"] for seg in entry["segments"]] == ["CL"]
+
+
 def test_segments_flag_requires_single_input(capsys):
     assert main(corpus_args() + ["--segments", "x.segments"]) == 2
 

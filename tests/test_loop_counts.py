@@ -94,9 +94,34 @@ def test_negative_pragma_raises():
         resolve_loop_count(header("i=0;i<1;i++"), pragma=-3)
 
 
-def test_negative_literal_bound_raises():
-    with pytest.raises(NegativeIterationsError):
-        resolve_loop_count(header("i = 5; i < 2; i++"))
+@pytest.mark.parametrize(
+    "text",
+    ["i = 5; i < 2; i++", "i = 5; i <= 3; i++", "i = 5; i > 8; i--"],
+)
+def test_a_literal_bound_that_never_runs_counts_zero(text):
+    assert resolve_loop_count(header(text)) == IterationCount(0, CountProvenance.LITERAL_BOUND)
+
+
+def test_a_not_equal_bound_the_step_moves_away_from_falls_back():
+    count = resolve_loop_count(header("i = 0; i != 10; i--"), default_iterations=3)
+    assert count == IterationCount(3, CountProvenance.CONFIG_DEFAULT)
+
+
+@pytest.mark.parametrize(
+    "source,count,provenance",
+    [
+        ("for (i = 5; i < 3; i++) x();", 0, "literal"),
+        ("for (i = 5; i > 8; i--) x();", 0, "literal"),
+        ("for (i = 0; i != 10; i--) x();", 1, "default"),
+    ],
+)
+def test_a_loop_that_never_meets_its_bound_analyzes(source, count, provenance):
+    result = analyze_source(source, "a.c", Config())
+    assert result.error is None
+    assert [(loop.count, loop.provenance) for loop in result.loops] == [(count, provenance)]
+    assert (result.impact == 0) == (count == 0)
+    defaulted = [d for d in result.diagnostics if "using default count" in d]
+    assert len(defaulted) == (provenance == "default")
 
 
 def test_pragma_applies_through_parser():
@@ -195,3 +220,58 @@ def test_pragma_in_a_header_lapses(source, line):
 def test_pragma_between_a_header_and_its_body_reaches_the_loop_in_it():
     tree = parse_source("for (;;) // @iters 3\n    while (b) x = 2;")
     assert tree[0].body[0].count == IterationCount(3, CountProvenance.PRAGMA_OVERRIDE)
+
+
+@pytest.mark.parametrize(
+    "source,loops,lapsed",
+    [
+        # Each of the first three gave its pragma to the wrong loop, or
+        # dropped it without a word.
+        pytest.param(
+            "switch (k) {\n/* @iters 2 */\ncase /* @iters 3 */ 1: x = 1;\n}",
+            [], [(2, 2), (3, 3)], id="pragma_then_label_pragma",
+        ),
+        pytest.param(
+            "switch (k) {\ncase 0: y();\n// @iters 4\ncase 1:\nfor (;;) { x(); }\n}",
+            [(5, 1, "default")], [(3, 4)], id="pragma_then_case_label",
+        ),
+        pytest.param(
+            "while (b) /* @iters 3 */ ;\nfor (;;) x();",
+            [(1, 1, "default"), (2, 1, "default")], [(1, 3)], id="pragma_then_empty_body",
+        ),
+        pytest.param(
+            "while (b) /* @iters 2 */ { for (;;) x(); }",
+            [(1, 1, "default"), (1, 2, "pragma")], [], id="before_a_loop_body_brace",
+        ),
+        pytest.param(
+            "if (a) x(); else /* @iters 2 */ { while (b) y(); }",
+            [(1, 2, "pragma")], [], id="before_an_else_brace",
+        ),
+        pytest.param(
+            "do /* @iters 2 */ { while (b) y(); } while (c);",
+            [(1, 1, "default"), (1, 2, "pragma")], [], id="before_a_do_brace",
+        ),
+        pytest.param(
+            "/* @iters 2 */ { while (b) y(); }", [(1, 1, "default")], [(1, 2)], id="stray_block",
+        ),
+        pytest.param(
+            "try /* @iters 2 */ { while (b) y(); } catch (e) { }",
+            [(1, 1, "default")], [(1, 2)], id="try_brace",
+        ),
+        pytest.param(
+            "int f(void) /* @iters 2 */ { while (b) y(); }",
+            [(1, 1, "default")], [(1, 2)], id="function_body_brace",
+        ),
+        pytest.param(
+            "do { x(); } /* @iters 2 */ while (b);\nwhile (c) y();",
+            [(1, 1, "default"), (2, 1, "default")], [(1, 2)], id="do_loop_while",
+        ),
+    ],
+)
+def test_a_pragma_goes_only_to_the_loop_right_after_it(source, loops, lapsed):
+    result = parse_tokens(tokenize(source))
+    assert [(line, c.value, c.provenance.value) for line, c in result.loops] == loops
+    assert result.diagnostics == [
+        f"line {line}: pragma '@iters {value}' not followed by a loop; ignored"
+        for line, value in lapsed
+    ]

@@ -89,7 +89,7 @@ def test_analyze_restores_the_collector_state(monkeypatch, collector_on, outcome
     if outcome == "internal_error":
         monkeypatch.setattr(impact, "segment_impact", fail_scoring)
     elif outcome == "raised":
-        def interrupt(path):
+        def interrupt(*args):
             raise KeyboardInterrupt
 
         monkeypatch.setattr("codearea.analysis._read_input", interrupt)

@@ -10,6 +10,8 @@ the same error with the same message and line.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,7 @@ PIECES = [
     "if (f(a))", "else", "switch (x[0])", "case 1:", "default:", "try", "catch (e)",
     "L:", "goto L;", "break;", "continue;", "return f(x);", "#define N 3\n",
     "struct s", "int n;", "free(p);", "p = malloc(n);",
+    "case 2 /* @iters 5 */ :", "while (c) ;", "while (c) /* @iters 3 */ ;",
 ]
 
 
@@ -80,6 +83,23 @@ PIECES = [
 @given(st.lists(st.sampled_from(PIECES), max_size=40))
 def test_parser_matches_reference_on_brackets_calls_and_comments(parts):
     assert_same_parse(" ".join(parts))
+
+
+# Every sequence of up to three of these, placed before a loop at the top
+# level and inside a case, so an @iters comment meets each construct
+# boundary on its way to the loop.
+SHORT_PIECES = [
+    "/* @iters 2 */", "case 1 /* @iters 3 */ :", "case 1:", ";", "x();",
+    "{", "}", "while (c)", "do", "if (a)", "else",
+]
+TEMPLATES = {"top": "{} while (d) y();", "case": "switch (k) {{ case 0: {} while (d) y(); }}"}
+
+
+@pytest.mark.parametrize("template", TEMPLATES.values(), ids=TEMPLATES.keys())
+def test_parser_matches_reference_on_every_short_sequence_before_a_loop(template):
+    for size in range(4):
+        for parts in itertools.product(SHORT_PIECES, repeat=size):
+            assert_same_parse(template.format(" ".join(parts)))
 
 
 NESTED = {
