@@ -61,14 +61,12 @@ from .impact import (
     segment_impact,
 )
 from .metrics import (
-    EfficiencyResult,
     PerSegmentAverage,
     QualityAttributes,
     TotalSeconds,
     baseline_percentage,
     code_area,
     efficiency,
-    efficiency_result,
     execution_time,
     quality_quotient,
 )

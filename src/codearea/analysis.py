@@ -4,9 +4,10 @@ Each file runs through tokenize, parse, segment, and impact scoring
 independently; a parse failure in one file is recorded on that file's
 entry and never disturbs another file's numbers.  Neither does any other
 exception from one file's analysis: it becomes that file's
-``InternalError``, and its traceback is logged.  Aggregate metrics are
-recomputed from the per-file results, so a report is always
-self-consistent.
+``InternalError``, and its traceback is logged.  A file's result keeps
+the parser's ``(line, IterationCount)`` loop records as they are.
+Aggregate metrics are recomputed from the per-file results, so a report
+is always self-consistent.
 
 A sidecar named ``<source>.segments`` next to an input file replaces
 that file's computed segmentation (see :mod:`codearea.segmenter`), unless
@@ -24,18 +25,11 @@ from pathlib import Path
 from . import classifier, impact, metrics, segmenter
 from .config import Config
 from .errors import SegmentOverrideError, SourceError
-from .frontend import CountProvenance, parse_tokens, tokenize
+from .frontend import CountProvenance, IterationCount, parse_tokens, tokenize
 from .segmenter import ScoredSegment, SegmentCounts
 
 STDIN_PATH = "-"
 STDIN_LABEL = "<stdin>"
-
-
-@dataclass
-class LoopInfo:
-    line: int
-    count: int
-    provenance: str
 
 
 @dataclass
@@ -45,7 +39,7 @@ class FileResult:
     segments: list[ScoredSegment] = field(default_factory=list)
     counts: SegmentCounts = SegmentCounts(0, 0, 0, 0, 0)
     impact: Fraction = Fraction(0)
-    loops: list[LoopInfo] = field(default_factory=list)
+    loops: list[tuple[int, IterationCount]] = field(default_factory=list)  # (line, count)
     flow: classifier.FlowReport = classifier.FlowReport(0, 0, True)
     diagnostics: list[str] = field(default_factory=list)
     error: str | None = None
@@ -119,8 +113,8 @@ def analyze_source(
     ]
     result.counts = segmenter.segment_counts(result.segments)
     result.impact = metrics.code_area(result.segments)
+    result.loops = parsed.loops
     for line, count in parsed.loops:
-        result.loops.append(LoopInfo(line, count.value, count.provenance.value))
         if count.provenance is CountProvenance.CONFIG_DEFAULT:
             result.diagnostics.append(
                 f"{path}:{line}: loop bound not statically "
@@ -219,11 +213,12 @@ def analyze(
     qr_attrs = _resolve_qr(config, diagnostics)
     quotient = metrics.quality_quotient(qr_attrs)
     if config.exec_time is None:
-        time_s = None
+        time_s = efficiency = None
         diagnostics.append("execution time not provided; efficiency omitted")
     else:
         time_s = metrics.execution_time(config.exec_time, counts.total)
-    derived = metrics.efficiency_result(area, quotient, time_s)
+        efficiency = metrics.efficiency(area, time_s, quotient)
+    percentage = metrics.baseline_percentage(area, quotient)
 
     flow = classifier.combine_flow(
         [f.flow for f in analyzed], exit_limit=config.flow_exit_limit
@@ -244,10 +239,10 @@ def analyze(
         code_area=area,
         qr_attrs=qr_attrs,
         qr=quotient,
-        execution_time_s=derived.execution_time_s,
-        efficiency=derived.efficiency,
-        percentage_of_baseline=derived.percentage_of_baseline,
-        meets_threshold=derived.meets_threshold,
+        execution_time_s=time_s,
+        efficiency=efficiency,
+        percentage_of_baseline=percentage,
+        meets_threshold=percentage >= metrics.THRESHOLD_PERCENT,
         rubric_score=score,
         level=level,
         flow=flow,

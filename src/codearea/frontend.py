@@ -39,7 +39,7 @@ so ``analysis.analyze_source`` drops the stream once it is parsed.  A
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the loop written
 right after it, or of the loop that opens the braced body right after it.
-The parser records every pragma it meets, wherever it stands, in one table
+The parser first reads every pragma, wherever it stands, into one table
 by token index; a loop takes its own entry, and each entry left at the end
 lapses with a diagnostic.  A ``for`` header of the shape *init-to-constant
 / compare-to-constant / unit step* yields a literal bound; one whose
@@ -302,15 +302,15 @@ def _scan_statement(kinds: bytearray, texts: list[str], start: int, stop: bool) 
     With *stop*, the walk ends the way a statement does in the parser:
     after a ``;`` or before a ``{`` or ``}`` outside ``(`` and ``[``.
     Without it, the walk takes every token from *start* on.  Returns the
-    index where the walk ended, whether a comment on the way may hold an
-    ``@iters`` pragma, and the facts :func:`_statement_kind` reads: the
-    number of calls (an identifier right before ``(``), the first call's
-    name, the number of operators, whether one of them assigns, and the
-    indices of the first five tokens other than ``;`` and comments.
+    index where the walk ended and the facts :func:`_statement_kind`
+    reads: the number of calls (an identifier right before ``(``), the
+    first call's name, the number of operators, whether one of them
+    assigns, and the indices of the first five tokens other than ``;``
+    and comments.
     """
     calls = ops = depth = 0
     first_call = callee = None
-    has_assign = pragma = False
+    has_assign = False
     body: list[int] = []
     room = 5  # body tokens still to take
     end = len(texts)
@@ -344,15 +344,13 @@ def _scan_statement(kinds: bytearray, texts: list[str], start: int, stop: bool) 
             callee = None
         elif kind == _COMMENT:
             callee = None
-            if "@iters" in text:
-                pragma = True
             continue
         else:
             callee = text if kind == _IDENTIFIER else None
         if room:
             body.append(j)
             room -= 1
-    return end, pragma, (calls, first_call, ops, has_assign, body)
+    return end, (calls, first_call, ops, has_assign, body)
 
 
 def _statement_kind(
@@ -409,7 +407,7 @@ def classify_statement(
     if not tokens:
         return StatementKind.EXPRESSION
     kinds, texts, _ = _columns(tokens)
-    _, _, facts = _scan_statement(kinds, texts, 0, False)
+    _, facts = _scan_statement(kinds, texts, 0, False)
     return _statement_kind(kinds, texts, 0, facts, init_termination_calls)
 
 
@@ -612,13 +610,19 @@ class _Parser:
         self, tokens: Sequence[Token], default_iterations: int, init_calls: frozenset[str]
     ):
         self.kinds, self.texts, self.lines = _columns(tokens)
-        self.n = len(self.texts)
+        kinds, texts = self.kinds, self.texts
+        self.n = len(texts)
         self.i = 0
         self.default_iterations = default_iterations
         self.init_calls = init_calls
-        # Each ``@iters`` pragma met and not yet taken by a loop: token
-        # index -> value, in text order.
+        # Each ``@iters`` pragma no loop has taken yet: token index -> value,
+        # in text order.
         self.pragmas: dict[int, int] = {}
+        i = kinds.find(_COMMENT)
+        while i >= 0:
+            if "@iters" in texts[i] and (value := pragma_value(texts[i])) is not None:
+                self.pragmas[i] = value
+            i = kinds.find(_COMMENT, i + 1)
         self.body_brace: int | None = None  # the last ``{`` that opened a body
         self.depth = 0  # constructs that hold others, open around the current token
         self.loops: list[tuple[int, IterationCount]] = []
@@ -648,12 +652,11 @@ class _Parser:
         when *keep* is set, else ``None``."""
         kinds, texts = self.kinds, self.texts
         while self.i < self.n and kinds[self.i] == _COMMENT:
-            self._pragma(self._next())
+            self.i += 1
         self._expect_text("(", context_line)
         depth, start = 1, self.i
         for j in range(start, self.n):
             if kinds[j] == _COMMENT:
-                self._pragma(j)
                 continue
             text = texts[j]
             if text == "(":
@@ -682,14 +685,6 @@ class _Parser:
         while self.i < j:
             self.parse_construct(out)
         return True
-
-    def _pragma(self, i: int) -> bool:
-        """Record comment *i* if it is an ``@iters`` pragma; return whether it is."""
-        text = self.texts[i]
-        if "@iters" in text and (value := pragma_value(text)) is not None:
-            self.pragmas[i] = value
-            return True
-        return False
 
     # -- grammar ------------------------------------------------------------
 
@@ -733,7 +728,7 @@ class _Parser:
                 return
         elif kind == _COMMENT:
             self.i = i + 1
-            if not self._pragma(i):
+            if i not in self.pragmas:
                 out.append(Statement(StatementKind.COMMENT, line, line))
             return
         elif kind == _PREPROCESSOR:
@@ -795,11 +790,7 @@ class _Parser:
 
     def parse_statement_or_function(self, out: list[BlockNode]) -> None:
         kinds, texts, start = self.kinds, self.texts, self.i
-        end, pragma, facts = _scan_statement(kinds, texts, start, True)
-        if pragma:
-            for j in range(start, end):
-                if kinds[j] == _COMMENT:
-                    self._pragma(j)
+        end, facts = _scan_statement(kinds, texts, start, True)
         self.i = end
         if end == self.n or texts[end] != "{" or kinds[end] != _PUNCTUATION:
             out.append(self._make_statement(start, end, facts))
@@ -929,9 +920,7 @@ class _Parser:
             if kind == _KEYWORD and text in ("case", "default"):
                 j = i + 1
                 while j < self.n:
-                    if kinds[j] == _COMMENT:
-                        self._pragma(j)
-                    elif kinds[j] == _PUNCTUATION:
+                    if kinds[j] == _PUNCTUATION:
                         if texts[j] == ":":
                             break
                         if texts[j] == "{" or texts[j] == "}":

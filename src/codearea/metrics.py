@@ -112,28 +112,3 @@ def baseline_percentage(area: Fraction, quotient: int) -> Fraction:
     ``100 * (area * quotient) / (100000 * 7.5)``.
     """
     return 100 * (area * quotient) / (BASELINE_LOC * BASELINE_QUALITY)
-
-
-@dataclass(frozen=True)
-class EfficiencyResult:
-    code_area: Fraction
-    execution_time_s: Fraction | None
-    qr: int
-    efficiency: Fraction | None
-    percentage_of_baseline: Fraction
-    meets_threshold: bool
-
-
-def efficiency_result(
-    area: Fraction, quotient: int, time_s: Fraction | None
-) -> EfficiencyResult:
-    """Bundle the derived metrics; efficiency is omitted without a time."""
-    percentage = baseline_percentage(area, quotient)
-    return EfficiencyResult(
-        code_area=area,
-        execution_time_s=time_s,
-        qr=quotient,
-        efficiency=None if time_s is None else efficiency(area, time_s, quotient),
-        percentage_of_baseline=percentage,
-        meets_threshold=percentage >= THRESHOLD_PERCENT,
-    )

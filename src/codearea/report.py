@@ -140,7 +140,8 @@ def _file_json(f: FileResult) -> Iterator[str]:
         )
         return
     yield head + '      "segments": '
-    # Segment kinds are fixed ASCII names and need no escaping.
+    # Segment kinds and loop provenances are fixed ASCII names and need no
+    # escaping.
     yield from _array(
         ((
             f'        {{\n'
@@ -162,11 +163,11 @@ def _file_json(f: FileResult) -> Iterator[str]:
     yield from _array(
         ((
             f'        {{\n'
-            f'          "line": {lp.line},\n'
-            f'          "count": {lp.count},\n'
-            f'          "provenance": {json.dumps(lp.provenance)}\n'
+            f'          "line": {line},\n'
+            f'          "count": {count.value},\n'
+            f'          "provenance": "{count.provenance.value}"\n'
             f'        }}',
-        ) for lp in f.loops),
+        ) for line, count in f.loops),
         "      ",
     )
     yield f',\n      "flow": {_flow(f.flow, "      ")}\n    }}'
@@ -223,8 +224,8 @@ def _file_text(f: FileResult) -> Iterator[str]:
             f"  {seg.kind.value}  lines {seg.span[0]:>4}-{seg.span[1]:<4} "
             f"impact {render2(seg.impact)}\n"
         )
-    for lp in f.loops:
-        yield f"  loop at line {lp.line}: count {lp.count} ({lp.provenance})\n"
+    for line, count in f.loops:
+        yield f"  loop at line {line}: count {count.value} ({count.provenance.value})\n"
     yield f"  file impact: {render2(f.impact)}\n\n"
 
 

@@ -42,8 +42,8 @@ def _file_json(f: FileResult) -> dict:
     entry["impact"] = round2(f.impact)
     entry["impact_exact"] = exact(f.impact)
     entry["loops"] = [
-        {"line": lp.line, "count": lp.count, "provenance": lp.provenance}
-        for lp in f.loops
+        {"line": line, "count": count.value, "provenance": count.provenance.value}
+        for line, count in f.loops
     ]
     entry["flow"] = _flow_json(f.flow)
     return entry

@@ -139,7 +139,7 @@ def test_loop_provenance_recorded():
         "mem.c",
         Config(),
     )
-    assert [(l.count, l.provenance) for l in result.loops] == [
+    assert [(c.value, c.provenance.value) for _, c in result.loops] == [
         (10, "pragma"),
         (1, "default"),
     ]
@@ -149,7 +149,7 @@ def test_loop_provenance_recorded():
 def test_nested_loops_are_reported_in_pre_order():
     source = "while (a) {\n    for (i = 0; i < 3; i++)\n        do x(); while (b);\n}\n"
     result = analyze_source(source, "nest.c", Config())
-    assert [(lp.line, lp.count, lp.provenance) for lp in result.loops] == [
+    assert [(line, c.value, c.provenance.value) for line, c in result.loops] == [
         (1, 1, "default"),
         (2, 3, "literal"),
         (3, 1, "default"),

@@ -118,7 +118,7 @@ def test_a_not_equal_bound_the_step_moves_away_from_falls_back():
 def test_a_loop_that_never_meets_its_bound_analyzes(source, count, provenance):
     result = analyze_source(source, "a.c", Config())
     assert result.error is None
-    assert [(loop.count, loop.provenance) for loop in result.loops] == [(count, provenance)]
+    assert [(c.value, c.provenance.value) for _, c in result.loops] == [(count, provenance)]
     assert (result.impact == 0) == (count == 0)
     defaulted = [d for d in result.diagnostics if "using default count" in d]
     assert len(defaulted) == (provenance == "default")

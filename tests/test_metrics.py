@@ -8,19 +8,24 @@ from hypothesis import strategies as st
 
 from codearea import (
     AttributeOutOfRangeError,
+    Config,
     NonPositiveTimeError,
     PerSegmentAverage,
     QualityAttributes,
     TotalSeconds,
     ZeroSegmentsError,
+    analyze,
     baseline_percentage,
     code_area,
     efficiency,
-    efficiency_result,
     execution_time,
     quality_quotient,
 )
 from codearea.segmenter import ScoredSegment, SegmentKind
+
+from conftest import CORPUS_FILES
+
+QUOTIENT_6 = QualityAttributes(1, 2, 0, 1, 2)
 
 WORKED_IMPACTS = [
     Fraction(10),
@@ -108,9 +113,13 @@ def test_baseline_self_identity():
     assert baseline_percentage(area, 6) == 100
 
 
-def test_baseline_threshold_is_inclusive():
-    area = Fraction(75, 100) * Fraction(100_000) * Fraction(15, 2) / 6
-    result = efficiency_result(area, 6, Fraction(1))
+def test_baseline_threshold_is_inclusive(tmp_path):
+    # 187,500 passes of one comment statement (impact 1/2) at quotient 6:
+    # area 93,750, which is exactly 75% of the baseline.
+    source = tmp_path / "t.c"
+    source.write_text("// @iters 187500\nfor (;;) { /* c */ }\n", encoding="utf-8")
+    result = analyze([str(source)], Config(qr=QUOTIENT_6, exec_time=TotalSeconds(Fraction(1))))
+    assert result.code_area == 93_750
     assert result.percentage_of_baseline == 75
     assert result.meets_threshold
 
@@ -128,7 +137,8 @@ def test_efficiency_linear_in_quotient_and_inverse_in_time(q, t, area):
 
 
 def test_efficiency_result_without_time():
-    result = efficiency_result(Fraction(2201, 10), 6, None)
+    result = analyze([str(p) for p in CORPUS_FILES], Config(qr=QUOTIENT_6))
+    assert result.code_area == Fraction(2201, 10)
     assert result.efficiency is None
     assert result.execution_time_s is None
     assert result.percentage_of_baseline == Fraction(2201, 12500)

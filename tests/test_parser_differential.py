@@ -5,7 +5,8 @@ statement's end, and lets only constructs that hold others count toward
 the nesting limit.  ``reference_parser`` finds each end first and then
 classifies the statement with the multi-scan classifier.  On every input
 both must give the same tree, diagnostics, loops and flow facts, or raise
-the same error with the same message and line.
+the same error with the same message and line.  When the parse succeeds,
+each ``@iters`` comment must be taken by one loop or lapse, exactly once.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codearea import classify_statement, tokenize
-from codearea.frontend import MAX_NESTING, parse_tokens
+from codearea import CountProvenance, TokenKind, classify_statement, tokenize
+from codearea.frontend import MAX_NESTING, ParseResult, parse_tokens, pragma_value
 
 import reference_parser
 from conftest import CORPUS
@@ -31,10 +32,23 @@ def outcome(parse, tokens, **options):
         return type(error), str(error), getattr(error, "line", None)
 
 
+def assert_pragmas_accounted_for(tokens, result: ParseResult) -> None:
+    pragmas = sum(
+        t.kind is TokenKind.COMMENT and pragma_value(t.text) is not None for t in tokens
+    )
+    taken = sum(c.provenance is CountProvenance.PRAGMA_OVERRIDE for _, c in result.loops)
+    lapsed = sum("not followed by a loop" in d for d in result.diagnostics)
+    assert pragmas == taken + lapsed
+
+
 def assert_same_parse(source: str, **options) -> None:
     tokens = tokenize(source)
     got = outcome(parse_tokens, tokens, **options)
-    assert got == outcome(reference_parser.parse_tokens, tokens, **options)
+    want = outcome(reference_parser.parse_tokens, tokens, **options)
+    assert got == want
+    for result in (got, want):
+        if isinstance(result, ParseResult):
+            assert_pragmas_accounted_for(tokens, result)
 
 
 OPTIONS = [{}, {"default_iterations": 4, "init_termination_calls": frozenset({"printf", "f"})}]
@@ -86,13 +100,22 @@ def test_parser_matches_reference_on_brackets_calls_and_comments(parts):
 
 
 # Every sequence of up to three of these, placed before a loop at the top
-# level and inside a case, so an @iters comment meets each construct
-# boundary on its way to the loop.
+# level and inside a case, and before each later part of a construct, so
+# an @iters comment meets each construct boundary.
 SHORT_PIECES = [
     "/* @iters 2 */", "case 1 /* @iters 3 */ :", "case 1:", ";", "x();",
     "{", "}", "while (c)", "do", "if (a)", "else",
 ]
-TEMPLATES = {"top": "{} while (d) y();", "case": "switch (k) {{ case 0: {} while (d) y(); }}"}
+TEMPLATES = {
+    "top": "{} while (d) y();",
+    "case": "switch (k) {{ case 0: {} while (d) y(); }}",
+    "else": "if (a) x(); {} else y();",
+    "else_if": "if (a) x(); else {} if (b) y();",
+    "catch": "try {{ x(); }} {} catch (e) {{ y(); }}",
+    "finally": "try {{ x(); }} {} finally {{ y(); }}",
+    "do_while": "do x(); {} while (d);",
+    "switch_brace": "switch (k) {} {{ case 0: y(); }}",
+}
 
 
 @pytest.mark.parametrize("template", TEMPLATES.values(), ids=TEMPLATES.keys())

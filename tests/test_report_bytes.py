@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import reference_report
 from codearea import Config, QualityAttributes, TotalSeconds, analyze, emit_report
-from codearea.analysis import AnalysisReport, FileResult, LoopInfo
+from codearea.analysis import AnalysisReport, FileResult
 from codearea.classifier import RUBRIC_QUESTIONS, FlowReport, classify_level
+from codearea.frontend import CountProvenance, IterationCount
 from codearea.report import json2
 from codearea.segmenter import ScoredSegment, SegmentCounts, SegmentKind
 
@@ -91,7 +92,10 @@ CLEAN_FILES = st.builds(
     ),
     counts=COUNTS,
     impact=values(),
-    loops=st.lists(st.builds(LoopInfo, COUNT, COUNT, TEXT), max_size=3),
+    loops=st.lists(
+        st.tuples(COUNT, st.builds(IterationCount, COUNT, st.sampled_from(CountProvenance))),
+        max_size=3,
+    ),
     flow=FLOWS,
 )
 FAILED_FILES = st.builds(
