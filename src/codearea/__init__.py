@@ -8,7 +8,7 @@ into a code area, an efficiency figure, a baseline percentage, and a
 four-tier quality level.
 """
 
-from .analysis import AnalysisReport, FileResult, analyze, analyze_source
+from .analysis import AnalysisReport, FileResult, analyze, analyze_source, iter_analyze
 from .classifier import (
     FlowReport,
     LevelRubric,

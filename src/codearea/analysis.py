@@ -6,8 +6,8 @@ entry and never disturbs another file's numbers.  Neither does any other
 exception from one file's analysis: it becomes that file's
 ``InternalError``, and its traceback is logged.  A file's result keeps
 the parser's ``(line, IterationCount)`` loop records as they are.
-Aggregate metrics are recomputed from the per-file results, so a report
-is always self-consistent.
+:func:`iter_analyze` yields the files' results one at a time, and :class:`Totals`
+folds what the aggregate reads from each, so a report is always self-consistent.
 
 A sidecar named ``<source>.segments`` next to an input file replaces
 that file's computed segmentation (see :mod:`codearea.segmenter`), unless
@@ -17,7 +17,9 @@ a sidecar is passed explicitly, which is then the only one read.
 from __future__ import annotations
 
 import gc
+import operator
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -141,110 +143,121 @@ def _read_input(path: str, sidecar_path: str | None) -> tuple[str, str, str | No
     return label, text, Path(sidecar_path).read_text(encoding="utf-8-sig")
 
 
-def _resolve_qr(config: Config, diagnostics: list[str]) -> metrics.QualityAttributes:
-    if config.qr is not None:
-        return config.qr
-    diagnostics.append("quality attributes not configured; defaulting each to 1")
-    return metrics.QualityAttributes()
+@dataclass
+class Totals:
+    """What the aggregate reads of the files, folded one at a time: the analyzed
+    files' raw LOC, segment counts, area and flow; every file's diagnostics and failure."""
+
+    raw_loc: int = 0
+    counts: SegmentCounts = SegmentCounts(0, 0, 0, 0, 0)
+    area: Fraction = Fraction(0)
+    backward: int = 0  # backward jumps
+    unstructured: int = 0  # unstructured exits
+    diagnostics: list[str] = field(default_factory=list)
+    failed: int = 0
+
+    def add(self, f: FileResult) -> FileResult:
+        """Fold *f* in and return it, so ``map(totals.add, files)`` folds a stream."""
+        self.diagnostics += f.diagnostics
+        if f.error is not None:
+            self.failed += 1
+            self.diagnostics.append(f"{f.path}: {f.error}")
+        else:
+            self.raw_loc += f.raw_loc
+            self.counts = SegmentCounts._make(map(operator.add, self.counts, f.counts))
+            self.area += f.impact
+            self.backward += f.flow.backward_jumps
+            self.unstructured += f.flow.unstructured_exits
+        return f
+
+    def report(self, config: Config, files: list[FileResult]) -> AnalysisReport:
+        """The aggregate of the files folded so far, listing *files*."""
+        diagnostics = list(self.diagnostics)
+        qr_attrs = config.qr or metrics.QualityAttributes()
+        if config.qr is None:
+            diagnostics.append("quality attributes not configured; defaulting each to 1")
+        quotient = metrics.quality_quotient(qr_attrs)
+        if config.exec_time is None:
+            time_s = efficiency = None
+            diagnostics.append("execution time not provided; efficiency omitted")
+        else:
+            time_s = metrics.execution_time(config.exec_time, self.counts.total)
+            efficiency = metrics.efficiency(self.area, time_s, quotient)
+        percentage = metrics.baseline_percentage(self.area, quotient)
+
+        flow = classifier.flow_report(self.backward, self.unstructured, config.flow_exit_limit)
+        answers = dict(config.rubric)
+        for question in classifier.RUBRIC_QUESTIONS:
+            if question not in answers:
+                diagnostics.append(f"rubric answer '{question}' missing; defaulting to 1")
+                answers[question] = 1
+        rubric = classifier.LevelRubric(answers)
+        score = classifier.rubric_score(rubric, flow, penalty=config.flow_penalty)
+        level = classifier.classify_level(score)
+        if classifier.in_range_gap(score):
+            diagnostics.append(
+                f"level score {float(score)} falls between published ranges; "
+                f"assigned level {level.level} by closed intervals"
+            )
+
+        return AnalysisReport(
+            files=files,
+            raw_loc=self.raw_loc,
+            counts=self.counts,
+            code_area=self.area,
+            qr_attrs=qr_attrs,
+            qr=quotient,
+            execution_time_s=time_s,
+            efficiency=efficiency,
+            percentage_of_baseline=percentage,
+            meets_threshold=percentage >= metrics.THRESHOLD_PERCENT,
+            rubric_score=score,
+            level=level,
+            flow=flow,
+            diagnostics=diagnostics,
+        )
 
 
-def _resolve_rubric(config: Config, diagnostics: list[str]) -> classifier.LevelRubric:
-    answers = dict(config.rubric)
-    for question in classifier.RUBRIC_QUESTIONS:
-        if question not in answers:
-            diagnostics.append(f"rubric answer '{question}' missing; defaulting to 1")
-            answers[question] = 1
-    return classifier.LevelRubric(answers)
+def iter_analyze(
+    paths: list[str], config: Config, *, sidecar_path: str | None = None
+) -> Iterator[FileResult]:
+    """Analyze *paths* in order, yielding each file's result when it is done.
+    ``sidecar_path`` is an explicit segmentation override file, read in place
+    of sidecar discovery; it is only meaningful for a single input."""
+    for path in paths:
+        yield _analyze_path(path, config, sidecar_path)
 
 
-def analyze(
-    paths: list[str],
-    config: Config,
-    *,
-    sidecar_path: str | None = None,
-) -> AnalysisReport:
-    """Analyze *paths* in order and assemble the aggregate report.
-
-    ``sidecar_path`` is an explicit segmentation override file, read in
-    place of sidecar discovery; it is only meaningful for a single input.
-    """
-    files: list[FileResult] = []
-    # The pipeline makes no reference cycles (tests/test_no_cycles.py), so
-    # reference counting frees each file's tokens and tree; the cyclic
-    # collector would only rescan the live ones, again and again.
+def _analyze_path(path: str, config: Config, sidecar_path: str | None) -> FileResult:
+    """One input's result.  Its text dies with this frame, so a stream holds none of it."""
+    try:
+        label, text, sidecar = _read_input(path, sidecar_path)
+    except (OSError, UnicodeDecodeError) as exc:
+        return FileResult(path=path, error=f"Io: {exc}")
+    # No reference cycles (tests/test_no_cycles.py): the collector would only rescan the live
+    # tokens and tree.  It is paused per file, never across a yield, so no caller finds it off.
     collector_was_on = gc.isenabled()
     gc.disable()
     try:
-        for path in paths:
-            try:
-                label, text, sidecar = _read_input(path, sidecar_path)
-            except (OSError, UnicodeDecodeError) as exc:
-                files.append(FileResult(path=path, error=f"Io: {exc}"))
-                continue
-            try:
-                files.append(analyze_source(text, label, config, sidecar=sidecar))
-            except Exception as exc:  # a defect here must not cost the other files
-                import logging  # here, since importing it costs every run ~8 ms
+        return analyze_source(text, label, config, sidecar=sidecar)
+    except Exception as exc:  # a defect here must not cost the other files
+        import logging  # here, since importing it costs every run ~8 ms
 
-                logging.getLogger(__name__).exception(
-                    "internal error analyzing %s", label
-                )
-                files.append(
-                    FileResult(
-                        path=label,
-                        raw_loc=_count_lines(text),
-                        error=f"InternalError: {type(exc).__name__}: {exc}",
-                    )
-                )
+        logging.getLogger(__name__).exception("internal error analyzing %s", label)
+        return FileResult(
+            path=label,
+            raw_loc=_count_lines(text),
+            error=f"InternalError: {type(exc).__name__}: {exc}",
+        )
     finally:
         if collector_was_on:
             gc.enable()
 
-    analyzed = [f for f in files if f.error is None]
-    diagnostics: list[str] = []
-    for f in files:
-        diagnostics.extend(f.diagnostics)
-        if f.error is not None:
-            diagnostics.append(f"{f.path}: {f.error}")
 
-    counts = segmenter.segment_counts([s for f in analyzed for s in f.segments])
-    area = sum((f.impact for f in analyzed), Fraction(0))
-
-    qr_attrs = _resolve_qr(config, diagnostics)
-    quotient = metrics.quality_quotient(qr_attrs)
-    if config.exec_time is None:
-        time_s = efficiency = None
-        diagnostics.append("execution time not provided; efficiency omitted")
-    else:
-        time_s = metrics.execution_time(config.exec_time, counts.total)
-        efficiency = metrics.efficiency(area, time_s, quotient)
-    percentage = metrics.baseline_percentage(area, quotient)
-
-    flow = classifier.combine_flow(
-        [f.flow for f in analyzed], exit_limit=config.flow_exit_limit
-    )
-    rubric = _resolve_rubric(config, diagnostics)
-    score = classifier.rubric_score(rubric, flow, penalty=config.flow_penalty)
-    level = classifier.classify_level(score)
-    if classifier.in_range_gap(score):
-        diagnostics.append(
-            f"level score {float(score)} falls between published ranges; "
-            f"assigned level {level.level} by closed intervals"
-        )
-
-    return AnalysisReport(
-        files=files,
-        raw_loc=sum(f.raw_loc for f in analyzed),
-        counts=counts,
-        code_area=area,
-        qr_attrs=qr_attrs,
-        qr=quotient,
-        execution_time_s=time_s,
-        efficiency=efficiency,
-        percentage_of_baseline=percentage,
-        meets_threshold=percentage >= metrics.THRESHOLD_PERCENT,
-        rubric_score=score,
-        level=level,
-        flow=flow,
-        diagnostics=diagnostics,
-    )
+def analyze(
+    paths: list[str], config: Config, *, sidecar_path: str | None = None
+) -> AnalysisReport:
+    """Analyze *paths* in order: :func:`iter_analyze`, collected and folded by :class:`Totals`."""
+    totals = Totals()
+    files = list(map(totals.add, iter_analyze(paths, config, sidecar_path=sidecar_path)))
+    return totals.report(config, files)

@@ -126,17 +126,10 @@ def flow_orderliness(
             backward += 1
         else:
             unstructured += 1
-    return _flow_report(backward, unstructured, exit_limit)
+    return flow_report(backward, unstructured, exit_limit)
 
 
-def combine_flow(reports: list[FlowReport], *, exit_limit: int) -> FlowReport:
-    """Aggregate per-file flow reports; orderliness is re-judged on totals."""
-    backward = sum(r.backward_jumps for r in reports)
-    unstructured = sum(r.unstructured_exits for r in reports)
-    return _flow_report(backward, unstructured, exit_limit)
-
-
-def _flow_report(backward: int, unstructured: int, exit_limit: int) -> FlowReport:
+def flow_report(backward: int, unstructured: int, exit_limit: int) -> FlowReport:
     """The one orderliness rule: no backward jump, few unstructured exits."""
     return FlowReport(
         backward_jumps=backward,

@@ -8,16 +8,17 @@ Exit codes: 0 on success, 1 when any input file fails to analyze,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections.abc import Iterator
 
-from .analysis import analyze
+from .analysis import Totals, iter_analyze
 from .config import REPORT_FORMATS, Config, load_config
 from .errors import CodeAreaError
 from .frontend import StatementKind
 from .metrics import QUALITY_ATTRIBUTE_NAMES
-from .report import iter_report
+from .report import stream_report
 
 EXIT_OK = 0
 EXIT_FILE_ERROR = 1
@@ -115,20 +116,27 @@ def main(argv: list[str] | None = None) -> int:
             _dump_weights(config)
             return EXIT_OK
         _pin_mmap_threshold()
-        # Aggregate-level failures (e.g. per-segment timing with an empty
-        # corpus) are configuration/input mismatches too.
-        report = analyze(args.paths, config, sidecar_path=args.segments)
+        # Files are written as they are analyzed, then dropped.  Chunks wait for a
+        # segment: per-segment timing with none is a config error, printing nothing.
+        totals = Totals()
+        aggregate = functools.cache(lambda: totals.report(config, []))
+        files = map(totals.add, iter_analyze(args.paths, config, sidecar_path=args.segments))
+        chunks = stream_report(len(args.paths), files, aggregate, config.report_format)
+        held: list[bytes] = []
+        for chunk in chunks:
+            held.append(chunk)
+            if totals.counts.total:
+                break
+        sys.stdout.buffer.writelines(held)
+        sys.stdout.buffer.writelines(chunks)  # segment by segment
     except CodeAreaError as exc:
         print(f"codearea: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    # Segment by segment, so no whole rendered file is ever held.
-    sys.stdout.buffer.writelines(iter_report(report, config.report_format))
     sys.stdout.buffer.flush()
 
-    if report.failed_files:
+    if totals.failed:
         return EXIT_FILE_ERROR
-    if args.gate and not report.meets_threshold:
+    if args.gate and not aggregate().meets_threshold:
         return EXIT_GATE_FAILED
     return EXIT_OK
 

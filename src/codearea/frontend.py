@@ -553,6 +553,9 @@ def _literal_bound(header: list[Token]) -> int | None:
         return None
     bound = got[0]
     cmp = cond[1].text
+    # C compares a negative int beside a ``u`` literal as unsigned (start, bound, one past ``>=``).
+    if "u" in (init[-1].text + cond[-1].text).lower() and min(start, bound - (cmp == ">=")) < 0:
+        return None
     texts = [t.text for t in step]
     if texts in ([var, "++"], ["++", var], [var, "+=", "1"], [var, "=", var, "+", "1"]):
         direction = 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .analysis import AnalysisReport, FileResult
 from .classifier import FlowReport
@@ -18,6 +18,8 @@ from .metrics import QUALITY_ATTRIBUTE_NAMES
 from .segmenter import SegmentCounts
 
 SCHEMA_VERSION = 1
+
+Aggregate = Callable[[], AnalysisReport]  # a report read only for its aggregate fields
 
 # Below this many cents a value has at most 15 significant digits, which
 # a 64-bit float carries exactly: its repr reads back as the value.
@@ -69,10 +71,19 @@ def iter_report(report: AnalysisReport, fmt: str = "text") -> Iterator[bytes]:
     Python with lone surrogates) as those original bytes.  JSON chunks are
     ASCII, since ``json.dumps`` escapes every string from the input.
     """
+    return stream_report(len(report.files), report.files, lambda: report, fmt)
+
+
+def stream_report(
+    count: int, files: Iterable[FileResult], aggregate: Aggregate, fmt: str = "text"
+) -> Iterator[bytes]:
+    """The chunks of :func:`iter_report` for a report of *count* files,
+    rendered as *files* yields them, then the aggregate fields of
+    ``aggregate()``, which is called after the last file."""
     if fmt == "json":
-        chunks = _json_chunks(report)
+        chunks = _json_chunks(files, aggregate)
     elif fmt == "text":
-        chunks = _text_chunks(report)
+        chunks = _text_chunks(count, files, aggregate)
     else:
         raise ValueError(f"unknown report format: {fmt!r}")
     return (chunk.encode("utf-8", "surrogateescape") for chunk in chunks)
@@ -173,9 +184,10 @@ def _file_json(f: FileResult) -> Iterator[str]:
     yield f',\n      "flow": {_flow(f.flow, "      ")}\n    }}'
 
 
-def _json_chunks(report: AnalysisReport) -> Iterator[str]:
+def _json_chunks(files: Iterable[FileResult], aggregate: Aggregate) -> Iterator[str]:
     yield f'{{\n  "v": {SCHEMA_VERSION},\n  "files": '
-    yield from _array(map(_file_json, report.files), "  ")
+    yield from _array(map(_file_json, files), "  ")
+    report = aggregate()
     attrs = ",\n".join(
         f'    "{name}": {score}'
         for name, score in zip(QUALITY_ATTRIBUTE_NAMES, report.qr_attrs.as_tuple())
@@ -229,13 +241,14 @@ def _file_text(f: FileResult) -> Iterator[str]:
     yield f"  file impact: {render2(f.impact)}\n\n"
 
 
-def _text_chunks(report: AnalysisReport) -> Iterator[str]:
+def _text_chunks(count: int, files: Iterable[FileResult], aggregate: Aggregate) -> Iterator[str]:
     yield (
         "impact-weighted code metrics\n============================\n"
-        f"files: {len(report.files)}\n\n"
+        f"files: {count}\n\n"
     )
-    for f in report.files:
+    for f in files:
         yield from _file_text(f)
+    report = aggregate()
     c = report.counts
     lines = [
         "aggregate",

@@ -23,7 +23,7 @@ from codearea import (
     iter_report,
 )
 
-from conftest import CORPUS
+from conftest import CORPUS, bench_workloads
 
 WORKED_CONFIG = Config(
     qr=QualityAttributes(1, 2, 0, 1, 2),
@@ -125,6 +125,23 @@ def test_aggregate_equals_recomputation_from_files():
     assert report.counts.total == sum(f.counts.total for f in analyzed)
     # Efficiency is recomputable from the report's own fields.
     assert report.efficiency == report.code_area / report.execution_time_s * report.qr
+
+
+@pytest.mark.parametrize("inputs", ["corpus", "source_tree"])
+def test_aggregate_counts_are_the_counts_of_every_files_segments(inputs, tmp_path, monkeypatch):
+    if inputs == "corpus":
+        paths = corpus_paths()
+    else:
+        workload = bench_workloads().generate("source_tree", 11, scale=0.05)
+        workload.write(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        paths = [f.name for f in workload.files]
+    report = analyze(paths, WORKED_CONFIG)
+    every = [seg for f in report.files for seg in f.segments]
+    assert report.counts == segmenter.segment_counts(every)
+    if inputs == "source_tree":
+        assert all(report.counts)  # each kind occurs, so each field is summed
+        assert report.failed_files  # and a failed file adds nothing
 
 
 def test_default_quality_attributes_are_flagged():

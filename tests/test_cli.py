@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -155,6 +156,18 @@ def test_missing_segments_file_fails_its_input(tmp_path, capsys):
 
 def test_exec_time_avg_with_empty_corpus_is_config_error(capsys):
     assert main(["--exec-time-avg", "2"]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exec_time_avg_with_no_segment_prints_nothing(tmp_path, capsysbinary, fmt):
+    (tmp_path / "open.c").write_text("void f() {\n    x = 1;\n", encoding="utf-8")
+    (tmp_path / "empty.c").write_text("", encoding="utf-8")
+    args = [str(tmp_path / "open.c"), str(tmp_path / "empty.c"), "--exec-time-avg", "2"]
+    assert main(args + ["--format", fmt]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    [line] = captured.err.decode().splitlines()
+    assert line.startswith("codearea: config error: ")
 
 
 def test_exec_time_flags_are_mutually_exclusive():
@@ -349,7 +362,7 @@ def test_stdout_is_the_emitted_report(tmp_path, monkeypatch, capsysbinary, case,
 
 def cli_write_peak(monkeypatch, report, fmt: str) -> int:
     """The tracemalloc peak of the CLI while it writes *report* in *fmt*."""
-    monkeypatch.setattr("codearea.cli.analyze", lambda *args, **kwargs: report)
+    monkeypatch.setattr("codearea.cli.iter_analyze", lambda *args, **kwargs: iter(report.files))
     with open(os.devnull, "wb") as discard:
         monkeypatch.setattr("sys.stdout", SimpleNamespace(buffer=discard))
         assert main(["--format", fmt]) == 0  # imports and caches come first
@@ -373,6 +386,54 @@ def test_the_cli_holds_one_rendered_file_at_a_time(monkeypatch):
     report = dataclasses.replace(corpus, files=[large])
     for fmt in ("json", "text"):
         assert cli_write_peak(monkeypatch, report, fmt) < len(emit_report(report, fmt)) / 4
+
+
+def file_results_held(monkeypatch, paths: list[str], fmt: str) -> list[float]:
+    """How many ``FileResult``s tracemalloc finds still allocated when each
+    file's analysis starts, in a CLI run on *paths* in *fmt*.  Their blocks
+    are found by the lines of ``analysis.py`` that make them, and counted
+    in units of the blocks one ``analyze_source`` result leaves."""
+    made_at = [
+        tracemalloc.Filter(True, analysis.__file__, lineno)
+        for lineno, line in enumerate(inspect.getsource(analysis).splitlines(), 1)
+        if "FileResult(" in line and not line.startswith("class ")
+    ]
+
+    def blocks() -> int:
+        snapshot = tracemalloc.take_snapshot().filter_traces(made_at)
+        return sum(stat.count for stat in snapshot.statistics("lineno"))
+
+    real_analyze_source = analysis.analyze_source
+    held = []
+
+    def counting(*args, **kwargs):
+        held.append(blocks())
+        return real_analyze_source(*args, **kwargs)
+
+    tracemalloc.start()
+    try:
+        one = real_analyze_source("x = 1;\n", "one.c", Config())
+        per_result = blocks()
+        del one
+        monkeypatch.setattr(analysis, "analyze_source", counting)
+        with open(os.devnull, "wb") as discard:
+            monkeypatch.setattr("sys.stdout", SimpleNamespace(buffer=discard))
+            assert main(paths + ["--format", fmt]) == 0
+    finally:
+        tracemalloc.stop()
+    assert per_result > 0
+    return [count / per_result for count in held]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_the_cli_holds_one_file_result_at_a_time(tmp_path, monkeypatch, fmt):
+    text = CORPUS_FILES[2].read_text(encoding="utf-8")  # segments and a loop
+    paths = []
+    for k in range(40):
+        paths.append(str(tmp_path / f"copy{k}.c"))
+        (tmp_path / f"copy{k}.c").write_text(text, encoding="utf-8")
+    held = file_results_held(monkeypatch, paths, fmt)
+    assert len(held) == len(paths) and max(held) <= 1  # the file before, if any
 
 
 BOM_INPUTS = {

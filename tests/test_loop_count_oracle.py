@@ -8,11 +8,10 @@ Wherever the package calls a count ``literal``, the evaluation must give
 that count; wherever the evaluation does not end within the step cap, the
 package must not call the count ``literal``.
 
-The package reads a ``u`` literal as a plain int, so a header that starts
-``i`` below 0 and bounds it by an unsigned literal gets a literal count C
-does not give (``for (i = -3; i < 10u; i++)`` reads 13; C runs it 0
-times).  Those headers are checked on their own, as a strict xfail, until
-the package falls back to the default for them.
+Beside an unsigned literal C compares a negative ``int i`` as a huge
+unsigned value, so a header that starts ``i`` below 0 and bounds it by a
+``u`` literal (``for (i = -3; i < 10u; i++)`` runs 0 times) must fall
+back to the default; those headers are checked on their own.
 """
 
 from __future__ import annotations
@@ -98,7 +97,9 @@ def _headers(negative_start_unsigned_bound: bool) -> list[str]:
     ]
 
 
-def _check(headers: list[str]) -> None:
+def _check(headers: list[str]) -> tuple[int, int]:
+    """Check each header; return how many are ``literal`` and how many
+    do not end."""
     # One loop per line, from line 3 on.
     source = "void f(void) {\nint i;\n" + "".join(f"for ({h}) x();\n" for h in headers) + "}\n"
     ours = dict(parse_tokens(tokenize(source)).loops)
@@ -114,16 +115,14 @@ def _check(headers: list[str]) -> None:
         if expected is None:
             unending += 1
             assert count.provenance is not CountProvenance.LITERAL_BOUND, where
-    assert literal and unending  # both rules were exercised
+    return literal, unending
 
 
 def test_literal_loop_counts_match_the_evaluated_header():
-    _check(_headers(negative_start_unsigned_bound=False))
+    literal, unending = _check(_headers(negative_start_unsigned_bound=False))
+    assert literal and unending  # both rules were exercised
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a u literal is read as a plain int: for (i = -3; i < 10u; i++) reads literal 13",
-)
 def test_a_negative_start_against_an_unsigned_bound_is_not_counted_as_ints():
-    _check(_headers(negative_start_unsigned_bound=True))
+    literal, unending = _check(_headers(negative_start_unsigned_bound=True))
+    assert unending and literal == 0  # every such header falls back

@@ -108,6 +108,24 @@ def test_a_not_equal_bound_the_step_moves_away_from_falls_back():
 
 
 @pytest.mark.parametrize(
+    "text,count",
+    [
+        ("i = -3; i < 10u; i++", None),  # -3 compares as 4294967293: 0 runs
+        ("i = 5; i >= 0u; i--", None),  # -1 compares as 4294967295: no end
+        ("i = 0; i < -10u; i++", None),  # -10u is 4294967286
+        ("i = 5; i > 0u; i--", 5),
+        ("i = 0; i <= 10U; i++", 11),
+    ],
+)
+def test_a_negative_value_beside_an_unsigned_literal_falls_back(text, count):
+    got = resolve_loop_count(header(text), default_iterations=3)
+    if count is None:
+        assert got == IterationCount(3, CountProvenance.CONFIG_DEFAULT)
+    else:
+        assert got == IterationCount(count, CountProvenance.LITERAL_BOUND)
+
+
+@pytest.mark.parametrize(
     "source,count,provenance",
     [
         ("for (i = 5; i < 3; i++) x();", 0, "literal"),

@@ -1,19 +1,24 @@
 """Analysis makes no reference cycles, and pauses the collector safely.
 
-``analysis.analyze`` disables the cyclic collector while it runs, so
-every object the pipeline makes must be freed by reference counting
-alone: a collection after an analyze and both renderings, all run with
-the collector off, must find nothing unreachable.  ``analyze`` also
-leaves the collector as it found it, on or off, whatever a file did.
+``analysis.iter_analyze`` disables the cyclic collector while it analyzes
+each file, so every object the pipeline makes must be freed by reference
+counting alone: a collection after an analyze and both renderings, or
+after a streamed CLI run, all run with the collector off, must find
+nothing unreachable that the run's own code made.  Each file's analysis
+leaves the collector as it found it, on or off, whatever the file did,
+and a stream that is suspended or dropped part way never leaves it off.
 """
 
 from __future__ import annotations
 
 import gc
+import os
+from types import SimpleNamespace
 
 import pytest
 
-from codearea import Config, analyze, emit_report, impact, iter_report
+from codearea import Config, analyze, emit_report, impact, iter_analyze, iter_report
+from codearea.cli import main
 
 from conftest import CORPUS_FILES
 
@@ -81,6 +86,33 @@ def test_streaming_the_report_leaves_no_cyclic_garbage(mixed_inputs):
             next(iter_report(report, fmt))  # a stream dropped part way
 
     assert cyclic_garbage(stream) == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_streamed_cli_run_leaves_no_cyclic_garbage(mixed_inputs, monkeypatch, fmt):
+    # The argument parser and the libc handle the CLI makes are cyclic, so
+    # a run on no file is the baseline.
+    with open(os.devnull, "wb") as discard:
+        monkeypatch.setattr("sys.stdout", SimpleNamespace(buffer=discard))
+        codes = []
+        set_up = cyclic_garbage(lambda: codes.append(main(["--format", fmt])))
+        streamed = cyclic_garbage(lambda: codes.append(main([*mixed_inputs, "--format", fmt])))
+    assert codes == [0, 1]
+    assert streamed == set_up
+
+
+def test_a_suspended_or_dropped_stream_leaves_the_collector_on(mixed_inputs):
+    was_on = gc.isenabled()
+    gc.enable()
+    try:
+        files = iter_analyze(mixed_inputs, Config())
+        next(files)
+        assert gc.isenabled()
+        next(files)
+        files.close()  # half consumed
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was_on else gc.disable)()
 
 
 @pytest.mark.parametrize("collector_on", [True, False], ids=["on", "off"])

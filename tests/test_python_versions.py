@@ -6,9 +6,9 @@ runs on one interpreter.  This test collects ``python3.10`` to
 ``CODEAREA_TEST_PYTHONS`` environment variable (separated by
 ``os.pathsep``), and keeps each one that runs and is not the interpreter
 running the suite.  On each it runs the CLI, in text and JSON, on the
-golden corpus and on one small generated file, and requires the same
-stdout bytes and exit code as the current interpreter.  It skips when it
-finds no other interpreter.
+golden corpus, on one small generated file and on a failing file between
+two good ones, and requires the same stdout bytes and exit code as the
+current interpreter.  It skips when it finds no other interpreter.
 """
 
 from __future__ import annotations
@@ -57,6 +57,13 @@ def _small_generated_file(directory) -> str:
     return file.name
 
 
+def _failing_between_good_files(directory) -> list[str]:
+    (directory / "good1.c").write_text("a = b;\nwhile (c) d();\n", encoding="utf-8")
+    (directory / "bad.c").write_text("void f() { if (a) }\n", encoding="utf-8")
+    (directory / "good2.c").write_text("for (i = 0; i < 4; i++) x();\n", encoding="utf-8")
+    return ["good1.c", "bad.c", "good2.c"]
+
+
 def _cli(python: str, args: list[str], cwd) -> tuple[int, bytes]:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
@@ -71,12 +78,13 @@ def test_cli_gives_the_same_bytes_on_every_other_python(tmp_path):
         pytest.skip("no other Python interpreter found")
     golden = [str(p.relative_to(REPO_ROOT)) for p in sorted(CORPUS.glob("*.c"))]
     runs = [
-        (REPO_ROOT, golden + ["--exec-time", "88", "--qr", "1,2,0,1,2"]),
-        (tmp_path, [_small_generated_file(tmp_path)]),
+        (REPO_ROOT, golden + ["--exec-time", "88", "--qr", "1,2,0,1,2"], 0),
+        (tmp_path, [_small_generated_file(tmp_path)], 0),
+        (tmp_path, _failing_between_good_files(tmp_path), 1),
     ]
-    for cwd, args in runs:
+    for cwd, args, exit_code in runs:
         for fmt in ("text", "json"):
             want = _cli(sys.executable, args + ["--format", fmt], cwd)
-            assert want[1]
+            assert want[0] == exit_code and want[1]
             for python in others:
                 assert _cli(python, args + ["--format", fmt], cwd) == want, (python, fmt)
