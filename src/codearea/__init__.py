@@ -10,73 +10,29 @@ four-tier quality level.
 
 from .analysis import AnalysisReport, FileResult, analyze, analyze_source, iter_analyze
 from .classifier import (
-    FlowReport,
-    LevelRubric,
-    QualityLevel,
-    RUBRIC_QUESTIONS,
-    classify_level,
-    flow_orderliness,
+    FlowReport, LevelRubric, QualityLevel, RUBRIC_QUESTIONS, classify_level, flow_orderliness,
     rubric_score,
 )
 from .config import Config, load_config
 from .errors import (
-    AttributeOutOfRangeError,
-    CodeAreaError,
-    ConfigError,
-    ConfigParseError,
-    IncompleteRubricError,
-    InvalidWeightError,
-    MalformedHeaderError,
-    NegativeIterationsError,
-    NestingTooDeepError,
-    NonPositiveTimeError,
-    ScoreOutOfRangeError,
-    SegmentOverrideError,
-    UnbalancedBracesError,
-    UnknownKeyError,
-    ZeroSegmentsError,
+    AttributeOutOfRangeError, CodeAreaError, ConfigError, ConfigParseError, IncompleteRubricError,
+    InvalidWeightError, MalformedHeaderError, NegativeIterationsError, NestingTooDeepError,
+    NonPositiveTimeError, ScoreOutOfRangeError, SegmentOverrideError, UnbalancedBracesError,
+    UnknownKeyError, ZeroSegmentsError,
 )
 from .frontend import (
-    BlockNode,
-    ConditionBlock,
-    CountProvenance,
-    ExceptionBlock,
-    FunctionDef,
-    IterationCount,
-    LoopBlock,
-    Statement,
-    StatementKind,
-    Token,
-    TokenKind,
-    classify_statement,
-    parse_tokens,
-    reconstruct,
-    resolve_loop_count,
-    tokenize,
+    BlockNode, ConditionBlock, CountProvenance, ExceptionBlock, FunctionDef, IterationCount,
+    LoopBlock, Statement, StatementKind, Token, TokenKind, classify_statement, parse_tokens,
+    reconstruct, resolve_loop_count, tokenize,
 )
-from .impact import (
-    DEFAULT_WEIGHTS,
-    WeightTable,
-    block_impact,
-    segment_impact,
-)
+from .impact import DEFAULT_WEIGHTS, WeightTable, block_impact, segment_impact
 from .metrics import (
-    PerSegmentAverage,
-    QualityAttributes,
-    TotalSeconds,
-    baseline_percentage,
-    code_area,
-    efficiency,
-    execution_time,
-    quality_quotient,
+    PerSegmentAverage, QualityAttributes, TotalSeconds, baseline_percentage, code_area, efficiency,
+    execution_time, quality_quotient,
 )
 from .report import emit_report, iter_report
 from .segmenter import (
-    CodeSegment,
-    SegmentKind,
-    apply_segment_overrides,
-    parse_segment_overrides,
-    segment,
+    CodeSegment, SegmentKind, apply_segment_overrides, parse_segment_overrides, segment,
     segment_counts,
 )
 

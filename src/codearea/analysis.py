@@ -18,38 +18,44 @@ from __future__ import annotations
 
 import gc
 import operator
+import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
+from typing import NamedTuple
 
 from . import classifier, impact, metrics, segmenter
 from .config import Config
 from .errors import SegmentOverrideError, SourceError
 from .frontend import CountProvenance, IterationCount, parse_tokens, tokenize
+from .records import Record
 from .segmenter import ScoredSegment, SegmentCounts
 
 STDIN_PATH = "-"
 STDIN_LABEL = "<stdin>"
 
 
-@dataclass
-class FileResult:
-    path: str
-    raw_loc: int = 0
-    segments: list[ScoredSegment] = field(default_factory=list)
-    counts: SegmentCounts = SegmentCounts(0, 0, 0, 0, 0)
-    impact: Fraction = Fraction(0)
-    loops: list[tuple[int, IterationCount]] = field(default_factory=list)  # (line, count)
-    flow: classifier.FlowReport = classifier.FlowReport(0, 0, True)
-    diagnostics: list[str] = field(default_factory=list)
-    error: str | None = None
-    error_line: int | None = None
+class FileResult(Record):
+    """One file's outcome.  ``loops`` holds ``(line, count)`` pairs; a failed
+    file has an ``error``, with its ``error_line`` when known.  A list left
+    as None starts empty."""
+
+    __slots__ = _fields = ("path", "raw_loc", "segments", "counts", "impact", "loops", "flow",
+                           "diagnostics", "error", "error_line")
+
+    def __init__(self, path: str, raw_loc: int = 0, segments: list[ScoredSegment] | None = None,
+                 counts: SegmentCounts = SegmentCounts(0, 0, 0, 0, 0),
+                 impact: Fraction = Fraction(0),
+                 loops: list[tuple[int, IterationCount]] | None = None,
+                 flow: classifier.FlowReport = classifier.FlowReport(0, 0, True),
+                 diagnostics: list[str] | None = None, error: str | None = None,
+                 error_line: int | None = None):
+        self._set(path, raw_loc, [] if segments is None else segments, counts, impact,
+                  [] if loops is None else loops, flow, [] if diagnostics is None else diagnostics,
+                  error, error_line)
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     files: list[FileResult]
     raw_loc: int
     counts: SegmentCounts
@@ -86,12 +92,12 @@ def analyze_source(
     """Analyze one file's contents, without a leading UTF-8 byte-order
     mark; parse errors land on the result."""
     text = text.removeprefix("\ufeff")
-    result = FileResult(path=path, raw_loc=_count_lines(text))
+    raw_loc = _count_lines(text)
     tokens = tokenize(text)
-    for ch, line in tokens.unknown:
-        result.diagnostics.append(
-            f"{path}:{line}: unknown character {ch!r} tokenized as punctuation"
-        )
+    diagnostics = [
+        f"{path}:{line}: unknown character {ch!r} tokenized as punctuation"
+        for ch, line in tokens.unknown
+    ]
     try:
         parsed = parse_tokens(
             tokens,
@@ -105,27 +111,23 @@ def analyze_source(
         else:
             segments = segmenter.segment(parsed.tree)
     except (SourceError, SegmentOverrideError) as exc:
-        result.error = f"{type(exc).__name__}: {exc}"
-        result.error_line = getattr(exc, "line", None)
-        return result
-    result.diagnostics.extend(f"{path}: {d}" for d in parsed.diagnostics)
-    result.segments = [
+        error = f"{type(exc).__name__}: {exc}"
+        return FileResult(path, raw_loc, diagnostics=diagnostics, error=error,
+                          error_line=getattr(exc, "line", None))
+    diagnostics += (f"{path}: {d}" for d in parsed.diagnostics)
+    diagnostics += (
+        f"{path}:{line}: loop bound not statically "
+        f"resolvable; using default count {count.value}"
+        for line, count in parsed.loops
+        if count.provenance is CountProvenance.CONFIG_DEFAULT
+    )
+    scored = [
         ScoredSegment(seg.kind, seg.span, impact.segment_impact(seg, config.weights))
         for seg in segments
     ]
-    result.counts = segmenter.segment_counts(result.segments)
-    result.impact = metrics.code_area(result.segments)
-    result.loops = parsed.loops
-    for line, count in parsed.loops:
-        if count.provenance is CountProvenance.CONFIG_DEFAULT:
-            result.diagnostics.append(
-                f"{path}:{line}: loop bound not statically "
-                f"resolvable; using default count {count.value}"
-            )
-    result.flow = classifier.flow_orderliness(
-        parsed.flow, exit_limit=config.flow_exit_limit
-    )
-    return result
+    flow = classifier.flow_orderliness(parsed.flow, exit_limit=config.flow_exit_limit)
+    return FileResult(path, raw_loc, scored, segmenter.segment_counts(scored),
+                      metrics.code_area(scored), parsed.loops, flow, diagnostics)
 
 
 def _read_input(path: str, sidecar_path: str | None) -> tuple[str, str, str | None]:
@@ -135,26 +137,32 @@ def _read_input(path: str, sidecar_path: str | None) -> tuple[str, str, str | No
     if path == STDIN_PATH:
         label, text = STDIN_LABEL, sys.stdin.read()
     else:
-        label, text = path, Path(path).read_text(encoding="utf-8")
-        if sidecar_path is None and Path(path + ".segments").is_file():
+        label, text = path, _read(path, "utf-8")
+        if sidecar_path is None and os.path.isfile(path + ".segments"):
             sidecar_path = path + ".segments"
     if sidecar_path is None:
         return label, text, None
-    return label, text, Path(sidecar_path).read_text(encoding="utf-8-sig")
+    return label, text, _read(sidecar_path, "utf-8-sig")
 
 
-@dataclass
-class Totals:
+def _read(path: str, encoding: str) -> str:
+    with open(path, encoding=encoding) as file:
+        return file.read()
+
+
+class Totals(Record):
     """What the aggregate reads of the files, folded one at a time: the analyzed
-    files' raw LOC, segment counts, area and flow; every file's diagnostics and failure."""
+    files' raw LOC, segment counts, area, backward jumps and unstructured exits;
+    every file's diagnostics (None starts an empty list), and the number that failed."""
 
-    raw_loc: int = 0
-    counts: SegmentCounts = SegmentCounts(0, 0, 0, 0, 0)
-    area: Fraction = Fraction(0)
-    backward: int = 0  # backward jumps
-    unstructured: int = 0  # unstructured exits
-    diagnostics: list[str] = field(default_factory=list)
-    failed: int = 0
+    __slots__ = _fields = ("raw_loc", "counts", "area", "backward", "unstructured",
+                           "diagnostics", "failed")
+
+    def __init__(self, raw_loc: int = 0, counts: SegmentCounts = SegmentCounts(0, 0, 0, 0, 0),
+                 area: Fraction = Fraction(0), backward: int = 0, unstructured: int = 0,
+                 diagnostics: list[str] | None = None, failed: int = 0):
+        diagnostics = [] if diagnostics is None else diagnostics
+        self._set(raw_loc, counts, area, backward, unstructured, diagnostics, failed)
 
     def add(self, f: FileResult) -> FileResult:
         """Fold *f* in and return it, so ``map(totals.add, files)`` folds a stream."""

@@ -15,8 +15,8 @@ at most a configured number of unstructured exits (forward or unresolved
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import IncompleteRubricError, ScoreOutOfRangeError
 from .frontend import FlowFacts
@@ -33,15 +33,13 @@ DEFAULT_FLOW_EXIT_LIMIT = 2
 DEFAULT_FLOW_PENALTY = Fraction(1)
 
 
-@dataclass(frozen=True)
-class FlowReport:
+class FlowReport(NamedTuple):
     backward_jumps: int
     unstructured_exits: int
     orderly: bool
 
 
-@dataclass(frozen=True)
-class QualityLevel:
+class QualityLevel(NamedTuple):
     level: int
     low: Fraction   # inclusive
     high: Fraction  # exclusive, except level 1 which includes 10
@@ -75,8 +73,7 @@ def in_range_gap(score: Fraction | int | float) -> bool:
     return any(low < value < high for low, high in _GAPS)
 
 
-@dataclass(frozen=True)
-class LevelRubric:
+class LevelRubric(NamedTuple):
     """Answers to the five rubric questions, each 0, 1, or 2."""
 
     answers: dict[str, int]

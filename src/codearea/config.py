@@ -43,11 +43,9 @@ errors.
 
 from __future__ import annotations
 
-import configparser
-from dataclasses import dataclass, field, replace
+import os
 from fractions import Fraction
 from itertools import chain
-from pathlib import Path
 from typing import Iterable
 
 from .classifier import (
@@ -65,6 +63,7 @@ from .metrics import (
     QualityAttributes,
     TotalSeconds,
 )
+from .records import FrozenRecord
 
 REPORT_FORMATS = ("text", "json")
 _SECTIONS = ("weights", "qr", "rubric", "analysis")
@@ -86,17 +85,23 @@ _BOOL_VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class Config:
-    weights: WeightTable = field(default_factory=WeightTable)
-    default_iterations: int = 1
-    qr: QualityAttributes | None = None
-    rubric: dict[str, int] = field(default_factory=dict)
-    exec_time: ExecutionTimeModel | None = None
-    flow_exit_limit: int = DEFAULT_FLOW_EXIT_LIMIT
-    flow_penalty: Fraction = DEFAULT_FLOW_PENALTY
-    report_format: str = "text"
-    init_termination_calls: frozenset[str] = DEFAULT_INIT_TERMINATION_CALLS
+class Config(FrozenRecord):
+    """The settings of a run.  ``weights`` left as None is a new default
+    table, and ``rubric`` a new empty dict."""
+
+    __slots__ = _fields = ("weights", "default_iterations", "qr", "rubric", "exec_time",
+                           "flow_exit_limit", "flow_penalty", "report_format",
+                           "init_termination_calls")
+
+    def __init__(self, weights: WeightTable | None = None, default_iterations: int = 1,
+                 qr: QualityAttributes | None = None, rubric: dict[str, int] | None = None,
+                 exec_time: ExecutionTimeModel | None = None,
+                 flow_exit_limit: int = DEFAULT_FLOW_EXIT_LIMIT,
+                 flow_penalty: Fraction = DEFAULT_FLOW_PENALTY, report_format: str = "text",
+                 init_termination_calls: frozenset[str] = DEFAULT_INIT_TERMINATION_CALLS):
+        self._set(WeightTable() if weights is None else weights, default_iterations, qr,
+                  {} if rubric is None else rubric, exec_time, flow_exit_limit, flow_penalty,
+                  report_format, init_termination_calls)
 
 
 def _fraction(value: str, context: str) -> Fraction:
@@ -145,7 +150,7 @@ def _parse_rubric(items: dict[str, str]) -> dict[str, int]:
 
 
 def load_config(
-    path: str | Path | None = None,
+    path: str | os.PathLike[str] | None = None,
     flags: Iterable[tuple[str, str, dict[str, str]]] = (),
 ) -> Config:
     """Load a configuration file, or the documented defaults when absent,
@@ -154,12 +159,14 @@ def load_config(
     ``exec_time``/``exec_time_avg`` number is reported under *name*."""
     sections = []
     if path is not None:
+        import configparser  # here, since only a run given a file needs it
+
         parser = configparser.ConfigParser(
             interpolation=None, inline_comment_prefixes=(";", "#")
         )
         try:
-            text = Path(path).read_text(encoding="utf-8-sig")
-            parser.read_string(text, source=str(path))
+            with open(path, encoding="utf-8-sig") as file:
+                parser.read_file(file, source=str(path))
         except OSError as exc:
             raise ConfigParseError(f"cannot read config: {exc}") from None
         except configparser.Error as exc:
@@ -179,11 +186,11 @@ def load_config(
     for where, section, items in chain(sections, flags):
         if section == "weights":
             weights = {**config.weights.weights, **_parse_weights(items)}
-            config = replace(config, weights=replace(config.weights, weights=weights))
+            config = config._replace(weights=config.weights._replace(weights=weights))
         elif section == "qr":
-            config = replace(config, qr=_parse_qr(items, where))
+            config = config._replace(qr=_parse_qr(items, where))
         elif section == "rubric":
-            config = replace(config, rubric=_parse_rubric(items))
+            config = config._replace(rubric=_parse_rubric(items))
         else:
             config = _apply_analysis(config, items, where)
     return config
@@ -202,31 +209,29 @@ def _apply_analysis(config: Config, items: dict[str, str], where: str | None) ->
             value = parse(items[key], f"analysis.{key}")
             if value < 0:
                 raise ConfigParseError(f"{key} must be >= 0")
-            config = replace(config, **{key: value})
+            config = config._replace(**{key: value})
     for key, model in (("exec_time", TotalSeconds), ("exec_time_avg", PerSegmentAverage)):
         if key in items:
             seconds = _fraction(items[key], where or f"analysis.{key}")
-            config = replace(config, exec_time=model(seconds))
+            config = config._replace(exec_time=model(seconds))
     if "exception_multiplier" in items:
         raw = items["exception_multiplier"].strip().lower()
         if raw not in _BOOL_VALUES:
             raise ConfigParseError(
                 f"analysis.exception_multiplier must be on/off, got {raw!r}"
             )
-        weights = replace(
-            config.weights, exception_multiplier_enabled=_BOOL_VALUES[raw]
-        )
-        config = replace(config, weights=weights)
+        weights = config.weights._replace(exception_multiplier_enabled=_BOOL_VALUES[raw])
+        config = config._replace(weights=weights)
     if "report_format" in items:
         fmt = items["report_format"].strip().lower()
         if fmt not in REPORT_FORMATS:
             raise ConfigParseError(f"report_format must be text or json, got {fmt!r}")
-        config = replace(config, report_format=fmt)
+        config = config._replace(report_format=fmt)
     if "init_termination_calls" in items:
         names = frozenset(
             name.strip()
             for name in items["init_termination_calls"].split(",")
             if name.strip()
         )
-        config = replace(config, init_termination_calls=names)
+        config = config._replace(init_termination_calls=names)
     return config

@@ -32,7 +32,7 @@ builds a :class:`Token` on demand, and its ``lead``, like the stream's
 index.  Each statement's tokens are walked once: the scan that finds
 where a statement ends also gathers what the classification rules read,
 and :func:`classify_statement` applies the same scan and rules to any
-token sequence.  Block nodes are slotted dataclasses and hold no tokens,
+token sequence.  Block nodes are slotted classes and hold no tokens,
 so ``analysis.analyze_source`` drops the stream once it is parsed.  A
 :class:`Statement` keeps its first and last lines, not a span pair.
 
@@ -53,7 +53,6 @@ import enum
 import re
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -62,6 +61,7 @@ from .errors import (
     NestingTooDeepError,
     UnbalancedBracesError,
 )
+from .records import Record
 
 # ---------------------------------------------------------------------------
 # Tokens
@@ -422,8 +422,7 @@ class CountProvenance(enum.Enum):
     CONFIG_DEFAULT = "default"
 
 
-@dataclass(frozen=True, slots=True)
-class IterationCount:
+class IterationCount(NamedTuple):
     value: int
     provenance: CountProvenance
 
@@ -431,43 +430,43 @@ class IterationCount:
 Span = tuple[int, int]  # inclusive 1-based line range
 
 
-@dataclass(slots=True)
-class Statement:
-    kind: StatementKind
-    first: int  # the statement's first and last line
-    last: int
+class Statement(Record):
+    __slots__ = _fields = ("kind", "first", "last")  # first and last: the statement's lines
+
+    def __init__(self, kind: StatementKind, first: int, last: int):
+        self.kind, self.first, self.last = kind, first, last
 
     @property
     def span(self) -> Span:
         return (self.first, self.last)
 
 
-@dataclass(slots=True)
-class ConditionBlock:
-    branches: list[list["BlockNode"]]
-    span: Span
-    from_switch: bool = False
+class ConditionBlock(Record):
+    __slots__ = _fields = ("branches", "span", "from_switch")
+
+    def __init__(self, branches: list[list[BlockNode]], span: Span, from_switch: bool = False):
+        self.branches, self.span, self.from_switch = branches, span, from_switch
 
 
-@dataclass(slots=True)
-class LoopBlock:
-    count: IterationCount
-    body: list["BlockNode"]
-    span: Span
+class LoopBlock(Record):
+    __slots__ = _fields = ("count", "body", "span")
+
+    def __init__(self, count: IterationCount, body: list[BlockNode], span: Span):
+        self.count, self.body, self.span = count, body, span
 
 
-@dataclass(slots=True)
-class ExceptionBlock:
-    handlers: int
-    body: list["BlockNode"]
-    span: Span
+class ExceptionBlock(Record):
+    __slots__ = _fields = ("handlers", "body", "span")
+
+    def __init__(self, handlers: int, body: list[BlockNode], span: Span):
+        self.handlers, self.body, self.span = handlers, body, span
 
 
-@dataclass(slots=True)
-class FunctionDef:
-    name: str
-    body: list["BlockNode"]
-    span: Span
+class FunctionDef(Record):
+    __slots__ = _fields = ("name", "body", "span")
+
+    def __init__(self, name: str, body: list[BlockNode], span: Span):
+        self.name, self.body, self.span = name, body, span
 
 
 BlockNode = Statement | ConditionBlock | LoopBlock | ExceptionBlock | FunctionDef

@@ -16,9 +16,7 @@ when a report is rendered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping
 
 from .errors import InvalidWeightError
@@ -31,6 +29,7 @@ from .frontend import (
     Statement,
     StatementKind,
 )
+from .records import FrozenRecord
 from .segmenter import CodeSegment
 
 ImpactScore = Fraction
@@ -48,34 +47,32 @@ DEFAULT_WEIGHTS: dict[StatementKind, Fraction] = {
 }
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Weight per statement kind, total over all kinds, each in [0, 1]."""
+class WeightTable(FrozenRecord):
+    """Weight per statement kind, total over all kinds, each in [0, 1].
+    ``scaled`` holds each weight's numerator over the table's least common
+    denominator, and that denominator."""
 
-    weights: Mapping[StatementKind, Fraction] = field(
-        default_factory=lambda: dict(DEFAULT_WEIGHTS)
-    )
-    exception_multiplier_enabled: bool = True
+    _fields = ("weights", "exception_multiplier_enabled")
+    __slots__ = (*_fields, "scaled")
 
-    def __post_init__(self):
+    def __init__(self, weights: Mapping[StatementKind, Fraction] | None = None,
+                 exception_multiplier_enabled: bool = True):
+        weights = dict(DEFAULT_WEIGHTS) if weights is None else weights
         for kind in StatementKind:
-            if kind not in self.weights:
+            if kind not in weights:
                 raise InvalidWeightError(f"missing weight for {kind.value}")
-            w = self.weights[kind]
+            w = weights[kind]
             if not (0 <= w <= 1):
                 raise InvalidWeightError(
                     f"weight for {kind.value} must be in [0, 1], got {w}"
                 )
+        self._set(weights, exception_multiplier_enabled)
+        denominator = math.lcm(*(w.denominator for w in weights.values()))
+        scaled = {k: int(w * denominator) for k, w in weights.items()}, denominator
+        object.__setattr__(self, "scaled", scaled)
 
     def weight(self, kind: StatementKind) -> Fraction:
         return self.weights[kind]
-
-    @cached_property
-    def scaled(self) -> tuple[dict[StatementKind, int], int]:
-        """Each weight's numerator over the table's least common
-        denominator, and that denominator."""
-        denominator = math.lcm(*(w.denominator for w in self.weights.values()))
-        return {k: int(w * denominator) for k, w in self.weights.items()}, denominator
 
 
 def _impact(nodes: list[BlockNode], weights: WeightTable) -> ImpactScore:

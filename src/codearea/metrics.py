@@ -11,7 +11,6 @@ as meeting the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -19,6 +18,7 @@ from .errors import (
     NonPositiveTimeError,
     ZeroSegmentsError,
 )
+from .records import FrozenRecord
 from .segmenter import ScoredSegment
 
 BASELINE_LOC = 100_000
@@ -34,44 +34,43 @@ QUALITY_ATTRIBUTE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class QualityAttributes:
+class QualityAttributes(FrozenRecord):
     """Five attribute scores, each 0 (absent), 1 (partial), or 2 (present)."""
 
-    security: int = 1
-    execution_time: int = 1
-    user_friendliness: int = 1
-    other_metrics: int = 1
-    environment_selection: int = 1
+    __slots__ = _fields = QUALITY_ATTRIBUTE_NAMES
 
-    def __post_init__(self):
-        for name in QUALITY_ATTRIBUTE_NAMES:
-            value = getattr(self, name)
+    def __init__(self, security: int = 1, execution_time: int = 1, user_friendliness: int = 1,
+                 other_metrics: int = 1, environment_selection: int = 1):
+        values = (
+            security, execution_time, user_friendliness, other_metrics, environment_selection
+        )
+        for name, value in zip(self._fields, values):
             if value not in (0, 1, 2):
-                raise AttributeOutOfRangeError(
-                    f"{name} must be 0, 1, or 2, got {value!r}"
-                )
+                raise AttributeOutOfRangeError(f"{name} must be 0, 1, or 2, got {value!r}")
+        self._set(*values)
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return tuple(getattr(self, name) for name in QUALITY_ATTRIBUTE_NAMES)
+        return self._values()
 
 
-@dataclass(frozen=True)
-class _Seconds:
+class _Seconds(FrozenRecord):
     """A time in seconds, which must be positive."""
 
-    seconds: Fraction
+    __slots__ = _fields = ("seconds",)
 
-    def __post_init__(self):
-        if self.seconds <= 0:
-            raise NonPositiveTimeError(f"{self.what} must be > 0, got {self.seconds}")
+    def __init__(self, seconds: Fraction):
+        if seconds <= 0:
+            raise NonPositiveTimeError(f"{self.what} must be > 0, got {seconds}")
+        self._set(seconds)
 
 
 class TotalSeconds(_Seconds):
+    __slots__ = ()
     what = "total time"
 
 
 class PerSegmentAverage(_Seconds):
+    __slots__ = ()
     what = "per-segment time"
 
 

@@ -246,44 +246,25 @@ def _text_chunks(count: int, files: Iterable[FileResult], aggregate: Aggregate) 
         "impact-weighted code metrics\n============================\n"
         f"files: {count}\n\n"
     )
-    for f in files:
-        yield from _file_text(f)
+    for chunks in map(_file_text, files):  # binds no result while the next is made
+        yield from chunks
     report = aggregate()
-    c = report.counts
-    lines = [
-        "aggregate",
-        "---------",
-        f"  raw LOC:           {report.raw_loc}",
+    c, flow, time_s = report.counts, report.flow, report.execution_time_s
+    yield (
+        "aggregate\n---------\n"
+        f"  raw LOC:           {report.raw_loc}\n"
         f"  segments:          SL={c.simple} CL={c.condition} LL={c.loop} "
-        f"EL={c.exception} total={c.total}",
-        f"  code area:         {render2(report.code_area)}",
-    ]
-    if report.execution_time_s is None:
-        lines.append("  execution time:    n/a")
-        lines.append("  efficiency:        n/a")
-    else:
-        lines.append(f"  execution time:    {render2(report.execution_time_s)} s")
-        lines.append(f"  efficiency:        {render2(report.efficiency)}")
-    lines.append(
-        f"  quality quotient:  {report.qr}/10 "
-        f"({render2(Fraction(report.qr, 10))} normalized)"
-    )
-    met = "met" if report.meets_threshold else "not met"
-    lines.append(
+        f"EL={c.exception} total={c.total}\n"
+        f"  code area:         {render2(report.code_area)}\n"
+        f"  execution time:    {'n/a' if time_s is None else render2(time_s) + ' s'}\n"
+        f"  efficiency:        {'n/a' if time_s is None else render2(report.efficiency)}\n"
+        f"  quality quotient:  {report.qr}/10 ({render2(Fraction(report.qr, 10))} normalized)\n"
         f"  baseline:          {render2(report.percentage_of_baseline)}% "
-        f"(75% threshold {met})"
-    )
-    lines.append(
-        f"  level:             {report.level.level} "
-        f"(score {render2(report.rubric_score)})"
-    )
-    flow_state = "orderly" if report.flow.orderly else "not orderly"
-    lines.append(
-        f"  flow:              {flow_state} "
-        f"(backward={report.flow.backward_jumps}, "
-        f"unstructured={report.flow.unstructured_exits})"
+        f"(75% threshold {'met' if report.meets_threshold else 'not met'})\n"
+        f"  level:             {report.level.level} (score {render2(report.rubric_score)})\n"
+        f"  flow:              {'orderly' if flow.orderly else 'not orderly'} "
+        f"(backward={flow.backward_jumps}, unstructured={flow.unstructured_exits})\n"
     )
     if report.diagnostics:
-        lines += ["", "diagnostics", "-----------"]
-        lines += (f"  - {diag}" for diag in report.diagnostics)
-    yield "\n".join(lines) + "\n"
+        yield "\ndiagnostics\n-----------\n"
+        yield from (f"  - {diag}\n" for diag in report.diagnostics)

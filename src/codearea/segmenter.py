@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -46,8 +45,7 @@ class SegmentKind(enum.Enum):
     EL = "EL"  # exception-handling lines
 
 
-@dataclass
-class CodeSegment:
+class CodeSegment(NamedTuple):
     kind: SegmentKind
     nodes: list[BlockNode]
     span: Span
@@ -140,8 +138,7 @@ def segment_counts(segments: list[CodeSegment] | list[ScoredSegment]) -> Segment
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SegmentOverride:
+class SegmentOverride(NamedTuple):
     start: int
     end: int
     kind: SegmentKind

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import enum
 import json
 import weakref
 from fractions import Fraction
@@ -174,15 +174,22 @@ def test_nested_loops_are_reported_in_pre_order():
 
 
 def _reachable(value):
-    """Every object reachable through dataclass fields, lists and tuples."""
+    """Every object reachable through slots, lists and tuples (named ones
+    included), down to strings, numbers, enum members and None.  Any other
+    object, which this walk cannot see into, raises."""
     stack, seen = [value], []
     while stack:
         obj = stack.pop()
         seen.append(obj)
-        if dataclasses.is_dataclass(obj):
-            stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
-        elif isinstance(obj, (list, tuple)):
+        if isinstance(obj, (str, int, Fraction, enum.Enum, type(None))):
+            continue
+        if isinstance(obj, (list, tuple)):
             stack.extend(obj)
+        elif hasattr(type(obj), "__slots__") and not hasattr(obj, "__dict__"):
+            slots = (name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ()))
+            stack.extend(getattr(obj, name) for name in slots)
+        else:
+            raise TypeError(f"cannot see into {obj!r}")
     return seen
 
 

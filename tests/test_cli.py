@@ -1,7 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
-import inspect
+import gc
 import io
 import json
 import os
@@ -14,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from codearea import (
-    Config, QualityAttributes, TotalSeconds, analysis, analyze, emit_report,
+    Config, FileResult, QualityAttributes, TotalSeconds, analysis, analyze, emit_report,
 )
 from codearea.cli import _pin_mmap_threshold, main
 
@@ -376,53 +375,44 @@ def cli_write_peak(monkeypatch, report, fmt: str) -> int:
 
 def test_the_cli_holds_one_rendered_file_at_a_time(monkeypatch):
     corpus = analyze(corpus_args(), WORKED_EXAMPLE_CONFIG)
-    report = dataclasses.replace(corpus, files=corpus.files * 100)
+    report = corpus._replace(files=corpus.files * 100)
     assert cli_write_peak(monkeypatch, report, "json") < len(emit_report(report, "json")) / 4
     # Nor a whole large file: it is written a segment at a time.
     loops = next(f for f in corpus.files if f.loops)
-    large = dataclasses.replace(
-        loops, segments=loops.segments * 2000, loops=loops.loops * 2000
-    )
-    report = dataclasses.replace(corpus, files=[large])
+    large = loops._replace(segments=loops.segments * 2000, loops=loops.loops * 2000)
+    report = corpus._replace(files=[large])
     for fmt in ("json", "text"):
         assert cli_write_peak(monkeypatch, report, fmt) < len(emit_report(report, fmt)) / 4
 
 
-def file_results_held(monkeypatch, paths: list[str], fmt: str) -> list[float]:
-    """How many ``FileResult``s tracemalloc finds still allocated when each
-    file's analysis starts, in a CLI run on *paths* in *fmt*.  Their blocks
-    are found by the lines of ``analysis.py`` that make them, and counted
-    in units of the blocks one ``analyze_source`` result leaves."""
-    made_at = [
-        tracemalloc.Filter(True, analysis.__file__, lineno)
-        for lineno, line in enumerate(inspect.getsource(analysis).splitlines(), 1)
-        if "FileResult(" in line and not line.startswith("class ")
-    ]
+def file_results_held(monkeypatch, paths: list[str], fmt: str) -> list[int]:
+    """How many ``FileResult``s are alive when each file's analysis starts,
+    in a CLI run on *paths* in *fmt*, beyond those alive before the run.
 
-    def blocks() -> int:
-        snapshot = tracemalloc.take_snapshot().filter_traces(made_at)
-        return sum(stat.count for stat in snapshot.statistics("lineno"))
+    They are counted among the objects the collector tracks, which is exact.
+    Counting tracemalloc blocks by the lines that make a result is not: an
+    argument tuple that CPython keeps on its tuple free list stays traced
+    at the line of the call that made it."""
+
+    def alive() -> int:
+        return sum(type(obj) is FileResult for obj in gc.get_objects())
 
     real_analyze_source = analysis.analyze_source
     held = []
 
     def counting(*args, **kwargs):
-        held.append(blocks())
+        held.append(alive() - before)
         return real_analyze_source(*args, **kwargs)
 
-    tracemalloc.start()
-    try:
-        one = real_analyze_source("x = 1;\n", "one.c", Config())
-        per_result = blocks()
-        del one
-        monkeypatch.setattr(analysis, "analyze_source", counting)
-        with open(os.devnull, "wb") as discard:
-            monkeypatch.setattr("sys.stdout", SimpleNamespace(buffer=discard))
-            assert main(paths + ["--format", fmt]) == 0
-    finally:
-        tracemalloc.stop()
-    assert per_result > 0
-    return [count / per_result for count in held]
+    before = alive()
+    one = real_analyze_source("x = 1;\n", "one.c", Config())
+    assert alive() == before + 1  # the count sees a result
+    del one
+    monkeypatch.setattr(analysis, "analyze_source", counting)
+    with open(os.devnull, "wb") as discard:
+        monkeypatch.setattr("sys.stdout", SimpleNamespace(buffer=discard))
+        assert main(paths + ["--format", fmt]) == 0
+    return held
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -433,7 +423,7 @@ def test_the_cli_holds_one_file_result_at_a_time(tmp_path, monkeypatch, fmt):
         paths.append(str(tmp_path / f"copy{k}.c"))
         (tmp_path / f"copy{k}.c").write_text(text, encoding="utf-8")
     held = file_results_held(monkeypatch, paths, fmt)
-    assert len(held) == len(paths) and max(held) <= 1  # the file before, if any
+    assert len(held) == len(paths) and max(held) == 0
 
 
 BOM_INPUTS = {

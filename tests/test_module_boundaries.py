@@ -3,11 +3,15 @@
 Every other module works on the block tree, whose statements carry
 their kind and line span but no tokens.  The parser records the jumps
 that flow analysis reads, so the classifier needs no block node type.
+Importing the CLI loads none of the modules that only slow its start.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "codearea"
@@ -39,3 +43,20 @@ def test_only_the_front_end_imports_token_types():
 
 def test_the_classifier_uses_no_block_node_type():
     assert "classifier.py" not in _importers(NODE_NAMES)
+
+
+# ``dataclasses`` builds each class by generating and exec-ing code, and it
+# imports ``inspect``, which imports ``ast`` and ``dis``; ``configparser``
+# is only needed for ``--config``, and ``pathlib`` interns every path part.
+SLOW_TO_IMPORT = ("dataclasses", "inspect", "ast", "dis", "configparser", "pathlib")
+
+
+def test_importing_the_cli_loads_no_slow_module():
+    # -S skips site, which may import some of these itself.
+    probe = "import sys, codearea.cli; print(*sorted(set(sys.argv[1:]) & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *SLOW_TO_IMPORT],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert loaded == []

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -412,9 +411,9 @@ def _without_comments_on(nodes, lines):
                 kept.append(node)
         elif isinstance(node, ConditionBlock):
             branches = [_without_comments_on(b, lines) for b in node.branches]
-            kept.append(replace(node, branches=branches))
+            kept.append(node._replace(branches=branches))
         else:
-            kept.append(replace(node, body=_without_comments_on(node.body, lines)))
+            kept.append(node._replace(body=_without_comments_on(node.body, lines)))
     return kept
 
 
@@ -442,9 +441,9 @@ def test_block_nodes_are_slotted():
     ]
     for node in nodes:
         assert not hasattr(node, "__dict__")
-        # Python 3.11 refuses a new attribute on a frozen slotted dataclass
-        # (IterationCount) with TypeError instead of AttributeError.
-        with pytest.raises((AttributeError, TypeError)):
+        # Slotted classes and named tuples (IterationCount) have no room for a
+        # new attribute.
+        with pytest.raises(AttributeError):
             node.extra = 1
     with pytest.raises(AttributeError):
         loop.count.value = 4

@@ -3,7 +3,6 @@ dict-and-``json.dumps`` renderer in ``reference_report`` wrote it."""
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,7 @@ from conftest import CORPUS_FILES
 
 WORKED = Config(qr=QualityAttributes(1, 2, 0, 1, 2), exec_time=TotalSeconds(Fraction(88)))
 # Every input configured, so a clean file adds no diagnostic.
-QUIET = dataclasses.replace(WORKED, rubric=dict.fromkeys(RUBRIC_QUESTIONS, 1))
+QUIET = WORKED._replace(rubric=dict.fromkeys(RUBRIC_QUESTIONS, 1))
 
 
 def assert_same_bytes(report: AnalysisReport) -> None:
@@ -140,5 +139,5 @@ def test_plain_key_keeps_digits_a_float_would_lose():
     assert json2(area) == "200000000000000000.50"
     assert json2(Fraction(2 * 10**17)) == "2e+17"  # exact as a float, so as before
     assert json2(Fraction(10**400)) == f"{10**400}.00"  # beyond the float range
-    report = dataclasses.replace(analyze([], QUIET), code_area=area)
+    report = analyze([], QUIET)._replace(code_area=area)
     assert b'\n  "code_area": 200000000000000000.50,\n' in emit_report(report, "json")
