@@ -240,7 +240,7 @@ def _analyze_path(path: str, config: Config, sidecar_path: str | None) -> FileRe
     """One input's result.  Its text dies with this frame, so a stream holds none of it."""
     try:
         label, text, sidecar = _read_input(path, sidecar_path)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in a path, or UnicodeDecodeError
         return FileResult(path=path, error=f"Io: {exc}")
     # No reference cycles (tests/test_no_cycles.py): the collector would only rescan the live
     # tokens and tree.  It is paused per file, never across a yield, so no caller finds it off.

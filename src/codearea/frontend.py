@@ -522,15 +522,11 @@ def _signed_int(tokens: list[Token], at: int) -> tuple[int, int] | None:
 
 def _literal_bound(header: list[Token]) -> int | None:
     """Count for an init-to-constant / compare-to-constant / unit-step
-    ``for`` header, or ``None`` when the pattern does not apply."""
+    ``for`` header, or ``None`` when the pattern does not apply.  No part
+    the pattern accepts holds a bracket, so the header splits at every ``;``."""
     parts: list[list[Token]] = [[]]
-    depth = 0
     for tok in header:
-        if tok.text in "([":
-            depth += 1
-        elif tok.text in ")]":
-            depth -= 1
-        if tok.text == ";" and depth == 0:
+        if tok.text == ";":
             parts.append([])
         else:
             parts[-1].append(tok)
@@ -602,7 +598,6 @@ def resolve_loop_count(
 # NestingTooDeepError instead of exhausting the interpreter's stack.
 MAX_NESTING = 100
 
-_LOOP_KEYWORDS = frozenset({"for", "while", "do"})
 # Keywords that continue a construct, so none can start one.
 _LATER_PARTS = frozenset({"else", "catch", "finally", "case", "default"})
 
@@ -626,7 +621,7 @@ class _Parser:
                 self.pragmas[i] = value
             i = kinds.find(_COMMENT, i + 1)
         self.body_brace: int | None = None  # the last ``{`` that opened a body
-        self.depth = 0  # constructs that hold others, open around the current token
+        self.depth = 0  # constructs open around the current token
         self.loops: list[tuple[int, IterationCount]] = []
         self.flow = FlowFacts({}, [], [])
         # Indices into flow.loop_exits: the loop a continue exits, and the
@@ -708,51 +703,34 @@ class _Parser:
         i = self.i
         kind, text, line = self.kinds[i], self.texts[i], self.lines[i]
         # Every nested construct passes through here, so this bounds the
-        # parser's recursion.  Only a construct that holds others counts
-        # toward the depth while it parses; an error ends the whole parse,
-        # so no error path restores the count.
+        # parser's recursion.  Any construct but a comment, a preprocessor
+        # line or a ``;`` counts one level while it parses (a plain statement
+        # nests nothing); an error ends the parse, so no error path restores it.
         if self.depth == MAX_NESTING:
             raise NestingTooDeepError(f"constructs nested more than {MAX_NESTING} deep", line)
-        if kind == _KEYWORD and text in _LOOP_KEYWORDS:
-            self.depth += 1
-            self.parse_loop(out)
-            self.depth -= 1
-            return
-        if kind == _PUNCTUATION:
-            if text == ";":
-                self.i = i + 1
-                return
-            if text == "{":
-                self.i = i + 1
-                self.depth += 1
-                self.parse_until_close(line, out)
-                self.depth -= 1
-                return
-        elif kind == _COMMENT:
+        if kind == _COMMENT:
             self.i = i + 1
             if i not in self.pragmas:
                 out.append(Statement(StatementKind.COMMENT, line, line))
             return
-        elif kind == _PREPROCESSOR:
+        if kind == _PREPROCESSOR:
             self.i = i + 1
             out.append(Statement(StatementKind.HEADER_INCLUDE, line, line))
             return
-        elif kind == _KEYWORD:
-            if text == "if":
-                parse = self.parse_if
-            elif text == "switch":
-                parse = self.parse_switch
-            elif text == "try":
-                parse = self.parse_try
-            elif text in _LATER_PARTS:
-                raise MalformedHeaderError(f"unexpected '{text}'", line)
-            else:
-                return self.parse_statement_or_function(out)
-            self.depth += 1
-            parse(out)
-            self.depth -= 1
+        if kind == _PUNCTUATION and text == ";":
+            self.i = i + 1
             return
-        self.parse_statement_or_function(out)
+        if kind == _KEYWORD and text in _LATER_PARTS:
+            raise MalformedHeaderError(f"unexpected '{text}'", line)
+        self.depth += 1
+        if kind == _PUNCTUATION and text == "{":
+            self.i = i + 1
+            self.parse_until_close(line, out)
+        elif kind == _KEYWORD and text in _CONSTRUCTS:
+            _CONSTRUCTS[text](self, out)
+        else:
+            self.parse_statement_or_function(out)
+        self.depth -= 1
 
     def parse_until_close(self, open_line: int, out: list[BlockNode]) -> int:
         """Parse nodes into *out* up to the matching ``}``; return its line."""
@@ -799,7 +777,6 @@ class _Parser:
             return
         brace_line = self.lines[self._next()]
         name = self._function_name(start, end)
-        self.depth += 1
         if name is not None:
             body: list[BlockNode] = []
             outer = self.loop, self.absorber
@@ -812,7 +789,6 @@ class _Parser:
             # block): keep the prefix as a statement and splice the block.
             out.append(self._make_statement(start, end, facts))
             self.parse_until_close(brace_line, out)
-        self.depth -= 1
 
     def _function_name(self, start: int, end: int) -> str | None:
         kinds, texts = self.kinds, self.texts
@@ -961,6 +937,13 @@ class _Parser:
             tok = self._next()
         # A bare try/finally still carries one implicit handler.
         out.append(ExceptionBlock(max(1, handlers), body, (lines[kw], end)))
+
+
+# The method that parses the construct each keyword opens.
+_CONSTRUCTS = {
+    "for": _Parser.parse_loop, "while": _Parser.parse_loop, "do": _Parser.parse_loop,
+    "if": _Parser.parse_if, "switch": _Parser.parse_switch, "try": _Parser.parse_try,
+}
 
 
 def parse_tokens(

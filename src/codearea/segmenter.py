@@ -64,16 +64,8 @@ SegmentCounts = namedtuple(
 )
 
 
-def _group(statement: Statement) -> str:
-    if statement.kind is StatementKind.COMMENT:
-        return "comment"
-    if statement.kind is StatementKind.HEADER_INCLUDE:
-        return "header"
-    return "code"
-
-
-def _span_of(run: list[Statement]) -> Span:
-    return (min(s.first for s in run), max(s.last for s in run))
+# The weight group of each statement kind that runs apart from code (``None``).
+_GROUPS = {StatementKind.COMMENT: "comment", StatementKind.HEADER_INCLUDE: "header"}
 
 
 def segment(tree: list[BlockNode]) -> list[CodeSegment]:
@@ -92,8 +84,15 @@ def segment(tree: list[BlockNode]) -> list[CodeSegment]:
 
 def _flush(out: list[CodeSegment], run: list[Statement]) -> None:
     if run:
-        out.append(CodeSegment(SegmentKind.SL, list(run), _span_of(run)))
+        # The statements of a run end in text order.
+        out.append(CodeSegment(SegmentKind.SL, list(run), (run[0].first, run[-1].last)))
         run.clear()
+
+
+# The segment kind of each block that forms a segment of its own.
+_BLOCK_KINDS = {
+    ConditionBlock: SegmentKind.CL, LoopBlock: SegmentKind.LL, ExceptionBlock: SegmentKind.EL,
+}
 
 
 def _partition(
@@ -101,22 +100,18 @@ def _partition(
 ) -> None:
     for node in nodes:
         if isinstance(node, Statement):
-            if run and _group(run[-1]) != _group(node):
+            if run and _GROUPS.get(run[-1].kind) != _GROUPS.get(node.kind):
                 _flush(out, run)
             run.append(node)
-        elif isinstance(node, FunctionDef):
-            _flush(out, run)
+            continue
+        _flush(out, run)
+        if isinstance(node, FunctionDef):
             _partition(node.body, out, run)
             _flush(out, run)
-        elif isinstance(node, ConditionBlock):
-            _flush(out, run)
-            out.append(CodeSegment(SegmentKind.CL, [node], node.span))
-        elif isinstance(node, LoopBlock):
-            _flush(out, run)
-            out.append(CodeSegment(SegmentKind.LL, [node], node.span))
-        elif isinstance(node, ExceptionBlock):
-            _flush(out, run)
-            out.append(CodeSegment(SegmentKind.EL, [node], node.span))
+        elif (kind := _BLOCK_KINDS.get(type(node))) is not None:
+            out.append(CodeSegment(kind, [node], node.span))
+        else:
+            raise TypeError(f"not a block node: {node!r}")
 
 
 def segment_counts(segments: list[CodeSegment] | list[ScoredSegment]) -> SegmentCounts:

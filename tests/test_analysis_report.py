@@ -117,6 +117,21 @@ def test_non_utf8_file_is_reported_not_raised(tmp_path):
     assert report.code_area == Fraction(1, 5)
 
 
+def test_a_nul_in_a_path_is_that_files_error():
+    good = str(CORPUS / "branching.c")
+    report = analyze([good, "a\x00b.c"], Config())
+    assert [(f.path, f.error) for f in report.failed_files] == [
+        ("a\x00b.c", "Io: embedded null byte")
+    ]
+    assert report.code_area == analyze([good], Config()).code_area
+
+
+def test_a_nul_in_a_sidecar_path_is_that_files_error():
+    good = str(CORPUS / "branching.c")
+    (result,) = analysis.iter_analyze([good], Config(), sidecar_path="x\x00")
+    assert (result.path, result.error) == (good, "Io: embedded null byte")
+
+
 def test_aggregate_equals_recomputation_from_files():
     report = analyze(corpus_paths(), WORKED_CONFIG)
     analyzed = [f for f in report.files if f.error is None]

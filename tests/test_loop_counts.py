@@ -48,6 +48,10 @@ def test_literal_bounds(text, expected):
         "i = 0; i < n; i++",          # non-constant bound
         "i = start; i < 8; i++",      # non-constant init
         "i = 0; i > 8; i++",          # direction mismatch
+        "i = f(1; 2); i < 8; i++",    # a ';' inside parentheses
+        "i = 0; i < a[8]; i++",       # a bracketed bound
+        "i = 0; i < (8); i++",        # a parenthesized bound
+        "i = 0]; i < 8; i++",         # an unmatched bracket
         "busy",                        # while-style header
         "",
     ],

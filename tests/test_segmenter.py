@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from codearea import (
+    FunctionDef,
     SegmentKind,
     SegmentOverrideError,
     apply_segment_overrides,
@@ -85,6 +86,15 @@ def test_concatenation_merges_boundary_runs_of_same_group():
     combined = segment_counts(segment(parse_source(a + b)))
     assert only_a.total == 1
     assert combined.total == 1  # one merged SL run
+
+
+@pytest.mark.parametrize("where", ["top", "function_body"])
+def test_a_tree_holding_a_non_node_is_refused(where):
+    (statement,) = parse_source("x = 1;\n")
+    nodes = [statement, object(), statement]
+    tree = nodes if where == "top" else [FunctionDef("f", nodes, (1, 1))]
+    with pytest.raises(TypeError, match="not a block node"):
+        segment(tree)
 
 
 # ---------------------------------------------------------------------------
