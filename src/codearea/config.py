@@ -209,6 +209,8 @@ def _apply_analysis(config: Config, items: dict[str, str], where: str | None) ->
             value = parse(items[key], f"analysis.{key}")
             if value < 0:
                 raise ConfigParseError(f"{key} must be >= 0")
+            if key == "default_iterations" and value >= 10**20:
+                raise ConfigParseError("default_iterations must have at most 20 digits")
             config = config._replace(**{key: value})
     for key, model in (("exec_time", TotalSeconds), ("exec_time_avg", PerSegmentAverage)):
         if key in items:

@@ -491,11 +491,13 @@ class ParseResult(NamedTuple):
 # Loop count resolution
 # ---------------------------------------------------------------------------
 
-_PRAGMA_RE = re.compile(r"@iters\s+(-?\d+)")
+# At most the digits of 2**64 - 1 in each base: Python limits int <-> str conversions.
+_PRAGMA_RE = re.compile(r"@iters\s+(-?\d{1,20})")
 # A C integer literal: hexadecimal, octal (a leading 0) or decimal, with
 # an optional unsigned and/or long suffix.
 _INT_LITERAL = re.compile(
-    r"(0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*)(?:[uU](?:ll|LL|[lL])?|(?:ll|LL|[lL])[uU]?)?"
+    r"(0[xX][0-9a-fA-F]{1,16}|0[0-7]{0,22}|[1-9][0-9]{0,19})"
+    r"(?:[uU](?:ll|LL|[lL])?|(?:ll|LL|[lL])[uU]?)?"
 )
 
 
@@ -507,54 +509,42 @@ def pragma_value(comment_text: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def _signed_int(tokens: list[Token], at: int) -> tuple[int, int] | None:
-    """Parse an optionally negated integer literal; return (value, next)."""
-    sign = 1
-    if at < len(tokens) and tokens[at].text == "-":
-        sign = -1
-        at += 1
-    if at < len(tokens) and (m := _INT_LITERAL.fullmatch(tokens[at].text)):
-        digits = m[1]
-        base = 16 if digits[:2] in ("0x", "0X") else 8 if digits[0] == "0" else 10
-        return sign * int(digits, base), at + 1
-    return None
+def _int_part(texts: list[str]) -> int | None:
+    """The value of a part that is exactly ``N`` or ``- N``, N a C integer
+    literal, else ``None``."""
+    if texts[:-1] not in ([], ["-"]) or not (m := _INT_LITERAL.fullmatch(texts[-1])):
+        return None
+    digits = m[1]
+    value = int(digits, 16 if digits[:2] in ("0x", "0X") else 8 if digits[0] == "0" else 10)
+    return -value if texts[:-1] else value
 
 
-def _literal_bound(header: list[Token]) -> int | None:
-    """Count for an init-to-constant / compare-to-constant / unit-step
-    ``for`` header, or ``None`` when the pattern does not apply.  No part
-    the pattern accepts holds a bracket, so the header splits at every ``;``."""
-    parts: list[list[Token]] = [[]]
-    for tok in header:
-        if tok.text == ";":
-            parts.append([])
-        else:
-            parts[-1].append(tok)
-    if len(parts) != 3:
+def _literal_bound(kinds: Sequence[int], texts: list[str]) -> int | None:
+    """Count for a ``for`` header of the parts ``var = N ; var CMP N ; step``,
+    with type keywords dropped from the first and a unit step, or ``None``
+    when the pattern does not apply.  No part the pattern accepts holds a
+    bracket, so the header splits at its two ``;``."""
+    if texts.count(";") != 2:
         return None
-    init, cond, step = parts
-    init = [t for t in init if t.text not in DECLARATION_STARTERS]
-    if len(init) < 3 or init[0].kind is not TokenKind.IDENTIFIER or init[1].text != "=":
+    a = texts.index(";")
+    b = texts.index(";", a + 1)
+    init = [j for j in range(a) if texts[j] not in DECLARATION_STARTERS]
+    cond, step = texts[a + 1:b], texts[b + 1:]
+    if len(init) < 3 or kinds[init[0]] != _IDENTIFIER or texts[init[1]] != "=":
         return None
-    var = init[0].text
-    got = _signed_int(init, 2)
-    if got is None or got[1] != len(init):
+    var = texts[init[0]]
+    if len(cond) < 3 or cond[0] != var or cond[1] not in ("<", "<=", ">", ">=", "!="):
         return None
-    start = got[0]
-    if len(cond) < 3 or cond[0].text != var or cond[1].text not in ("<", "<=", ">", ">=", "!="):
+    cmp = cond[1]
+    start, bound = _int_part([texts[j] for j in init[2:]]), _int_part(cond[2:])
+    if start is None or bound is None:
         return None
-    got = _signed_int(cond, 2)
-    if got is None or got[1] != len(cond):
-        return None
-    bound = got[0]
-    cmp = cond[1].text
     # C compares a negative int beside a ``u`` literal as unsigned (start, bound, one past ``>=``).
-    if "u" in (init[-1].text + cond[-1].text).lower() and min(start, bound - (cmp == ">=")) < 0:
+    if "u" in (texts[init[-1]] + cond[-1]).lower() and min(start, bound - (cmp == ">=")) < 0:
         return None
-    texts = [t.text for t in step]
-    if texts in ([var, "++"], ["++", var], [var, "+=", "1"], [var, "=", var, "+", "1"]):
+    if step in ([var, "++"], ["++", var], [var, "+=", "1"], [var, "=", var, "+", "1"]):
         direction = 1
-    elif texts in ([var, "--"], ["--", var], [var, "-=", "1"], [var, "=", var, "-", "1"]):
+    elif step in ([var, "--"], ["--", var], [var, "-=", "1"], [var, "=", var, "-", "1"]):
         direction = -1
     else:
         return None
@@ -584,7 +574,8 @@ def resolve_loop_count(
         if pragma < 0:
             raise NegativeIterationsError(f"pragma yields negative count {pragma}", line)
         return IterationCount(pragma, CountProvenance.PRAGMA_OVERRIDE)
-    literal = _literal_bound(header)
+    kinds, texts, _ = _columns(header)
+    literal = _literal_bound(kinds, texts)
     if literal is not None:
         return IterationCount(literal, CountProvenance.LITERAL_BOUND)
     return IterationCount(default_iterations, CountProvenance.CONFIG_DEFAULT)

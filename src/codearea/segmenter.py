@@ -174,7 +174,10 @@ def parse_segment_overrides(text: str) -> list[SegmentOverride]:
 def apply_segment_overrides(
     tree: list[BlockNode], overrides: list[SegmentOverride]
 ) -> list[CodeSegment]:
-    """Replace the computed partition with sidecar spans, after validation."""
+    """Replace the computed partition with sidecar spans, after validation.
+
+    The partition's nodes start in text order and the sorted spans do not
+    overlap, so one forward walk over the spans finds each node's span."""
     spans = sorted(overrides, key=lambda o: (o.start, o.end))
     for prev, cur in zip(spans, spans[1:]):
         if cur.start <= prev.end:
@@ -182,27 +185,18 @@ def apply_segment_overrides(
                 f"sidecar spans {prev.start}..{prev.end} and "
                 f"{cur.start}..{cur.end} overlap"
             )
-    buckets: dict[SegmentOverride, list[BlockNode]] = {o: [] for o in spans}
+    segments = [CodeSegment(o.kind, [], (o.start, o.end)) for o in spans]
+    at = 0  # the first span that does not end before the current node
     for unit in (node for seg in segment(tree) for node in seg.nodes):
-        owner = None
-        for override in spans:
-            if override.start <= unit.span[0] and unit.span[1] <= override.end:
-                owner = override
-                break
-        if owner is None:
+        first, last = unit.span
+        while at < len(spans) and spans[at].end < first:
+            at += 1
+        if at == len(spans) or not (spans[at].start <= first and last <= spans[at].end):
             raise SegmentOverrideError(
-                f"lines {unit.span[0]}..{unit.span[1]} are not covered by "
-                f"exactly one sidecar span"
+                f"lines {first}..{last} are not covered by exactly one sidecar span"
             )
-        buckets[owner].append(unit)
-    segments = []
-    for override in spans:
-        nodes = buckets[override]
-        if not nodes:
-            raise SegmentOverrideError(
-                f"sidecar span {override.start}..{override.end} covers no code"
-            )
-        segments.append(
-            CodeSegment(override.kind, nodes, (override.start, override.end))
-        )
+        segments[at].nodes.append(unit)
+    for seg in segments:
+        if not seg.nodes:
+            raise SegmentOverrideError(f"sidecar span {seg.span[0]}..{seg.span[1]} covers no code")
     return segments

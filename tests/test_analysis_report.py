@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from codearea import analysis, segmenter
+from codearea import analysis, classifier, segmenter
 from codearea import (
     ConditionBlock,
     Config,
@@ -163,6 +163,18 @@ def test_default_quality_attributes_are_flagged():
     report = analyze([], Config())
     assert report.qr == 5
     assert any("quality attributes not configured" in d for d in report.diagnostics)
+
+
+def test_a_score_between_published_ranges_is_flagged(tmp_path, monkeypatch):
+    (tmp_path / "gap.c").write_text("L: x = 1;\ngoto L;\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    rubric = dict(zip(classifier.RUBRIC_QUESTIONS, (2, 2, 2, 2, 1)))
+    report = analyze(["gap.c"], Config(rubric=rubric, flow_penalty=Fraction(3, 4)))
+    assert report.rubric_score == Fraction(33, 4)  # 9 less the penalty for the backward goto
+    assert report.level.level == 2
+    assert report.diagnostics[-1] == (
+        "level score 8.25 falls between published ranges; assigned level 2 by closed intervals"
+    )
 
 
 def test_loop_provenance_recorded():

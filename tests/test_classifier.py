@@ -102,6 +102,12 @@ def test_incomplete_rubric_rejected():
         rubric_score(LevelRubric(dict(zip(RUBRIC_QUESTIONS, (2, 2, 2, 2, 5)))), ORDERLY)
 
 
+def test_a_rubric_with_an_unknown_question_is_rejected():
+    answers = dict(zip(RUBRIC_QUESTIONS, (1, 1, 1, 1, 1)), bonus=2)
+    with pytest.raises(IncompleteRubricError, match="unknown questions: bonus"):
+        rubric_score(LevelRubric(answers), ORDERLY)
+
+
 # ---------------------------------------------------------------------------
 # Flow
 # ---------------------------------------------------------------------------

@@ -52,6 +52,22 @@ def test_file_error_exit_code(tmp_path, capsys):
     assert main([str(bad)]) == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_loops_with_long_bounds_report_in_full(tmp_path, capsysbinary, fmt):
+    bound = "9" * 2000
+    nest = "".join(f"for ({v} = 0; {v} < {bound}; {v}++) " for v in "ijk")
+    path = tmp_path / "long.c"
+    path.write_text(nest + "x();\n", encoding="utf-8")
+    assert main([str(path), "--format", fmt]) == 0
+    out, err = capsysbinary.readouterr()
+    assert err == b""
+    if fmt == "json":
+        loops = json.loads(out)["files"][0]["loops"]
+        assert [(loop["count"], loop["provenance"]) for loop in loops] == [(1, "default")] * 3
+    else:
+        assert out.count(b"loop at line 1: count 1 (default)\n") == 3
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main([str(tmp_path / "absent.c")]) == 1
 

@@ -110,6 +110,10 @@ def test_analysis_section(tmp_path):
         ("default_iterations", "1.5", "analysis.default_iterations: not an integer: '1.5'"),
         ("flow_penalty", "x", "analysis.flow_penalty: not a number: 'x'"),
         ("exec_time_avg", "x", "analysis.exec_time_avg: not a number: 'x'"),
+        ("default_iterations", "1" + "0" * 20, "default_iterations must have at most 20 digits"),
+        ("exception_multiplier", "maybe",
+         "analysis.exception_multiplier must be on/off, got 'maybe'"),
+        ("report_format", "xml", "report_format must be text or json, got 'xml'"),
     ],
 )
 def test_bad_analysis_value_is_named(tmp_path, key, value, message):
@@ -133,3 +137,15 @@ def test_exec_time_modes_are_exclusive(tmp_path):
 def test_missing_file_is_a_parse_error(tmp_path):
     with pytest.raises(ConfigParseError):
         load_config(tmp_path / "absent.ini")
+
+
+def test_default_iterations_of_twenty_digits_is_accepted(tmp_path):
+    config = load_config(write(tmp_path, f"[analysis]\ndefault_iterations = {'9' * 20}\n"))
+    assert config.default_iterations == 10**20 - 1
+
+
+@pytest.mark.parametrize("section", ["qr", "rubric"])
+def test_unknown_qr_and_rubric_keys_are_named(tmp_path, section):
+    with pytest.raises(UnknownKeyError) as err:
+        load_config(write(tmp_path, f"[{section}]\nspeed = 1\n"))
+    assert str(err.value) == f"unknown {section} key: 'speed'"

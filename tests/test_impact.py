@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from codearea import (
+    CodeSegment,
     ConditionBlock,
     ExceptionBlock,
     FunctionDef,
     InvalidWeightError,
     LoopBlock,
+    SegmentKind,
     Statement,
     StatementKind,
     WeightTable,
@@ -136,6 +138,13 @@ def test_segment_impact_returns_result_and_stores_nothing():
     segs = segment(parse_source("x = 1;\n"))
     assert segment_impact(segs[0], W) == Fraction(1, 5)
     assert not hasattr(segs[0], "impact")
+
+
+def test_segment_impact_refuses_a_non_node():
+    (statement,) = parse_source("x = 1;\n")
+    seg = CodeSegment(SegmentKind.SL, [statement, object()], (1, 1))
+    with pytest.raises(TypeError, match="not a block node"):
+        segment_impact(seg, W)
 
 
 def test_weight_table_rejects_out_of_range():

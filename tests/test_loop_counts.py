@@ -93,6 +93,38 @@ def test_integer_suffixes_and_octal_in_literal_bounds(bound, count):
         assert got == IterationCount(count, CountProvenance.LITERAL_BOUND)
 
 
+@pytest.mark.parametrize(
+    "bound,count",
+    [
+        (f"{2**64 - 1}", 2**64 - 1),
+        ("9" * 20, 10**20 - 1),
+        (f"{10**20}", None),  # 21 decimal digits
+        (f"0x{2**64 - 1:X}", 2**64 - 1),
+        (f"0x1{2**64 - 1:X}", None),  # 17 hexadecimal digits
+        (f"0{2**64 - 1:o}", 2**64 - 1),
+        (f"0{8**22:o}", None),  # 23 octal digits
+        pytest.param("9" * 4301, None, id="4301_digits"),  # too long for Python to convert
+    ],
+)
+def test_a_literal_holds_at_most_the_digits_of_2_to_the_64(bound, count):
+    got = resolve_loop_count(header(f"i = 0; i < {bound}; i++"), default_iterations=3)
+    if count is None:
+        assert got == IterationCount(3, CountProvenance.CONFIG_DEFAULT)
+    else:
+        assert got == IterationCount(count, CountProvenance.LITERAL_BOUND)
+
+
+@pytest.mark.parametrize(
+    "digits,count,provenance",
+    [(20, 10**20 - 1, "pragma"), (21, 1, "default"), (5000, 1, "default")],
+)
+def test_a_pragma_holds_at_most_twenty_digits(digits, count, provenance):
+    result = analyze_source(f"// @iters {'9' * digits}\nwhile (a) x();\n", "a.c", Config())
+    assert result.error is None
+    assert [(c.value, c.provenance.value) for _, c in result.loops] == [(count, provenance)]
+    assert not any("pragma" in d for d in result.diagnostics)  # a longer number is no pragma
+
+
 def test_negative_pragma_raises():
     with pytest.raises(NegativeIterationsError):
         resolve_loop_count(header("i=0;i<1;i++"), pragma=-3)

@@ -71,6 +71,19 @@ def test_loop_without_header_raises_malformed():
         parse_source("for { x; }")
 
 
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("while (a", "line 1: unterminated header"),
+        ("switch (x) { case 1 { } }", "line 1: unterminated case label"),
+    ],
+)
+def test_an_unterminated_header_or_case_label_is_named(source, message):
+    with pytest.raises(MalformedHeaderError) as err:
+        parse_source(source)
+    assert str(err.value) == message
+
+
 def test_stray_else_raises_malformed():
     with pytest.raises(MalformedHeaderError):
         parse_source("else { x; }")

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from codearea import (
+    Config,
     FunctionDef,
     SegmentKind,
     SegmentOverrideError,
+    analyze_source,
     apply_segment_overrides,
     parse_segment_overrides,
     segment,
@@ -170,3 +174,32 @@ def test_sidecar_empty_span_rejected():
         apply_segment_overrides(
             tree, parse_segment_overrides("1 1 SL\n5 9 LL\n")
         )
+
+
+@pytest.mark.parametrize(
+    "sidecar,message",
+    [
+        ("1 2 SL\n2 2 SL\n9 9 CL\n", "sidecar spans 1..2 and 2..2 overlap"),
+        ("1 1 SL\n2 2 SL\n", "lines 3..3 are not covered by exactly one sidecar span"),
+        ("1 1 SL\n2 2 SL\n3 3 SL\n", "sidecar span 2..2 covers no code"),
+    ],
+)
+def test_sidecar_checks_come_in_order(sidecar, message):
+    # Overlap before an uncovered node, and an uncovered node before an empty span.
+    tree = parse_source("x = 1;\n\ny = 2;\n")
+    with pytest.raises(SegmentOverrideError) as err:
+        apply_segment_overrides(tree, parse_segment_overrides(sidecar))
+    assert str(err.value) == message
+
+
+def test_a_sidecar_span_per_line_is_matched_in_linear_time():
+    # Each node finds its span in one forward walk; a search from the first
+    # span for every node makes about 2 * 10**8 span checks at this size.
+    n = 20_000
+    source = "".join(f"x{i} = {i};\n" for i in range(n))
+    sidecar = "".join(f"{line} {line} SL\n" for line in range(1, n + 1))
+    start = time.perf_counter()
+    result = analyze_source(source, "lines.c", Config(), sidecar=sidecar)
+    elapsed = time.perf_counter() - start
+    assert result.error is None and len(result.segments) == n
+    assert elapsed < 5.0
