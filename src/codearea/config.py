@@ -1,4 +1,5 @@
-"""Configuration loading and validation.
+"""Settings: the :class:`Config` record, which checks each value when
+made, and :func:`load_config`, which reads them from text.
 
 The configuration file is an INI-style UTF-8 document with four flat
 sections, all optional::
@@ -38,12 +39,15 @@ sections, all optional::
     init_termination_calls = open, close, fopen, fclose, malloc, calloc, realloc, free
 
 Unspecified keys take the defaults above; unknown sections or keys are
-errors.
+errors.  A number is a decimal with an optional exponent of at most two
+digits (``2.5``, ``1e-30``) or a ratio (``-1/2``), each part of at most
+20 ASCII digits.  ``Config`` refuses a value out of range, however made.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable
@@ -69,25 +73,18 @@ REPORT_FORMATS = ("text", "json")
 _SECTIONS = ("weights", "qr", "rubric", "analysis")
 
 _WEIGHT_KEYS = {kind.value: kind for kind in StatementKind}
-_ANALYSIS_KEYS = frozenset({
-    "default_iterations",
-    "flow_exit_limit",
-    "flow_penalty",
-    "exec_time",
-    "exec_time_avg",
-    "exception_multiplier",
-    "report_format",
-    "init_termination_calls",
-})
 _BOOL_VALUES = {
     "on": True, "true": True, "yes": True, "1": True,
     "off": False, "false": False, "no": False, "0": False,
 }
+# A number as the docstring gives it, read alike on every Python.
+_NUMBER = re.compile(r"[-+]?(\d{1,20}(\.\d{0,20})?|\.\d{1,20})([eE][-+]?\d{1,2})?"
+                     r"|[-+]?\d{1,20}/(?=0*[1-9])\d{1,20}", re.ASCII)
 
 
 class Config(FrozenRecord):
-    """The settings of a run.  ``weights`` left as None is a new default
-    table, and ``rubric`` a new empty dict."""
+    """The settings of a run, each checked when made.  ``weights`` left as
+    None is a new default table, and ``rubric`` a new empty dict."""
 
     __slots__ = _fields = ("weights", "default_iterations", "qr", "rubric", "exec_time",
                            "flow_exit_limit", "flow_penalty", "report_format",
@@ -99,16 +96,29 @@ class Config(FrozenRecord):
                  flow_exit_limit: int = DEFAULT_FLOW_EXIT_LIMIT,
                  flow_penalty: Fraction = DEFAULT_FLOW_PENALTY, report_format: str = "text",
                  init_termination_calls: frozenset[str] = DEFAULT_INIT_TERMINATION_CALLS):
+        for name, value in (("default_iterations", default_iterations),
+                            ("flow_exit_limit", flow_exit_limit), ("flow_penalty", flow_penalty)):
+            if value < 0:
+                raise ConfigParseError(f"{name} must be >= 0")
+        if default_iterations >= 10**20:
+            raise ConfigParseError("default_iterations must have at most 20 digits")
+        if report_format not in REPORT_FORMATS:
+            raise ConfigParseError(f"report_format must be text or json, got {report_format!r}")
+        for key, score in (rubric or {}).items():
+            if key not in RUBRIC_QUESTIONS:
+                raise UnknownKeyError(f"unknown rubric key: {key!r}")
+            if score not in (0, 1, 2):
+                raise ConfigParseError(f"rubric.{key} must be 0, 1, or 2, got {score}")
         self._set(WeightTable() if weights is None else weights, default_iterations, qr,
                   {} if rubric is None else rubric, exec_time, flow_exit_limit, flow_penalty,
                   report_format, init_termination_calls)
 
 
 def _fraction(value: str, context: str) -> Fraction:
-    try:
-        return Fraction(value.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ConfigParseError(f"{context}: not a number: {value!r}") from None
+    text = value.strip()
+    if not _NUMBER.fullmatch(text):
+        raise ConfigParseError(f"{context}: not a number: {value!r}")
+    return Fraction(text)
 
 
 def _int(value: str, context: str) -> int:
@@ -116,6 +126,28 @@ def _int(value: str, context: str) -> int:
         return int(value.strip())
     except ValueError:
         raise ConfigParseError(f"{context}: not an integer: {value!r}") from None
+
+
+def _on_off(value: str, context: str) -> bool:
+    raw = value.strip().lower()
+    if raw not in _BOOL_VALUES:
+        raise ConfigParseError(f"{context} must be on/off, got {raw!r}")
+    return _BOOL_VALUES[raw]
+
+
+# Each [analysis] key, in the order it applies: the field it sets (of the
+# Config, or of its weight table) and how its text is read.
+_ANALYSIS = {
+    "default_iterations": ("default_iterations", _int),
+    "flow_exit_limit": ("flow_exit_limit", _int),
+    "flow_penalty": ("flow_penalty", _fraction),
+    "exec_time": ("exec_time", lambda text, where: TotalSeconds(_fraction(text, where))),
+    "exec_time_avg": ("exec_time", lambda text, where: PerSegmentAverage(_fraction(text, where))),
+    "exception_multiplier": ("exception_multiplier_enabled", _on_off),
+    "report_format": ("report_format", lambda text, where: text.strip().lower()),
+    "init_termination_calls": ("init_termination_calls", lambda text, where: frozenset(
+        filter(None, map(str.strip, text.split(","))))),
+}
 
 
 def _parse_weights(items: dict[str, str]) -> dict[StatementKind, Fraction]:
@@ -138,15 +170,7 @@ def _parse_qr(items: dict[str, str], where: str | None) -> QualityAttributes:
 
 
 def _parse_rubric(items: dict[str, str]) -> dict[str, int]:
-    answers = {}
-    for key, value in items.items():
-        if key not in RUBRIC_QUESTIONS:
-            raise UnknownKeyError(f"unknown rubric key: {key!r}")
-        score = _int(value, f"rubric.{key}")
-        if score not in (0, 1, 2):
-            raise ConfigParseError(f"rubric.{key} must be 0, 1, or 2, got {value}")
-        answers[key] = score
-    return answers
+    return {key: _int(value, f"rubric.{key}") for key, value in items.items()}
 
 
 def load_config(
@@ -161,9 +185,7 @@ def load_config(
     if path is not None:
         import configparser  # here, since only a run given a file needs it
 
-        parser = configparser.ConfigParser(
-            interpolation=None, inline_comment_prefixes=(";", "#")
-        )
+        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
         try:
             with open(path, encoding="utf-8-sig") as file:
                 parser.read_file(file, source=str(path))
@@ -198,42 +220,14 @@ def load_config(
 
 def _apply_analysis(config: Config, items: dict[str, str], where: str | None) -> Config:
     for key in items:
-        if key not in _ANALYSIS_KEYS:
+        if key not in _ANALYSIS:
             raise UnknownKeyError(f"unknown analysis key: {key!r}")
     if "exec_time" in items and "exec_time_avg" in items:
         raise ConfigParseError("exec_time and exec_time_avg are mutually exclusive")
-
-    for key, parse in (("default_iterations", _int), ("flow_exit_limit", _int),
-                       ("flow_penalty", _fraction)):
+    for key, (field, read) in _ANALYSIS.items():
         if key in items:
-            value = parse(items[key], f"analysis.{key}")
-            if value < 0:
-                raise ConfigParseError(f"{key} must be >= 0")
-            if key == "default_iterations" and value >= 10**20:
-                raise ConfigParseError("default_iterations must have at most 20 digits")
-            config = config._replace(**{key: value})
-    for key, model in (("exec_time", TotalSeconds), ("exec_time_avg", PerSegmentAverage)):
-        if key in items:
-            seconds = _fraction(items[key], where or f"analysis.{key}")
-            config = config._replace(exec_time=model(seconds))
-    if "exception_multiplier" in items:
-        raw = items["exception_multiplier"].strip().lower()
-        if raw not in _BOOL_VALUES:
-            raise ConfigParseError(
-                f"analysis.exception_multiplier must be on/off, got {raw!r}"
-            )
-        weights = config.weights._replace(exception_multiplier_enabled=_BOOL_VALUES[raw])
-        config = config._replace(weights=weights)
-    if "report_format" in items:
-        fmt = items["report_format"].strip().lower()
-        if fmt not in REPORT_FORMATS:
-            raise ConfigParseError(f"report_format must be text or json, got {fmt!r}")
-        config = config._replace(report_format=fmt)
-    if "init_termination_calls" in items:
-        names = frozenset(
-            name.strip()
-            for name in items["init_termination_calls"].split(",")
-            if name.strip()
-        )
-        config = config._replace(init_termination_calls=names)
+            change = {field: read(items[key], where or f"analysis.{key}")}
+            if field not in Config._fields:  # a field of the weight table
+                change = {"weights": config.weights._replace(**change)}
+            config = config._replace(**change)
     return config

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -224,6 +225,34 @@ def test_config_file_errors_come_before_flag_errors(tmp_path, capsys):
     assert main(["--config", str(conf), "--exec-time", "abc", "--qr", "1,2,3"]) == 2
     err = capsys.readouterr().err
     assert "comment" in err and "--exec-time" not in err and "--qr" not in err
+
+
+@pytest.mark.parametrize(
+    "args, ini",
+    [
+        (["--exec-time", "1e-10000"], None),
+        (["--exec-time-avg", "1e-5000"], None),
+        (["--exec-time", "1e-10000000"], None),
+        (["--exec-time", "1_000"], None),
+        (["--exec-time", "1 / 3"], None),
+        (["--exec-time", "\u0661\u0662"], None),
+        (["--format", "json"], "[weights]\ncomment = 1e-5000\n"),
+        (["--format", "json"], "[analysis]\nflow_penalty = 1e-5000\n"),
+    ],
+)
+def test_a_settings_number_out_of_its_syntax_is_refused_at_once(tmp_path, args, ini):
+    if ini is not None:
+        (tmp_path / "c.ini").write_text(ini, encoding="utf-8")
+        args = [*args, "--config", str(tmp_path / "c.ini")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "codearea", *corpus_args(), *args],
+                          env=env, capture_output=True, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"codearea: config error: ") and b"not a number" in done.stderr
+    assert b"Traceback" not in done.stderr
+    assert elapsed < 1
 
 
 def test_large_blocks_keep_their_own_mappings_after_a_large_free():

@@ -114,12 +114,33 @@ def test_analysis_section(tmp_path):
         ("exception_multiplier", "maybe",
          "analysis.exception_multiplier must be on/off, got 'maybe'"),
         ("report_format", "xml", "report_format must be text or json, got 'xml'"),
+        ("exec_time", "1e-10000", "analysis.exec_time: not a number: '1e-10000'"),
+        ("exec_time_avg", "1e-5000", "analysis.exec_time_avg: not a number: '1e-5000'"),
+        ("flow_penalty", "1e-5000", "analysis.flow_penalty: not a number: '1e-5000'"),
+        ("exec_time", "1e100", "analysis.exec_time: not a number: '1e100'"),
+        ("exec_time", "1_000", "analysis.exec_time: not a number: '1_000'"),
+        ("exec_time", "1 / 3", "analysis.exec_time: not a number: '1 / 3'"),
+        ("exec_time", "\u0661\u0662", "analysis.exec_time: not a number: '\u0661\u0662'"),
+        ("exec_time", "1/0", "analysis.exec_time: not a number: '1/0'"),
+        ("exec_time", "1" * 21, f"analysis.exec_time: not a number: '{'1' * 21}'"),
+        ("exec_time", "0." + "5" * 21, f"analysis.exec_time: not a number: '0.{'5' * 21}'"),
+        ("flow_penalty", "nan", "analysis.flow_penalty: not a number: 'nan'"),
     ],
 )
 def test_bad_analysis_value_is_named(tmp_path, key, value, message):
     with pytest.raises(ConfigParseError) as err:
         load_config(write(tmp_path, f"[analysis]\n{key} = {value}\n"))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("88", 88), ("2.5", Fraction(5, 2)), (".5", Fraction(1, 2)), ("5.", 5),
+     ("1e-30", Fraction(1, 10**30)), ("+1.5E2", 150), ("3/4", Fraction(3, 4)), ("0/07", 0)],
+)
+def test_numbers_in_the_settings_syntax_are_read_exactly(tmp_path, text, value):
+    config = load_config(write(tmp_path, f"[analysis]\nflow_penalty = {text}\n"))
+    assert config.flow_penalty == value
 
 
 def test_exec_time_avg(tmp_path):

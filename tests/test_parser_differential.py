@@ -100,8 +100,10 @@ def test_parser_matches_reference_on_brackets_calls_and_comments(parts):
 
 
 # Every sequence of up to three of these, placed before a loop at the top
-# level and inside a case, and before each later part of a construct, so
-# an @iters comment meets each construct boundary.
+# level, inside a case and inside a loop body, before each later part of a
+# construct (a case's colon and a function's body among them), and after an
+# if with no else and a statement with no `;`, so an @iters comment meets
+# each construct boundary.
 SHORT_PIECES = [
     "/* @iters 2 */", "case 1 /* @iters 3 */ :", "case 1:", ";", "x();",
     "{", "}", "while (c)", "do", "if (a)", "else",
@@ -115,6 +117,11 @@ TEMPLATES = {
     "finally": "try {{ x(); }} {} finally {{ y(); }}",
     "do_while": "do x(); {} while (d);",
     "switch_brace": "switch (k) {} {{ case 0: y(); }}",
+    "case_label": "switch (k) {{ case 1 {} : y(); }}",
+    "function_body": "int f(void) {} {{ y(); }}",
+    "if_no_else": "if (a) x(); {} y();",
+    "statement_then_block": "x = 1 {} {{ y(); }}",
+    "loop_body": "while (d) {{ {} while (e) y(); }}",
 }
 
 

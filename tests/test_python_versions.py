@@ -7,8 +7,10 @@ runs on one interpreter.  This test collects ``python3.10`` to
 ``os.pathsep``), and keeps each one that runs and is not the interpreter
 running the suite.  On each it runs the CLI, in text and JSON, on the
 golden corpus, on one small generated file and on a failing file between
-two good ones, and requires the same stdout bytes and exit code as the
-current interpreter.  It skips when it finds no other interpreter.
+two good ones, and with settings numbers that ``Fraction`` reads only on
+some Pythons (``1_000``, ``1 / 3``), and requires the same stdout bytes
+and exit code as the current interpreter.  It skips when it finds no
+other interpreter.
 """
 
 from __future__ import annotations
@@ -88,3 +90,9 @@ def test_cli_gives_the_same_bytes_on_every_other_python(tmp_path):
             assert want[0] == exit_code and want[1]
             for python in others:
                 assert _cli(python, args + ["--format", fmt], cwd) == want, (python, fmt)
+    for number in ("1_000", "1 / 3"):
+        args = golden + ["--exec-time", number]
+        want = _cli(sys.executable, args, REPO_ROOT)
+        assert want == (2, b"")
+        for python in others:
+            assert _cli(python, args, REPO_ROOT) == want, (python, number)

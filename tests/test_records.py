@@ -22,6 +22,7 @@ from codearea import (
     CodeSegment,
     ConditionBlock,
     Config,
+    ConfigParseError,
     CountProvenance,
     ExceptionBlock,
     FileResult,
@@ -39,6 +40,7 @@ from codearea import (
     Statement,
     StatementKind,
     TotalSeconds,
+    UnknownKeyError,
     WeightTable,
     load_config,
 )
@@ -183,6 +185,22 @@ def test_no_instance_shares_a_mutable_default():
         (lambda: WeightTable({}), InvalidWeightError, "missing weight for comment"),
         (lambda: WeightTable(UNIT | {StatementKind.RETURN: Fraction(2)}), InvalidWeightError,
          r"weight for return must be in \[0, 1\], got 2"),
+        (lambda: Config(default_iterations=-1), ConfigParseError,
+         "default_iterations must be >= 0"),
+        (lambda: Config(default_iterations=10**20), ConfigParseError,
+         "default_iterations must have at most 20 digits"),
+        (lambda: Config(default_iterations=10**4300), ConfigParseError,
+         "default_iterations must have at most 20 digits"),
+        (lambda: Config(flow_exit_limit=-1), ConfigParseError, "flow_exit_limit must be >= 0"),
+        (lambda: Config(flow_penalty=Fraction(-1, 2)), ConfigParseError,
+         "flow_penalty must be >= 0"),
+        (lambda: Config(report_format="xml"), ConfigParseError,
+         "report_format must be text or json, got 'xml'"),
+        (lambda: Config(rubric={"bogus": 1}), UnknownKeyError, "unknown rubric key: 'bogus'"),
+        (lambda: Config(rubric={"segment_flow": 5}), ConfigParseError,
+         "rubric.segment_flow must be 0, 1, or 2, got 5"),
+        (lambda: Config()._replace(default_iterations=-1), ConfigParseError,
+         "default_iterations must be >= 0"),
     ],
 )
 def test_validation_raises_at_construction(build, error, message):
