@@ -90,15 +90,21 @@ def analyze_source(
     sidecar: str | None = None,
 ) -> FileResult:
     """Analyze one file's contents, without a leading UTF-8 byte-order
-    mark; parse errors land on the result."""
+    mark; parse errors land on the result, and any other exception is the
+    result's ``InternalError``, its traceback logged.  The analysis holds
+    *text* until ``tokenize`` returns (on Python 3.11 and later; a caller's
+    own reference keeps it alive), then the token columns until
+    ``parse_tokens`` returns, then the tree."""
     text = text.removeprefix("\ufeff")
     raw_loc = _count_lines(text)
-    tokens = tokenize(text)
-    diagnostics = [
-        f"{path}:{line}: unknown character {ch!r} tokenized as punctuation"
-        for ch, line in tokens.unknown
-    ]
     try:
+        tokens = tokenize(text)
+        del text  # the parser reads only the columns, so the text is freed here
+        tokens.release()
+        diagnostics = [
+            f"{path}:{line}: unknown character {ch!r} tokenized as punctuation"
+            for ch, line in tokens.unknown
+        ]
         parsed = parse_tokens(
             tokens,
             default_iterations=config.default_iterations,
@@ -110,24 +116,29 @@ def analyze_source(
             segments = segmenter.apply_segment_overrides(parsed.tree, overrides)
         else:
             segments = segmenter.segment(parsed.tree)
+        diagnostics += (f"{path}: {d}" for d in parsed.diagnostics)
+        diagnostics += (
+            f"{path}:{line}: loop bound not statically "
+            f"resolvable; using default count {count.value}"
+            for line, count in parsed.loops
+            if count.provenance is CountProvenance.CONFIG_DEFAULT
+        )
+        scored = [
+            ScoredSegment(seg.kind, seg.span, impact.segment_impact(seg, config.weights))
+            for seg in segments
+        ]
+        flow = classifier.flow_orderliness(parsed.flow, exit_limit=config.flow_exit_limit)
+        return FileResult(path, raw_loc, scored, segmenter.segment_counts(scored),
+                          metrics.code_area(scored), parsed.loops, flow, diagnostics)
     except (SourceError, SegmentOverrideError) as exc:
         error = f"{type(exc).__name__}: {exc}"
         return FileResult(path, raw_loc, diagnostics=diagnostics, error=error,
                           error_line=getattr(exc, "line", None))
-    diagnostics += (f"{path}: {d}" for d in parsed.diagnostics)
-    diagnostics += (
-        f"{path}:{line}: loop bound not statically "
-        f"resolvable; using default count {count.value}"
-        for line, count in parsed.loops
-        if count.provenance is CountProvenance.CONFIG_DEFAULT
-    )
-    scored = [
-        ScoredSegment(seg.kind, seg.span, impact.segment_impact(seg, config.weights))
-        for seg in segments
-    ]
-    flow = classifier.flow_orderliness(parsed.flow, exit_limit=config.flow_exit_limit)
-    return FileResult(path, raw_loc, scored, segmenter.segment_counts(scored),
-                      metrics.code_area(scored), parsed.loops, flow, diagnostics)
+    except Exception as exc:  # a defect here must not cost the other files
+        import logging  # here, since importing it costs every run ~8 ms
+
+        logging.getLogger(__name__).exception("internal error analyzing %s", path)
+        return FileResult(path, raw_loc, error=f"InternalError: {type(exc).__name__}: {exc}")
 
 
 def _read_input(path: str, sidecar_path: str | None) -> tuple[str, str, str | None]:
@@ -237,9 +248,10 @@ def iter_analyze(
 
 
 def _analyze_path(path: str, config: Config, sidecar_path: str | None) -> FileResult:
-    """One input's result.  Its text dies with this frame, so a stream holds none of it."""
+    """One input's result.  Its text is handed over in a one-slot list emptied
+    into the call, so on Python 3.11 and later only the analysis holds it."""
     try:
-        label, text, sidecar = _read_input(path, sidecar_path)
+        label, *text, sidecar = _read_input(path, sidecar_path)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in a path, or UnicodeDecodeError
         return FileResult(path=path, error=f"Io: {exc}")
     # No reference cycles (tests/test_no_cycles.py): the collector would only rescan the live
@@ -247,16 +259,7 @@ def _analyze_path(path: str, config: Config, sidecar_path: str | None) -> FileRe
     collector_was_on = gc.isenabled()
     gc.disable()
     try:
-        return analyze_source(text, label, config, sidecar=sidecar)
-    except Exception as exc:  # a defect here must not cost the other files
-        import logging  # here, since importing it costs every run ~8 ms
-
-        logging.getLogger(__name__).exception("internal error analyzing %s", label)
-        return FileResult(
-            path=label,
-            raw_loc=_count_lines(text),
-            error=f"InternalError: {type(exc).__name__}: {exc}",
-        )
+        return analyze_source(text.pop(), label, config, sidecar=sidecar)
     finally:
         if collector_was_on:
             gc.enable()

@@ -95,7 +95,9 @@ class TokenStream:
     kind code, text and line.  ``unknown`` lists the characters the
     tokenizer did not recognize.  As a sequence the stream yields
     :class:`Token` values built on demand, whose ``lead`` is the source
-    between the token before and this one."""
+    between the token before and this one.  It holds ``source`` until
+    :meth:`release`, which ``analyze_source`` calls once ``tokenize`` returns;
+    after that every view (``stream[i]``, ``tail``, ``starts``) raises."""
 
     __slots__ = ("source", "kinds", "texts", "lines", "_starts", "unknown", "__weakref__")
 
@@ -104,12 +106,17 @@ class TokenStream:
         self.kinds, self.texts, self.unknown, self._starts = bytearray(), [], [], None
         self.lines = array("I" if len(source) < 0xFFFFFFFF else "Q")  # holds any line or offset
 
+    def release(self) -> None:
+        self.source = self._starts = None
+
     @property
     def starts(self) -> array:
         """Each token's offset in ``source``, found on first read: the gaps
         between tokens are whitespace, which starts no token, so a token
         is its text's first match after the token before."""
         if self._starts is None:
+            if self.source is None:
+                raise ValueError("the stream's source was released")
             self._starts = starts = array(self.lines.typecode)
             find, at = self.source.find, 0
             for text in self.texts:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import (
     AttributeOutOfRangeError,
+    ConfigParseError,
     NonPositiveTimeError,
     ZeroSegmentsError,
 )
@@ -54,11 +55,14 @@ class QualityAttributes(FrozenRecord):
 
 
 class _Seconds(FrozenRecord):
-    """A time in seconds, which must be positive."""
+    """A time in seconds, which must be positive, with at most 140 digits in its
+    numerator and denominator (a settings number has up to 120), so a report prints it."""
 
     __slots__ = _fields = ("seconds",)
 
     def __init__(self, seconds: Fraction):
+        if max(abs(seconds.numerator), seconds.denominator) >= 10**140:
+            raise ConfigParseError(f"{self.what} must have at most 140 digits a part")
         if seconds <= 0:
             raise NonPositiveTimeError(f"{self.what} must be > 0, got {seconds}")
         self._set(seconds)

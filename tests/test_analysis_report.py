@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import enum
+import inspect
 import json
+import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from codearea import analysis, classifier, segmenter
+from codearea import analysis, classifier, impact, segmenter
 from codearea import (
     ConditionBlock,
     Config,
     ExceptionBlock,
+    FileResult,
     FunctionDef,
     LoopBlock,
     QualityAttributes,
@@ -99,6 +103,18 @@ def test_partial_failure_is_isolated(tmp_path):
     assert report.files[0].impact == solo_a.files[0].impact
     assert report.files[2].impact == solo_b.files[0].impact
     assert report.code_area == solo_a.code_area + solo_b.code_area
+
+
+def test_an_internal_error_is_the_files_result(monkeypatch, caplog):
+    def fail_scoring(segment, weights):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(impact, "segment_impact", fail_scoring)
+    result = analyze_source("x = 1;\ny = 2;\nz = 3;", "three.c", Config())
+    assert result == FileResult("three.c", 3, error="InternalError: ZeroDivisionError: boom")
+    [record] = caplog.records
+    assert record.name == "codearea.analysis" and "three.c" in record.getMessage()
+    assert record.exc_info[0] is ZeroDivisionError
 
 
 def test_missing_file_is_reported_not_raised(tmp_path):
@@ -255,6 +271,50 @@ def test_tokens_are_freed_before_segmentation(monkeypatch, name):
     result = analyze_source(path.read_text(encoding="utf-8"), str(path), Config(), sidecar=sidecar)
     assert result.error is None
     assert checked[0] == ("segment" if sidecar is None else "apply_segment_overrides")
+
+
+def test_the_parsed_stream_refuses_every_view(monkeypatch):
+    parse, streams = analysis.parse_tokens, []
+
+    def parse_keeping_the_stream(tokens, **kwargs):
+        streams.append(tokens)
+        return parse(tokens, **kwargs)
+
+    monkeypatch.setattr(analysis, "parse_tokens", parse_keeping_the_stream)
+    result = analyze_source("x = 1;\nwhile (a) { y(); }\n", "a.c", Config())
+    assert result.error is None and result.segments
+    [stream] = streams
+    assert stream.texts[:4] == ["x", "=", "1", ";"] and list(stream.lines[:2]) == [1, 1]
+    views = [lambda: stream[0], lambda: stream[-1], lambda: stream[1:3], lambda: list(stream),
+             lambda: stream.tail, lambda: stream.starts]
+    for view in views:
+        with pytest.raises(ValueError, match="source was released"):
+            view()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="on Python 3.10 a call's arguments live until it returns")
+def test_the_input_text_is_freed_before_it_is_parsed(tmp_path, monkeypatch):
+    path = tmp_path / "big.c"
+    path.write_text(('x = f("' + "a" * 1000 + '");\n') * 1000, encoding="utf-8")  # about 1 MB
+    source, first = inspect.getsourcelines(analysis._read)
+    [read_line] = [n for n, line in enumerate(source, first) if ".read()" in line]
+    by_reading = tracemalloc.Filter(True, analysis.__file__, read_line, all_frames=True)
+    parse, alive = analysis.parse_tokens, []
+
+    def parse_once_no_read_block_lives(tokens, **kwargs):
+        alive.extend(tracemalloc.take_snapshot().filter_traces([by_reading]).traces)
+        tracemalloc.stop()
+        return parse(tokens, **kwargs)
+
+    monkeypatch.setattr(analysis, "parse_tokens", parse_once_no_read_block_lives)
+    tracemalloc.start(8)
+    try:
+        [result] = analysis.iter_analyze([str(path)], Config())
+    finally:
+        tracemalloc.stop()
+    assert result.error is None and result.raw_loc == 1000
+    assert [(trace.size, str(trace.traceback[-1])) for trace in alive] == []
 
 
 # ---------------------------------------------------------------------------

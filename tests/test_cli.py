@@ -338,7 +338,7 @@ def test_unexpected_exception_fails_only_its_file(tmp_path, capsys, caplog, monk
     real_parse = analysis.parse_tokens
 
     def parse_or_break(tokens, **kwargs):
-        if tokens[0].text == "breaks":
+        if tokens.texts[0] == "breaks":
             raise ZeroDivisionError("boom")
         return real_parse(tokens, **kwargs)
 

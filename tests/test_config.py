@@ -12,8 +12,13 @@ from codearea import (
     StatementKind,
     TotalSeconds,
     UnknownKeyError,
+    analyze,
+    emit_report,
     load_config,
 )
+from codearea.config import REPORT_FORMATS
+
+from conftest import CORPUS
 
 
 def write(tmp_path, text):
@@ -141,6 +146,22 @@ def test_bad_analysis_value_is_named(tmp_path, key, value, message):
 def test_numbers_in_the_settings_syntax_are_read_exactly(tmp_path, text, value):
     config = load_config(write(tmp_path, f"[analysis]\nflow_penalty = {text}\n"))
     assert config.flow_penalty == value
+
+
+# Times at the edge of the settings syntax: a 119-digit numerator, two
+# 120-digit denominators (the longest parts it can write) and the longest ratio.
+LARGEST_TIMES = ["99999999999999999999.99999999999999999999e99", ".00000000000000000001e-99",
+                 "99999999999999999999.99999999999999999999e-99", "1/99999999999999999999"]
+
+
+@pytest.mark.parametrize("key", ["exec_time", "exec_time_avg"])
+@pytest.mark.parametrize("text", LARGEST_TIMES)
+def test_the_largest_settings_times_build_and_render(tmp_path, key, text):
+    config = load_config(write(tmp_path, f"[analysis]\n{key} = {text}\n"))
+    assert config.exec_time.seconds == Fraction(text)
+    report = analyze([str(CORPUS / "branching.c")], config)
+    for fmt in REPORT_FORMATS:
+        assert emit_report(report, fmt)
 
 
 def test_exec_time_avg(tmp_path):

@@ -182,6 +182,12 @@ def test_no_instance_shares_a_mutable_default():
         (lambda: QualityAttributes(security=3), AttributeOutOfRangeError, "security must be 0, 1, or 2, got 3"),
         (lambda: TotalSeconds(Fraction(0)), NonPositiveTimeError, "total time must be > 0, got 0"),
         (lambda: PerSegmentAverage(Fraction(-1)), NonPositiveTimeError, "per-segment time must be > 0"),
+        (lambda: TotalSeconds(Fraction(1, 10**5000)), ConfigParseError,
+         "total time must have at most 140 digits a part"),
+        (lambda: TotalSeconds(Fraction(10**140)), ConfigParseError,
+         "total time must have at most 140 digits a part"),
+        (lambda: PerSegmentAverage(Fraction(-10**5000)), ConfigParseError,
+         "per-segment time must have at most 140 digits a part"),
         (lambda: WeightTable({}), InvalidWeightError, "missing weight for comment"),
         (lambda: WeightTable(UNIT | {StatementKind.RETURN: Fraction(2)}), InvalidWeightError,
          r"weight for return must be in \[0, 1\], got 2"),

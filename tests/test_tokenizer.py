@@ -123,6 +123,22 @@ def test_token_lines_within_file(source):
         assert 1 <= tok.line <= total
 
 
+@pytest.mark.parametrize("source", ["", "a = b;\n", "x /* c */ y", "a"])
+def test_a_stream_keeps_its_source_until_released(source):
+    stream = tokenize(source)
+    # reconstruct reads the starts, so release must drop them with the source.
+    assert stream.source is source and reconstruct(stream) == source
+    texts = list(stream.texts)
+    stream.release()
+    assert stream.texts == texts and len(stream) == len(texts)
+    views = [lambda: stream.tail, lambda: stream.starts, lambda: reconstruct(stream)]
+    if texts:
+        views += [lambda: stream[0], lambda: stream[-1], lambda: list(stream)]
+    for view in views:
+        with pytest.raises((ValueError, TypeError)):
+            view()
+
+
 def test_equal_words_share_one_string():
     source = "".join(p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.c")))
     source += "/* lines\n   of a\n   block comment */\n"
