@@ -25,7 +25,7 @@ and a ``switch`` absorbs it, so it counts as no loop's exit.  A function
 body starts with no loop around it.
 
 A :class:`TokenStream` keeps its tokens as parallel columns over the
-source: kind codes, texts (equal words share one string) and lines;
+source: kind codes, texts (equal words or numbers share one string) and lines;
 start offsets are found the first time they are read.  ``stream[i]``
 builds a :class:`Token` on demand, and its ``lead``, like the stream's
 ``tail``, is a slice of the source.  The parser reads the columns by
@@ -90,14 +90,21 @@ _CODES = {kind: code for code, kind in enumerate(_KINDS)}
 _IDENTIFIER, _KEYWORD, _PUNCTUATION, _LITERAL, _COMMENT, _PREPROCESSOR = range(len(_KINDS))
 
 
+# The one text per kind a released stream holds for each text it drops.  Each
+# answers every test the parser makes of a text as the original did: none is
+# a keyword, an identifier or a punctuator the parser names, is in an
+# operator set, is an integer literal or holds ``@iters``.
+_PLACEHOLDERS = {_COMMENT: "//", _LITERAL: '""', _PREPROCESSOR: "#"}
+
+
 class TokenStream:
     """The tokens of one source text as parallel columns: each token's
     kind code, text and line.  ``unknown`` lists the characters the
     tokenizer did not recognize.  As a sequence the stream yields
     :class:`Token` values built on demand, whose ``lead`` is the source
-    between the token before and this one.  It holds ``source`` until
-    :meth:`release`, which ``analyze_source`` calls once ``tokenize`` returns;
-    after that every view (``stream[i]``, ``tail``, ``starts``) raises."""
+    between the token before and this one.  It holds ``source`` and every
+    text until :meth:`release`, which ``analyze_source`` calls once
+    ``tokenize`` returns."""
 
     __slots__ = ("source", "kinds", "texts", "lines", "_starts", "unknown", "__weakref__")
 
@@ -107,7 +114,21 @@ class TokenStream:
         self.lines = array("I" if len(source) < 0xFFFFFFFF else "Q")  # holds any line or offset
 
     def release(self) -> None:
+        """Drop the source, and each text that only a view of it reads.
+        Words, punctuators, numbers and each comment that holds ``@iters``
+        keep their texts; every other comment, string or char literal and
+        preprocessor line holds its kind's placeholder instead.  After
+        this every view (``stream[i]``, ``tail``, ``starts``) raises."""
         self.source = self._starts = None
+        kinds, texts = self.kinds, self.texts
+        for code, placeholder in _PLACEHOLDERS.items():
+            i = kinds.find(code)
+            while i >= 0:
+                text = texts[i]
+                # Only a string or char literal and a preprocessor line start with these.
+                if ("@iters" not in text) if code == _COMMENT else (text[0] in "\"'#"):
+                    texts[i] = placeholder
+                i = kinds.find(code, i + 1)
 
     @property
     def starts(self) -> array:
@@ -130,7 +151,8 @@ class TokenStream:
 
     def _end(self, i: int) -> int:
         """Offset just past token *i*, or 0 before the first token."""
-        return self.starts[i] + len(self.texts[i]) if i >= 0 else 0
+        starts = self.starts  # raises once the source is released, even with no tokens
+        return starts[i] + len(self.texts[i]) if i >= 0 else 0
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -183,16 +205,16 @@ _OPERATOR_TEXTS = {text: text for text in (
 )}
 
 # One alternative per token class, tried in order where the previous
-# token ended.  ``lead`` takes the whitespace before the token; ``start``
-# takes part at the start of the text and ``nl`` when the whitespace holds
-# a newline, the only places ``#`` opens a preprocessor line.  ``lead``
+# token ended, after the token's lead, which no group captures.  ``start``
+# takes part at the start of the text and ``nl`` when the lead holds a
+# newline, the only places ``#`` opens a preprocessor line.  The lead
 # reads horizontal space up to the first newline, so it never retries a
-# shorter run to find one; ``unknown`` excludes whitespace, so ``lead``
+# shorter run to find one; ``unknown`` excludes whitespace, so the lead
 # never gives a character back to it; and ``end`` takes the trailing
 # whitespace, so the scan never backtracks or skips ahead at the end of
 # the text.  Possessive quantifiers would need Python 3.11.
 _SCANNER = re.compile(
-    r"(?P<lead>(?P<start>\A)?[ \t\r\f\v]*(?:(?P<nl>\n)[ \t\r\n\f\v]*)?)"
+    r"(?P<start>\A)?[ \t\r\f\v]*(?:(?P<nl>\n)[ \t\r\n\f\v]*)?"
     r"(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<number>(?=[0-9]|\.[0-9])" + _NUMBER + r")"
     r"|(?P<line_comment>//[^\n]*)"
@@ -206,7 +228,8 @@ _SCANNER = re.compile(
 )
 _GROUP = _SCANNER.groupindex
 _NL, _BLOCK_COMMENT, _END = _GROUP["nl"], _GROUP["block_comment"], _GROUP["end"]
-_OPERATOR = _GROUP["operator"]
+# ``word`` and ``number``, the texts tokenize shares, are the first token groups.
+_OPERATOR, _WORD_OR_NUMBER = _GROUP["operator"], _GROUP["number"]
 # Token kind code by group number; None marks the groups tokenize handles itself.
 _GROUP_KINDS = [None] * (_SCANNER.groups + 1)
 for _name, _kind in dict(
@@ -222,22 +245,24 @@ def tokenize(source: str) -> TokenStream:
     Concatenating each token's ``lead`` whitespace and ``text`` (plus the
     stream's ``tail``) reproduces the input byte for byte.  Unknown
     characters become single-character punctuation tokens and are
-    recorded on the stream's ``unknown`` list.  Equal identifier and
-    keyword texts in one stream are one string, and so are equal
-    multi-character punctuators.
+    recorded on the stream's ``unknown`` list.  Equal identifier, keyword
+    and number texts in one stream are one string, and so are equal
+    multi-character punctuators.  The stream stays lossless until
+    :meth:`TokenStream.release`.
     """
     stream = TokenStream(source)
     add_kind, add_text = stream.kinds.append, stream.texts.append
     add_line = stream.lines.append
     kinds = _GROUP_KINDS
-    # Per call, so nothing outlives the stream: word text -> (kind, the
-    # text every token of that word shares).
+    # Per call, so nothing outlives the stream: word or number text ->
+    # (kind, the text every token of it shares).  A word starts with a
+    # letter or ``_`` and a number with a digit or ``.``, so none collide.
     words = dict(_KEYWORD_WORDS)
     line = 1
     for m in _SCANNER.finditer(source):
         group = m.lastindex
         if m[_NL]:
-            line += source.count("\n", m.start(), m.end(1))
+            line += source.count("\n", m.start(), m.start(group))
         text = m[group]
         kind = kinds[group]
         if kind is None:
@@ -256,9 +281,9 @@ def tokenize(source: str) -> TokenStream:
             else:
                 stream.unknown.append((text, line))
             kind = _PUNCTUATION
-        elif kind == _IDENTIFIER:
+        elif group <= _WORD_OR_NUMBER:
             if (word := words.get(text)) is None:
-                word = words[text] = (_IDENTIFIER, text)
+                word = words[text] = (kind, text)
             kind, text = word
         add_kind(kind)
         add_text(text)
@@ -498,8 +523,8 @@ class ParseResult(NamedTuple):
 # Loop count resolution
 # ---------------------------------------------------------------------------
 
-# At most the digits of 2**64 - 1 in each base: Python limits int <-> str conversions.
-_PRAGMA_RE = re.compile(r"@iters\s+(-?\d{1,20})")
+# At most the ASCII digits of 2**64 - 1 in each base: Python limits int <-> str conversions.
+_PRAGMA_RE = re.compile(r"@iters\s+(-?\d{1,20})", re.ASCII)
 # A C integer literal: hexadecimal, octal (a leading 0) or decimal, with
 # an optional unsigned and/or long suffix.
 _INT_LITERAL = re.compile(

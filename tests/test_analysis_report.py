@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from codearea import analysis, classifier, impact, segmenter
+from codearea import analysis, classifier, frontend, impact, segmenter
 from codearea import (
     ConditionBlock,
     Config,
@@ -315,6 +315,35 @@ def test_the_input_text_is_freed_before_it_is_parsed(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert result.error is None and result.raw_loc == 1000
     assert [(trace.size, str(trace.traceback[-1])) for trace in alive] == []
+
+
+def test_no_comment_string_or_preprocessor_text_lives_while_parsing(monkeypatch):
+    # Each such text holds 200 characters; every word, number and @iters comment is short.
+    long = "z" * 200
+    source = (f"// {long}\n/* {long}\n   {long} */\n#define N {long}\n"
+              f"x = f(\"{long}\", '{long}');\n// @iters 3\nwhile (x) x--;\n") * 200
+    lines, first = inspect.getsourcelines(frontend.tokenize)
+    making_texts = [  # where tokenize makes texts: a match's, a block comment's lines
+        tracemalloc.Filter(True, frontend.__file__, n)
+        for n, line in enumerate(lines, first)
+        if any(call in line for call in ("m[group]", ".split(", ".strip("))
+    ]
+    parse, alive = analysis.parse_tokens, []
+
+    def parse_once_no_long_text_lives(tokens, **kwargs):
+        alive.extend(tracemalloc.take_snapshot().filter_traces(making_texts).traces)
+        tracemalloc.stop()
+        return parse(tokens, **kwargs)
+
+    monkeypatch.setattr(analysis, "parse_tokens", parse_once_no_long_text_lives)
+    tracemalloc.start()
+    try:
+        result = analyze_source(source, "big.c", Config())
+    finally:
+        tracemalloc.stop()
+    assert result.error is None and len(result.loops) == 200
+    assert len(making_texts) == 3 and alive  # the @iters comments keep their texts
+    assert [trace.size for trace in alive if trace.size >= 200] == []
 
 
 # ---------------------------------------------------------------------------

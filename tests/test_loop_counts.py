@@ -125,6 +125,18 @@ def test_a_pragma_holds_at_most_twenty_digits(digits, count, provenance):
     assert not any("pragma" in d for d in result.diagnostics)  # a longer number is no pragma
 
 
+def test_a_pragma_takes_ascii_digits_only():
+    # U+0663 is an Arabic-Indic three: a digit to Unicode, not to C.
+    source = "// @iters \u0663\nwhile (a) x();\n"
+    result = analyze_source(source, "a.c", Config())
+    assert result.error is None
+    assert [(c.value, c.provenance.value) for _, c in result.loops] == [(1, "default")]
+    assert result.diagnostics == [
+        "a.c:2: loop bound not statically resolvable; using default count 1"
+    ]
+    assert parse_tokens(tokenize(source)).tree[0].kind.value == "comment"
+
+
 def test_negative_pragma_raises():
     with pytest.raises(NegativeIterationsError):
         resolve_loop_count(header("i=0;i<1;i++"), pragma=-3)

@@ -7,6 +7,8 @@ classifies the statement with the multi-scan classifier.  On every input
 both must give the same tree, diagnostics, loops and flow facts, or raise
 the same error with the same message and line.  When the parse succeeds,
 each ``@iters`` comment must be taken by one loop or lapse, exactly once.
+A released stream, which keeps only the texts the parser reads, must
+parse exactly like the lossless stream of the same text.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from codearea import CountProvenance, TokenKind, classify_statement, tokenize
 from codearea.frontend import MAX_NESTING, ParseResult, parse_tokens, pragma_value
 
 import reference_parser
-from conftest import CORPUS
+from conftest import CORPUS, bench_workloads
 from test_fuzz import SOUP
 
 
@@ -41,11 +43,18 @@ def assert_pragmas_accounted_for(tokens, result: ParseResult) -> None:
     assert pragmas == taken + lapsed
 
 
+def released_outcome(source: str, **options):
+    tokens = tokenize(source)
+    tokens.release()
+    return outcome(parse_tokens, tokens, **options)
+
+
 def assert_same_parse(source: str, **options) -> None:
     tokens = tokenize(source)
     got = outcome(parse_tokens, tokens, **options)
     want = outcome(reference_parser.parse_tokens, tokens, **options)
     assert got == want
+    assert released_outcome(source, **options) == got
     for result in (got, want):
         if isinstance(result, ParseResult):
             assert_pragmas_accounted_for(tokens, result)
@@ -69,6 +78,40 @@ def test_parser_and_classifier_take_a_token_list(options):
         tokens = tokenize(path.read_text(encoding="utf-8"))
         assert parse_tokens(list(tokens), **options) == parse_tokens(tokens, **options)
         assert classify_statement(list(tokens)) == classify_statement(tokens)
+
+
+# A string or char literal, a comment and a preprocessor line in a ``for``
+# header, a statement, a ``case`` label and a function header, and
+# comments that hold ``@iters`` but are no pragma.
+RELEASED_TEXTS = [
+    'for (i = "0"; i < 10; i++) x();', "for (i = 0; i < 'a'; i++) x();",
+    "for (i = 0 /* c */; i < 10; i++) x();", "for (i = 0; i < 10; // c\n i++) x();",
+    "for (i = 0;\n#if A\n i < 10; i++) x();", 'for (s = "s"; s < "t"; s++) x();',
+    'x = "a";', "x = - 'a';", 'f("x", \'y\');', "x = 1 // c\n;", "x = /* c */ 1;",
+    "x =\n#if A\n 1;", '"L": x();', 'goto "L";', "y = \"@iters 5\"; while (a) b();",
+    "switch (k) { case \"a\": x(); case 'b' /* c */ : y(); case 1\n#if A\n: z(); }",
+    "int f(char *s /* c */, const char *t = \"u\")\n{ return 0; }",
+    "int f(void)\n#if A\n{ x(); }", "int g(int a // c\n) { y(); }",
+    "// @iters x\nwhile (a) b();", "// see @iters 5\nfor (i = 0; i < 3; i++) y();",
+    "/* @iters\n   4 */ while (a) b();", "// @iters \u0663\nwhile (a) b();",
+    "// @iters 2\nwhile (a) b();", "x = 'unclosed", "/* unclosed @iters 3",
+    'x "a" 1;', 'x = "a" 1;', 'for (i "a" 0; i < 10; i++) x();', "L /* c */ : x();",
+    "do x(); while (a)\n#if A\n", "do x(); while (a) // c\n;", "if (a) x();\n#else\ny();",
+]
+
+
+@pytest.mark.parametrize("source", RELEASED_TEXTS)
+def test_a_released_stream_parses_like_a_lossless_one(source):
+    assert released_outcome(source) == outcome(parse_tokens, tokenize(source))
+
+
+@pytest.mark.parametrize("name", ["amalgamation", "deep_logic", "source_tree"])
+def test_a_released_stream_parses_each_workload_like_a_lossless_one(name):
+    workload = bench_workloads().generate(name, 11, scale=0.05)
+    for file in workload.files:
+        for options in OPTIONS:
+            lossless = outcome(parse_tokens, tokenize(file.text), **options)
+            assert released_outcome(file.text, **options) == lossless
 
 
 @settings(max_examples=300, deadline=None)
