@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when any input file fails to analyze,
 2 on configuration or usage errors, 3 when ``--gate`` is passed and the
-75% baseline threshold is not met.
+75% baseline threshold is not met, 141 (128 + SIGPIPE) when the reader
+closes standard output before the report ends.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_FILE_ERROR = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_GATE_FAILED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -129,10 +131,14 @@ def main(argv: list[str] | None = None) -> int:
                 break
         sys.stdout.buffer.writelines(held)
         sys.stdout.buffer.writelines(chunks)  # segment by segment
+        sys.stdout.buffer.flush()
     except CodeAreaError as exc:
         print(f"codearea: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        # The reader is gone: read no more input, and give the exit flush a sink.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
     if totals.failed:
         return EXIT_FILE_ERROR

@@ -80,6 +80,7 @@ _BOOL_VALUES = {
 # A number as the docstring gives it, read alike on every Python.
 _NUMBER = re.compile(r"[-+]?(\d{1,20}(\.\d{0,20})?|\.\d{1,20})([eE][-+]?\d{1,2})?"
                      r"|[-+]?\d{1,20}/(?=0*[1-9])\d{1,20}", re.ASCII)
+_INTEGER = re.compile(r"[-+]?\d+", re.ASCII)  # ``int`` alone also takes ``_`` and non-ASCII digits
 
 
 class Config(FrozenRecord):
@@ -123,7 +124,9 @@ def _fraction(value: str, context: str) -> Fraction:
 
 def _int(value: str, context: str) -> int:
     try:
-        return int(value.strip())
+        if not _INTEGER.fullmatch(text := value.strip()):
+            raise ValueError
+        return int(text)
     except ValueError:
         raise ConfigParseError(f"{context}: not an integer: {value!r}") from None
 

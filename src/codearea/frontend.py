@@ -28,12 +28,11 @@ A :class:`TokenStream` keeps its tokens as parallel columns over the
 source: kind codes, texts (equal words or numbers share one string) and lines;
 start offsets are found the first time they are read.  ``stream[i]``
 builds a :class:`Token` on demand, and its ``lead``, like the stream's
-``tail``, is a slice of the source.  The parser reads the columns by
-index.  Each statement's tokens are walked once: the scan that finds
-where a statement ends also gathers what the classification rules read,
-and :func:`classify_statement` applies the same scan and rules to any
-token sequence.  Block nodes are slotted classes and hold no tokens,
-so ``analysis.analyze_source`` drops the stream once it is parsed.  A
+``tail``, is a slice of the source.  The parser reads only the columns,
+by index.  One scan walks each statement's tokens, finds where it ends
+and decides its kind; :func:`classify_statement` runs it on any token
+sequence.  Block nodes are slotted classes and hold no tokens, so
+``analysis.analyze_source`` drops the stream once it is parsed.  A
 :class:`Statement` keeps its first and last lines, not a span pair.
 
 Loop iteration counts are resolved statically where possible.  A comment
@@ -328,22 +327,20 @@ _OPERATORS = _ASSIGN_OPS | {
 }
 
 
-def _scan_statement(kinds: bytearray, texts: list[str], start: int, stop: bool) -> tuple:
-    """Walk a statement's tokens once and gather what the rules read.
+def _scan_statement(
+    kinds: bytearray, texts: list[str], start: int, stop: bool, init_calls: frozenset[str]
+) -> tuple[int, StatementKind]:
+    """Walk a statement's tokens once; return where the walk ended and the
+    statement's kind by the rules of :func:`classify_statement`.
 
     With *stop*, the walk ends the way a statement does in the parser:
     after a ``;`` or before a ``{`` or ``}`` outside ``(`` and ``[``.
-    Without it, the walk takes every token from *start* on.  Returns the
-    index where the walk ended and the facts :func:`_statement_kind`
-    reads: the number of calls (an identifier right before ``(``), the
-    first call's name, the number of operators, whether one of them
-    assigns, and the indices of the first five tokens other than ``;``
-    and comments.
+    Without it, the walk takes every token from *start* on.
     """
     calls = ops = depth = 0
     first_call = callee = None
     has_assign = False
-    body: list[int] = []
+    body: list[int] = []  # the first five tokens other than ``;`` and comments
     room = 5  # body tokens still to take
     end = len(texts)
     for j in range(start, end):
@@ -382,26 +379,16 @@ def _scan_statement(kinds: bytearray, texts: list[str], start: int, stop: bool) 
         if room:
             body.append(j)
             room -= 1
-    return end, (calls, first_call, ops, has_assign, body)
-
-
-def _statement_kind(
-    kinds: bytearray, texts: list[str], first: int, facts: tuple, init_calls: frozenset[str]
-) -> StatementKind:
-    """The rules of :func:`classify_statement`, on a statement's first token
-    and the facts :func:`_scan_statement` gathered from it."""
-    calls, first_call, ops, has_assign, body = facts
-    kind = kinds[first]
+    kind = kinds[start]
     if kind == _COMMENT:
-        return StatementKind.COMMENT
+        return end, StatementKind.COMMENT
     if kind == _PREPROCESSOR:
-        return StatementKind.HEADER_INCLUDE
+        return end, StatementKind.HEADER_INCLUDE
     if kind == _KEYWORD:
-        text = texts[first]
-        if text == "return":
-            return StatementKind.RETURN
-        if text in DECLARATION_STARTERS and not calls:
-            return StatementKind.DECLARATION
+        if texts[start] == "return":
+            return end, StatementKind.RETURN
+        if texts[start] in DECLARATION_STARTERS and not calls:
+            return end, StatementKind.DECLARATION
     # ident = [-]literal
     if len(body) == 4 and texts[body[2]] == "-":
         del body[2]
@@ -411,14 +398,14 @@ def _statement_kind(
         and texts[body[1]] == "="
         and kinds[body[2]] == _LITERAL
     ) or (calls == 1 and first_call in init_calls):
-        return StatementKind.INIT_TERMINATION
+        return end, StatementKind.INIT_TERMINATION
     if calls and not has_assign:
-        return StatementKind.FUNCTION_CALL
+        return end, StatementKind.FUNCTION_CALL
     if not calls and ops == 1:
-        return StatementKind.SIMPLE_ASSIGNMENT
+        return end, StatementKind.SIMPLE_ASSIGNMENT
     if (not calls and 2 <= ops <= 3) or (calls == 1 and ops <= 3):
-        return StatementKind.COMPLEX_ASSIGNMENT
-    return StatementKind.EXPRESSION
+        return end, StatementKind.COMPLEX_ASSIGNMENT
+    return end, StatementKind.EXPRESSION
 
 
 def classify_statement(
@@ -433,14 +420,12 @@ def classify_statement(
     (call without assignment), simple assignment (one operator, no call),
     complex assignment (two or three operators, or one call with at most
     three operators), expression (everything else).  The parser applies
-    the same rules to the facts it gathers while it finds a statement's
-    end.
+    the same rules in the scan that finds a statement's end.
     """
     if not tokens:
         return StatementKind.EXPRESSION
     kinds, texts, _ = _columns(tokens)
-    _, facts = _scan_statement(kinds, texts, 0, False)
-    return _statement_kind(kinds, texts, 0, facts, init_termination_calls)
+    return _scan_statement(kinds, texts, 0, False, init_termination_calls)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +573,19 @@ def _literal_bound(kinds: Sequence[int], texts: list[str]) -> int | None:
     return None
 
 
+def _loop_count(
+    kinds: Sequence[int], texts: list[str], pragma: int | None, default: int, line: int | None
+) -> IterationCount:
+    """The count by :func:`resolve_loop_count`'s rule, from a header's columns."""
+    if pragma is not None:
+        if pragma < 0:
+            raise NegativeIterationsError(f"pragma yields negative count {pragma}", line)
+        return IterationCount(pragma, CountProvenance.PRAGMA_OVERRIDE)
+    if (literal := _literal_bound(kinds, texts)) is not None:
+        return IterationCount(literal, CountProvenance.LITERAL_BOUND)
+    return IterationCount(default, CountProvenance.CONFIG_DEFAULT)
+
+
 def resolve_loop_count(
     header: list[Token],
     pragma: int | None = None,
@@ -602,15 +600,8 @@ def resolve_loop_count(
     the literal bound wins over the configured default.  A negative
     pragma raises :class:`NegativeIterationsError`.
     """
-    if pragma is not None:
-        if pragma < 0:
-            raise NegativeIterationsError(f"pragma yields negative count {pragma}", line)
-        return IterationCount(pragma, CountProvenance.PRAGMA_OVERRIDE)
     kinds, texts, _ = _columns(header)
-    literal = _literal_bound(kinds, texts)
-    if literal is not None:
-        return IterationCount(literal, CountProvenance.LITERAL_BOUND)
-    return IterationCount(default_iterations, CountProvenance.CONFIG_DEFAULT)
+    return _loop_count(kinds, texts, pragma, default_iterations, line)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +658,8 @@ class _Parser:
         self.i = i + 1
         return self.lines[i]
 
-    def _balanced_parens(self, context_line: int, keep: bool = False) -> list[Token] | None:
-        """Consume ``( ... )``, skipping comments; return its inner tokens
-        when *keep* is set, else ``None``."""
+    def _balanced_parens(self, context_line: int) -> int:
+        """Consume ``( ... )``, skipping comments; return the index after the ``(``."""
         kinds, texts = self.kinds, self.texts
         while self.i < self.n and kinds[self.i] == _COMMENT:
             self.i += 1
@@ -685,13 +675,7 @@ class _Parser:
                 depth -= 1
                 if depth == 0:
                     self.i = j + 1
-                    if keep:
-                        return [
-                            Token(_KINDS[kinds[k]], texts[k], self.lines[k])
-                            for k in range(start, j)
-                            if kinds[k] != _COMMENT
-                        ]
-                    return None
+                    return start
         raise MalformedHeaderError("unterminated header", context_line)
 
     def _next_part(self, texts: tuple[str, ...], out: list[BlockNode]) -> bool:
@@ -793,10 +777,10 @@ class _Parser:
 
     def parse_statement_or_function(self, out: list[BlockNode]) -> None:
         kinds, texts, start = self.kinds, self.texts, self.i
-        end, facts = _scan_statement(kinds, texts, start, True)
+        end, kind = _scan_statement(kinds, texts, start, True, self.init_calls)
         self.i = end
         if end == self.n or texts[end] != "{" or kinds[end] != _PUNCTUATION:
-            out.append(self._make_statement(start, end, facts))
+            out.append(self._make_statement(start, end, kind))
             return
         brace_line = self.lines[self._next()]
         name = self._function_name(start, end)
@@ -810,7 +794,7 @@ class _Parser:
         else:
             # Brace after a non-function prefix (struct/enum body, stray
             # block): keep the prefix as a statement and splice the block.
-            out.append(self._make_statement(start, end, facts))
+            out.append(self._make_statement(start, end, kind))
             self.parse_until_close(brace_line, out)
 
     def _function_name(self, start: int, end: int) -> str | None:
@@ -827,9 +811,8 @@ class _Parser:
                 return texts[name] if kinds[name] == _IDENTIFIER else None
         return None
 
-    def _make_statement(self, start: int, end: int, facts: tuple) -> Statement:
-        """Classify the statement of tokens ``start`` to ``end`` from the facts
-        its scan gathered, and record its jump, if it is one."""
+    def _make_statement(self, start: int, end: int, kind: StatementKind) -> Statement:
+        """The statement of tokens ``start`` to ``end``; record its jump, if any."""
         kinds, texts, line = self.kinds, self.texts, self.lines[start]
         # A statement never starts with a comment, so these texts are keywords.
         head = texts[start]
@@ -845,7 +828,6 @@ class _Parser:
                 flow.loop_exits[self.absorber] += 1
         elif head == "continue" and self.loop is not None:
             flow.loop_exits[self.loop] += 1
-        kind = _statement_kind(kinds, texts, start, facts, self.init_calls)
         last = self.lines[end - 1]
         # A one-line statement holds one int object for both lines.
         return Statement(kind, line, line if last == line else last)
@@ -879,9 +861,11 @@ class _Parser:
         key = len(self.loops)
         self.loops.append(None)
         self.flow.loop_exits.append(0)
-        header = None
+        header: list[int] = []  # the ``for`` header's tokens other than comments
         if word != "do":
-            header = self._balanced_parens(line, keep=word == "for")
+            start = self._balanced_parens(line)
+            if word == "for":
+                header = [j for j in range(start, self.i - 1) if self.kinds[j] != _COMMENT]
         body: list[BlockNode] = []
         outer = self.loop, self.absorber
         self.loop = self.absorber = key
@@ -894,8 +878,9 @@ class _Parser:
             end = self.lines[self.i - 1]  # the header's ``)``
             if self.i < self.n and self.texts[self.i] == ";":
                 end = self.lines[self._next()]
-        count = resolve_loop_count(
-            header or [], pragma, default_iterations=self.default_iterations, line=line
+        count = _loop_count(
+            [self.kinds[j] for j in header], [self.texts[j] for j in header],
+            pragma, self.default_iterations, line,
         )
         self.loops[key] = (line, count)
         out.append(LoopBlock(count, body, (line, end)))

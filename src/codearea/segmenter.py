@@ -21,6 +21,7 @@ inside exactly one span, and every span must cover at least one node.
 from __future__ import annotations
 
 import enum
+import re
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
@@ -139,6 +140,9 @@ class SegmentOverride(NamedTuple):
     kind: SegmentKind
 
 
+_LINE_NUMBER = re.compile(r"[-+]?[0-9]+")  # ``int`` alone also takes ``_`` and non-ASCII digits
+
+
 def parse_segment_overrides(text: str) -> list[SegmentOverride]:
     """Parse a sidecar file into override triples."""
     overrides: list[SegmentOverride] = []
@@ -152,6 +156,8 @@ def parse_segment_overrides(text: str) -> list[SegmentOverride]:
                 f"sidecar line {lineno}: expected 'startLine endLine KIND', got {raw!r}"
             )
         try:
+            if not (_LINE_NUMBER.fullmatch(parts[0]) and _LINE_NUMBER.fullmatch(parts[1])):
+                raise ValueError
             start, end = int(parts[0]), int(parts[1])
         except ValueError:
             raise SegmentOverrideError(

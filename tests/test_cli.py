@@ -211,7 +211,8 @@ def test_flags_replace_the_same_config_settings(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--exec-time", "abc"), ("--exec-time-avg", "abc"), ("--qr", "1,2,x,1,2"), ("--qr", "1,2,3")],
+    [("--exec-time", "abc"), ("--exec-time-avg", "abc"), ("--qr", "1,2,x,1,2"), ("--qr", "1,2,3"),
+     ("--qr", "\u0661,1,1,1,1"), ("--qr", "1_0,1,1,1,1")],
 )
 def test_bad_flag_value_is_a_config_error_naming_the_flag(capsys, flag, value):
     assert main([*corpus_args(), flag, value]) == 2
@@ -253,6 +254,20 @@ def test_a_settings_number_out_of_its_syntax_is_refused_at_once(tmp_path, args, 
     assert done.stderr.startswith(b"codearea: config error: ") and b"not a number" in done.stderr
     assert b"Traceback" not in done.stderr
     assert elapsed < 1
+
+
+def test_a_closed_stdout_ends_the_run_quietly_with_status_141():
+    # 500 files make a report far larger than a pipe holds, so the reader's
+    # close meets the CLI mid-report.
+    paths = [str(CORPUS_FILES[-1])] * 500
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.Popen([sys.executable, "-m", "codearea", *paths, "--format", "json"],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.readline()
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=120), stderr) == (141, b"")
 
 
 def test_large_blocks_keep_their_own_mappings_after_a_large_free():

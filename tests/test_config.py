@@ -113,6 +113,8 @@ def test_analysis_section(tmp_path):
         ("flow_exit_limit", "-1", "flow_exit_limit must be >= 0"),
         ("flow_penalty", "-1/2", "flow_penalty must be >= 0"),
         ("default_iterations", "1.5", "analysis.default_iterations: not an integer: '1.5'"),
+        ("default_iterations", "1_0", "analysis.default_iterations: not an integer: '1_0'"),
+        ("flow_exit_limit", "\u0663", "analysis.flow_exit_limit: not an integer: '\u0663'"),
         ("flow_penalty", "x", "analysis.flow_penalty: not a number: 'x'"),
         ("exec_time_avg", "x", "analysis.exec_time_avg: not a number: 'x'"),
         ("default_iterations", "1" + "0" * 20, "default_iterations must have at most 20 digits"),

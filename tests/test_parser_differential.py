@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codearea import CountProvenance, TokenKind, classify_statement, tokenize
@@ -138,6 +138,7 @@ PIECES = [
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(PIECES), max_size=40))
+@example(["a ( [ ) )", "{ x(); }"])  # a last ``)`` whose ``(`` the ``[`` hides
 def test_parser_matches_reference_on_brackets_calls_and_comments(parts):
     assert_same_parse(" ".join(parts))
 
@@ -146,7 +147,8 @@ def test_parser_matches_reference_on_brackets_calls_and_comments(parts):
 # level, inside a case and inside a loop body, before each later part of a
 # construct (a case's colon and a function's body among them), and after an
 # if with no else and a statement with no `;`, so an @iters comment meets
-# each construct boundary.
+# each construct boundary.  Every sequence of up to two of them fills each
+# template again inside a case and inside a loop body.
 SHORT_PIECES = [
     "/* @iters 2 */", "case 1 /* @iters 3 */ :", "case 1:", ";", "x();",
     "{", "}", "while (c)", "do", "if (a)", "else",
@@ -171,6 +173,22 @@ TEMPLATES = {
 @pytest.mark.parametrize("template", TEMPLATES.values(), ids=TEMPLATES.keys())
 def test_parser_matches_reference_on_every_short_sequence_before_a_loop(template):
     for size in range(4):
+        for parts in itertools.product(SHORT_PIECES, repeat=size):
+            assert_same_parse(template.format(" ".join(parts)))
+
+
+PLACED_TEMPLATES = {
+    f"{name}_{place}": before + template + " }}"
+    for name, template in TEMPLATES.items()
+    if name not in ("top", "case", "loop_body")
+    for place, before in (("in_case", "switch (k) {{ case 0: "), ("in_loop", "while (d) {{ "))
+}
+
+
+@pytest.mark.parametrize("template", PLACED_TEMPLATES.values(), ids=PLACED_TEMPLATES.keys())
+def test_parser_matches_reference_on_every_short_pair_inside_a_case_or_a_loop(template):
+    # Three pieces would make about 29k inputs, some 8 s.
+    for size in range(3):
         for parts in itertools.product(SHORT_PIECES, repeat=size):
             assert_same_parse(template.format(" ".join(parts)))
 

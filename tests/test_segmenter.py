@@ -122,6 +122,8 @@ def test_sidecar_parsing():
         "1 20 XX\n",         # unknown kind
         "5 2 SL\n",          # end before start
         "0 4 SL\n",          # line numbers are 1-based
+        "\u0661 2 SL\n",     # digits that are not ASCII
+        "1_0 20 SL\n",       # an underscore
     ],
 )
 def test_sidecar_parse_errors(text):
