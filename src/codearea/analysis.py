@@ -1,13 +1,12 @@
 """Corpus analysis: per-file pipeline plus aggregate report assembly.
 
-Each file runs through tokenize, parse, segment, and impact scoring
-independently; a parse failure in one file is recorded on that file's
-entry and never disturbs another file's numbers.  Neither does any other
-exception from one file's analysis: it becomes that file's
-``InternalError``, and its traceback is logged.  A file's result keeps
-the parser's ``(line, IterationCount)`` loop records as they are.
-:func:`iter_analyze` yields the files' results one at a time, and :class:`Totals`
-folds what the aggregate reads from each, so a report is always self-consistent.
+:func:`analyze_source` runs one file through tokenize, parse, segment, and impact scoring,
+with the cyclic collector paused; a parse failure is recorded on that file's entry and never
+disturbs another file's numbers.  Neither does any other exception from one file's analysis:
+it becomes that file's ``InternalError``, and its traceback is logged.  A file's result keeps
+the parser's ``(line, IterationCount)`` loop records as they are.  :func:`iter_analyze` reads
+each input and yields its result in turn, and :class:`Totals` folds what the aggregate reads
+from each, so a report is always self-consistent.
 
 A sidecar named ``<source>.segments`` next to an input file replaces
 that file's computed segmentation (see :mod:`codearea.segmenter`), unless
@@ -97,6 +96,10 @@ def analyze_source(
     ``parse_tokens`` returns, then the tree."""
     text = text.removeprefix("\ufeff")
     raw_loc = _count_lines(text)
+    # No reference cycles (tests/test_no_cycles.py): the collector would only rescan the live
+    # tokens and tree, so it is paused while the file is analyzed and left as it was found.
+    collector_was_on = gc.isenabled()
+    gc.disable()
     try:
         tokens = tokenize(text)
         del text  # the parser reads only the columns, so the text is freed here
@@ -139,6 +142,9 @@ def analyze_source(
 
         logging.getLogger(__name__).exception("internal error analyzing %s", path)
         return FileResult(path, raw_loc, error=f"InternalError: {type(exc).__name__}: {exc}")
+    finally:
+        if collector_was_on:
+            gc.enable()
 
 
 def _read_input(path: str, sidecar_path: str | None) -> tuple[str, str, str | None]:
@@ -146,7 +152,10 @@ def _read_input(path: str, sidecar_path: str | None) -> tuple[str, str, str | No
     sidecar is *sidecar_path* when given, else ``<path>.segments`` if that
     file exists."""
     if path == STDIN_PATH:
-        label, text = STDIN_LABEL, sys.stdin.read()
+        if sys.stdin is None:
+            raise OSError("standard input is closed")
+        # As strict as a path: UTF-8 mode reads a bad byte as a surrogate, turned back here.
+        label, text = STDIN_LABEL, sys.stdin.read().encode("utf-8", "surrogateescape").decode()
     else:
         label, text = path, _read(path, "utf-8")
         if sidecar_path is None and os.path.isfile(path + ".segments"):
@@ -242,27 +251,16 @@ def iter_analyze(
 ) -> Iterator[FileResult]:
     """Analyze *paths* in order, yielding each file's result when it is done.
     ``sidecar_path`` is an explicit segmentation override file, read in place
-    of sidecar discovery; it is only meaningful for a single input."""
+    of sidecar discovery; it is only meaningful for a single input.  Each text
+    is handed over in a one-slot list emptied into the call, so on Python 3.11
+    and later only the analysis holds it."""
     for path in paths:
-        yield _analyze_path(path, config, sidecar_path)
-
-
-def _analyze_path(path: str, config: Config, sidecar_path: str | None) -> FileResult:
-    """One input's result.  Its text is handed over in a one-slot list emptied
-    into the call, so on Python 3.11 and later only the analysis holds it."""
-    try:
-        label, *text, sidecar = _read_input(path, sidecar_path)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in a path, or UnicodeDecodeError
-        return FileResult(path=path, error=f"Io: {exc}")
-    # No reference cycles (tests/test_no_cycles.py): the collector would only rescan the live
-    # tokens and tree.  It is paused per file, never across a yield, so no caller finds it off.
-    collector_was_on = gc.isenabled()
-    gc.disable()
-    try:
-        return analyze_source(text.pop(), label, config, sidecar=sidecar)
-    finally:
-        if collector_was_on:
-            gc.enable()
+        try:
+            label, *text, sidecar = _read_input(path, sidecar_path)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in a path, or UnicodeDecodeError
+            yield FileResult(path=path, error=f"Io: {exc}")
+        else:
+            yield analyze_source(text.pop(), label, config, sidecar=sidecar)
 
 
 def analyze(

@@ -1,14 +1,15 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 when any input file fails to analyze,
-2 on configuration or usage errors, 3 when ``--gate`` is passed and the
-75% baseline threshold is not met, 141 (128 + SIGPIPE) when the reader
-closes standard output before the report ends.
+Exit codes: 0 on success, 1 when any input file fails to analyze, 2 on configuration
+or usage errors (also with standard error closed), 3 when ``--gate`` is passed and the
+75% baseline threshold is not met, 141 (128 + SIGPIPE) when standard output is closed,
+before the run or by its reader before the report ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -114,6 +115,8 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, _flag_items(args))
         if args.segments is not None and len(args.paths) != 1:
             raise CodeAreaError("--segments requires exactly one input file")
+        if sys.stdout is None:  # closed before the run: nothing can be written
+            return EXIT_BROKEN_PIPE
         if args.weights_dump:
             _dump_weights(config)
             return EXIT_OK
@@ -133,7 +136,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.buffer.writelines(chunks)  # segment by segment
         sys.stdout.buffer.flush()
     except CodeAreaError as exc:
-        print(f"codearea: config error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:  # closed at start; print(file=None) would write to stdout
+            with contextlib.suppress(OSError):  # fd 2 open on what cannot be written
+                print(f"codearea: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except BrokenPipeError:
         # The reader is gone: read no more input, and give the exit flush a sink.

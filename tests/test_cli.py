@@ -270,6 +270,58 @@ def test_a_closed_stdout_ends_the_run_quietly_with_status_141():
     assert (child.wait(timeout=120), stderr) == (141, b"")
 
 
+def run_cli_child(args: list[str], closed_fd: int | None = None, env: dict | None = None,
+                  **kwargs) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process, with file descriptor *closed_fd* closed."""
+    if closed_fd is not None:
+        kwargs["preexec_fn"] = lambda: os.close(closed_fd)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **(env or {}))
+    return subprocess.run([sys.executable, "-m", "codearea", *args], env=env,
+                          capture_output=True, timeout=120, **kwargs)
+
+
+def test_a_closed_stdin_is_that_inputs_io_error():
+    done = run_cli_child(["-", str(CORPUS_FILES[2]), "--format", "json"], closed_fd=0)
+    files = json.loads(done.stdout)["files"]
+    assert [f["path"] for f in files] == ["-", str(CORPUS_FILES[2])]
+    assert files[0]["error"]["message"] == "Io: standard input is closed"
+    assert "error" not in files[1]
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+def test_standard_input_is_decoded_as_strictly_as_a_path(tmp_path):
+    # UTF-8 mode, which Python turns on in the C locale, reads a bad byte as a surrogate.
+    data = b"x = 1; \xff\n"
+    (tmp_path / "bad.c").write_bytes(data)
+    by_path = run_cli_child([str(tmp_path / "bad.c"), "--format", "json"],
+                            env={"PYTHONUTF8": "1"})
+    by_stdin = run_cli_child(["-", "--format", "json"], input=data, env={"PYTHONUTF8": "1"})
+    message = json.loads(by_path.stdout)["files"][0]["error"]["message"]
+    assert message == ("Io: 'utf-8' codec can't decode byte 0xff in position 7: "
+                       "invalid start byte")
+    assert json.loads(by_stdin.stdout)["files"][0]["error"]["message"] == message
+    assert (by_path.returncode, by_stdin.returncode) == (1, 1)
+
+
+@pytest.mark.parametrize("args", [[str(CORPUS_FILES[2])], ["--weights-dump"]],
+                         ids=["report", "weights"])
+def test_a_stdout_closed_before_the_run_ends_it_with_status_141(args):
+    done = run_cli_child(args, closed_fd=1)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+def read_only_stderr() -> None:
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+
+@pytest.mark.parametrize("kwargs", [{"closed_fd": 2}, {"preexec_fn": read_only_stderr}],
+                         ids=["closed", "read_only"])
+def test_an_unwritable_stderr_keeps_the_config_error_status(kwargs):
+    # A closed fd 2 gives no sys.stderr; a read-only one fails each write.
+    done = run_cli_child([str(CORPUS_FILES[2]), "--qr", "1,2"], **kwargs)
+    assert (done.returncode, done.stdout) == (2, b"")
+
+
 def test_large_blocks_keep_their_own_mappings_after_a_large_free():
     # In a fresh interpreter, whose heap has little free space: unpinned,
     # freeing the 4 MiB block would raise the threshold past 1 MiB.

@@ -1,10 +1,10 @@
 """Analysis makes no reference cycles, and pauses the collector safely.
 
-``analysis.iter_analyze`` disables the cyclic collector while it analyzes
-each file, so every object the pipeline makes must be freed by reference
-counting alone: a collection after an analyze and both renderings, or
-after a streamed CLI run, all run with the collector off, must find
-nothing unreachable that the run's own code made.  Each file's analysis
+``analysis.analyze_source`` disables the cyclic collector while it
+analyzes a file, so every object the pipeline makes must be freed by
+reference counting alone: a collection after an analyze and both
+renderings, or after a streamed CLI run, all run with the collector off,
+must find nothing unreachable that the run's own code made.  Each file's analysis
 leaves the collector as it found it, on or off, whatever the file did,
 and a stream that is suspended or dropped part way never leaves it off.
 """
@@ -17,8 +17,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from codearea import Config, analyze, emit_report, impact, iter_analyze, iter_report
+from codearea import (
+    Config, analysis, analyze, analyze_source, emit_report, impact, iter_analyze, iter_report,
+)
 from codearea.cli import main
+from codearea.frontend import parse_tokens
 
 from conftest import CORPUS_FILES
 
@@ -125,6 +128,8 @@ def test_analyze_restores_the_collector_state(monkeypatch, collector_on, outcome
             raise KeyboardInterrupt
 
         monkeypatch.setattr("codearea.analysis._read_input", interrupt)
+        monkeypatch.setattr("codearea.analysis.tokenize", interrupt)
+    source = CORPUS_FILES[3].read_text(encoding="utf-8")
     was_on = gc.isenabled()
     (gc.enable if collector_on else gc.disable)()
     try:
@@ -136,6 +141,31 @@ def test_analyze_restores_the_collector_state(monkeypatch, collector_on, outcome
             assert outcome != "raised"
             assert (report.files[0].error is not None) == (outcome == "internal_error")
         assert gc.isenabled() == collector_on
+        try:  # the same file, analyzed directly
+            result = analyze_source(source, str(CORPUS_FILES[3]), Config())
+        except KeyboardInterrupt:
+            assert outcome == "raised"
+        else:
+            assert outcome != "raised"
+            assert (result.error is not None) == (outcome == "internal_error")
+        assert gc.isenabled() == collector_on
     finally:
         (gc.enable if was_on else gc.disable)()
 
+
+def test_a_direct_analyze_source_call_runs_with_the_collector_off(monkeypatch):
+    seen = []
+
+    def parse_and_look(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return parse_tokens(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "parse_tokens", parse_and_look)
+    was_on = gc.isenabled()
+    gc.enable()
+    try:
+        result = analyze_source("x = 1;\nwhile (a) y();\n", "f.c", Config())
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was_on else gc.disable)()
+    assert (seen, result.error) == ([False], None)
