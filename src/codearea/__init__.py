@@ -23,7 +23,7 @@ from .errors import (
 from .frontend import (
     BlockNode, ConditionBlock, CountProvenance, ExceptionBlock, FunctionDef, IterationCount,
     LoopBlock, Statement, StatementKind, Token, TokenKind, classify_statement, parse_tokens,
-    reconstruct, resolve_loop_count, tokenize,
+    resolve_loop_count, tokenize,
 )
 from .impact import DEFAULT_WEIGHTS, WeightTable, block_impact, segment_impact
 from .metrics import (

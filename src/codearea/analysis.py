@@ -92,8 +92,8 @@ def analyze_source(
     mark; parse errors land on the result, and any other exception is the
     result's ``InternalError``, its traceback logged.  The analysis holds
     *text* until ``tokenize`` returns (on Python 3.11 and later; a caller's
-    own reference keeps it alive), then the token columns until
-    ``parse_tokens`` returns, then the tree."""
+    own reference keeps it alive), then the token columns, with no comment,
+    string or preprocessor text, until ``parse_tokens`` returns, then the tree."""
     text = text.removeprefix("\ufeff")
     raw_loc = _count_lines(text)
     # No reference cycles (tests/test_no_cycles.py): the collector would only rescan the live
@@ -103,7 +103,6 @@ def analyze_source(
     try:
         tokens = tokenize(text)
         del text  # the parser reads only the columns, so the text is freed here
-        tokens.release()
         diagnostics = [
             f"{path}:{line}: unknown character {ch!r} tokenized as punctuation"
             for ch, line in tokens.unknown
@@ -147,22 +146,22 @@ def analyze_source(
             gc.enable()
 
 
-def _read_input(path: str, sidecar_path: str | None) -> tuple[str, str, str | None]:
-    """Return (label, text, sidecar text or None) for one input path.  The
-    sidecar is *sidecar_path* when given, else ``<path>.segments`` if that
-    file exists."""
+def _read_input(path: str, sidecar_path: str | None) -> tuple[str, str | None]:
+    """Return (text, sidecar text or None) for one input path.  The sidecar
+    is *sidecar_path* when given, else ``<path>.segments`` if that file
+    exists."""
     if path == STDIN_PATH:
         if sys.stdin is None:
             raise OSError("standard input is closed")
         # As strict as a path: UTF-8 mode reads a bad byte as a surrogate, turned back here.
-        label, text = STDIN_LABEL, sys.stdin.read().encode("utf-8", "surrogateescape").decode()
+        text = sys.stdin.read().encode("utf-8", "surrogateescape").decode()
     else:
-        label, text = path, _read(path, "utf-8")
+        text = _read(path, "utf-8")
         if sidecar_path is None and os.path.isfile(path + ".segments"):
             sidecar_path = path + ".segments"
     if sidecar_path is None:
-        return label, text, None
-    return label, text, _read(sidecar_path, "utf-8-sig")
+        return text, None
+    return text, _read(sidecar_path, "utf-8-sig")
 
 
 def _read(path: str, encoding: str) -> str:
@@ -251,14 +250,19 @@ def iter_analyze(
 ) -> Iterator[FileResult]:
     """Analyze *paths* in order, yielding each file's result when it is done.
     ``sidecar_path`` is an explicit segmentation override file, read in place
-    of sidecar discovery; it is only meaningful for a single input.  Each text
-    is handed over in a one-slot list emptied into the call, so on Python 3.11
-    and later only the analysis holds it."""
+    of sidecar discovery; it is only meaningful for a single input.  The first
+    ``-`` reads standard input, as ``<stdin>``.  Each text is handed over in a
+    one-slot list emptied into the call, so on Python 3.11+ only the analysis holds it."""
+    stdin_read = False
     for path in paths:
+        label = STDIN_LABEL if path == STDIN_PATH else path
         try:
-            label, *text, sidecar = _read_input(path, sidecar_path)
+            if stdin_read and path == STDIN_PATH:
+                raise OSError("standard input already read")
+            stdin_read |= path == STDIN_PATH
+            *text, sidecar = _read_input(path, sidecar_path)
         except (OSError, ValueError) as exc:  # ValueError: a NUL in a path, or UnicodeDecodeError
-            yield FileResult(path=path, error=f"Io: {exc}")
+            yield FileResult(path=label, error=f"Io: {exc}")
         else:
             yield analyze_source(text.pop(), label, config, sidecar=sidecar)
 

@@ -110,7 +110,12 @@ def _pin_mmap_threshold() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    if sys.stdout is None:  # argparse would write the help to stderr
+        parser.print_help = lambda file=None: parser.exit(EXIT_BROKEN_PIPE)
+    if sys.stderr is None:  # argparse would write a usage error's usage text to stdout
+        parser.error = lambda message: parser.exit(EXIT_CONFIG_ERROR)
+    args = parser.parse_args(argv)
     try:
         config = load_config(args.config, _flag_items(args))
         if args.segments is not None and len(args.paths) != 1:

@@ -4,8 +4,7 @@ The grammar is a permissive C-like subset: statements end at ``;``,
 blocks are delimited by braces, ``if``/``else if``/``else`` chains and
 ``switch`` statements become condition blocks, ``for``/``while``/``do``
 become loop blocks, and ``try``/``catch``/``finally`` becomes an
-exception block.  Preprocessor lines and comments are kept as one token
-per line so the token stream is lossless.
+exception block.  Preprocessor lines and comments are one token per line.
 
 Comments stay in the construct around them.  Between a header and its
 body they open the body; a header followed only by comments has no body.
@@ -24,16 +23,17 @@ the innermost loop.  A ``break`` exits the innermost loop or ``switch``,
 and a ``switch`` absorbs it, so it counts as no loop's exit.  A function
 body starts with no loop around it.
 
-A :class:`TokenStream` keeps its tokens as parallel columns over the
-source: kind codes, texts (equal words or numbers share one string) and lines;
-start offsets are found the first time they are read.  ``stream[i]``
-builds a :class:`Token` on demand, and its ``lead``, like the stream's
-``tail``, is a slice of the source.  The parser reads only the columns,
-by index.  One scan walks each statement's tokens, finds where it ends
-and decides its kind; :func:`classify_statement` runs it on any token
-sequence.  Block nodes are slotted classes and hold no tokens, so
-``analysis.analyze_source`` drops the stream once it is parsed.  A
-:class:`Statement` keeps its first and last lines, not a span pair.
+A :class:`TokenStream` keeps its tokens as parallel columns: kind codes,
+texts (equal words or numbers share one string) and lines.  It keeps only
+the texts the parser reads: a comment without ``@iters``, a string or
+char literal and a preprocessor line each hold one shared placeholder,
+and no whitespace is kept.  ``stream[i]`` builds a :class:`Token` on
+demand.  The parser reads only the columns, by index.  One scan walks
+each statement's tokens, finds where it ends and decides its kind;
+:func:`classify_statement` runs it on any token sequence.  Block nodes
+are slotted classes and hold no tokens, so ``analysis.analyze_source``
+drops the stream once it is parsed.  A :class:`Statement` keeps its
+first and last lines, not a span pair.
 
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the loop written
@@ -51,7 +51,7 @@ from __future__ import annotations
 import enum
 import re
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import (
@@ -80,7 +80,6 @@ class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
-    lead: str = ""  # whitespace between the previous token and this one
 
 
 # A stream keeps each token's kind as its index in TokenKind.
@@ -89,85 +88,23 @@ _CODES = {kind: code for code, kind in enumerate(_KINDS)}
 _IDENTIFIER, _KEYWORD, _PUNCTUATION, _LITERAL, _COMMENT, _PREPROCESSOR = range(len(_KINDS))
 
 
-# The one text per kind a released stream holds for each text it drops.  Each
-# answers every test the parser makes of a text as the original did: none is
-# a keyword, an identifier or a punctuator the parser names, is in an
-# operator set, is an integer literal or holds ``@iters``.
-_PLACEHOLDERS = {_COMMENT: "//", _LITERAL: '""', _PREPROCESSOR: "#"}
-
-
 class TokenStream:
-    """The tokens of one source text as parallel columns: each token's
-    kind code, text and line.  ``unknown`` lists the characters the
-    tokenizer did not recognize.  As a sequence the stream yields
-    :class:`Token` values built on demand, whose ``lead`` is the source
-    between the token before and this one.  It holds ``source`` and every
-    text until :meth:`release`, which ``analyze_source`` calls once
-    ``tokenize`` returns."""
+    """The tokens of one source text as parallel columns: kind codes, the
+    texts the parser reads (see :func:`tokenize`) and lines.  ``unknown``
+    lists the characters the tokenizer did not recognize.  ``stream[i]``
+    builds a :class:`Token`, so the stream iterates as a sequence of them."""
 
-    __slots__ = ("source", "kinds", "texts", "lines", "_starts", "unknown", "__weakref__")
+    __slots__ = ("kinds", "texts", "lines", "unknown", "__weakref__")
 
     def __init__(self, source: str):
-        self.source = source
-        self.kinds, self.texts, self.unknown, self._starts = bytearray(), [], [], None
-        self.lines = array("I" if len(source) < 0xFFFFFFFF else "Q")  # holds any line or offset
-
-    def release(self) -> None:
-        """Drop the source, and each text that only a view of it reads.
-        Words, punctuators, numbers and each comment that holds ``@iters``
-        keep their texts; every other comment, string or char literal and
-        preprocessor line holds its kind's placeholder instead.  After
-        this every view (``stream[i]``, ``tail``, ``starts``) raises."""
-        self.source = self._starts = None
-        kinds, texts = self.kinds, self.texts
-        for code, placeholder in _PLACEHOLDERS.items():
-            i = kinds.find(code)
-            while i >= 0:
-                text = texts[i]
-                # Only a string or char literal and a preprocessor line start with these.
-                if ("@iters" not in text) if code == _COMMENT else (text[0] in "\"'#"):
-                    texts[i] = placeholder
-                i = kinds.find(code, i + 1)
-
-    @property
-    def starts(self) -> array:
-        """Each token's offset in ``source``, found on first read: the gaps
-        between tokens are whitespace, which starts no token, so a token
-        is its text's first match after the token before."""
-        if self._starts is None:
-            if self.source is None:
-                raise ValueError("the stream's source was released")
-            self._starts = starts = array(self.lines.typecode)
-            find, at = self.source.find, 0
-            for text in self.texts:
-                at = find(text, at)
-                starts.append(at)
-                at += len(text)
-        return self._starts
+        self.kinds, self.texts, self.unknown = bytearray(), [], []
+        self.lines = array("I" if len(source) < 0xFFFFFFFF else "Q")  # holds any line
 
     def __len__(self) -> int:
         return len(self.texts)
 
-    def _end(self, i: int) -> int:
-        """Offset just past token *i*, or 0 before the first token."""
-        starts = self.starts  # raises once the source is released, even with no tokens
-        return starts[i] + len(self.texts[i]) if i >= 0 else 0
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self.texts)))]
-        text = self.texts[i]
-        if i < 0:
-            i += len(self.texts)
-        lead = self.source[self._end(i - 1):self.starts[i]]
-        return Token(_KINDS[self.kinds[i]], text, self.lines[i], lead)
-
-    def __iter__(self) -> Iterator[Token]:
-        return map(self.__getitem__, range(len(self.texts)))
-
-    @property
-    def tail(self) -> str:
-        return self.source[self._end(len(self.texts) - 1):]
+    def __getitem__(self, i: int) -> Token:
+        return Token(_KINDS[self.kinds[i]], self.texts[i], self.lines[i])
 
 
 def _columns(tokens: Sequence[Token]) -> tuple[bytearray, list[str], Sequence[int]]:
@@ -204,14 +141,14 @@ _OPERATOR_TEXTS = {text: text for text in (
 )}
 
 # One alternative per token class, tried in order where the previous
-# token ended, after the token's lead, which no group captures.  ``start``
-# takes part at the start of the text and ``nl`` when the lead holds a
-# newline, the only places ``#`` opens a preprocessor line.  The lead
-# reads horizontal space up to the first newline, so it never retries a
-# shorter run to find one; ``unknown`` excludes whitespace, so the lead
-# never gives a character back to it; and ``end`` takes the trailing
-# whitespace, so the scan never backtracks or skips ahead at the end of
-# the text.  Possessive quantifiers would need Python 3.11.
+# token ended, after the whitespace before it, which no group captures.
+# ``start`` takes part at the start of the text and ``nl`` when that
+# whitespace holds a newline, the only places ``#`` opens a preprocessor
+# line.  The whitespace reads horizontal space up to the first newline,
+# so it never retries a shorter run to find one; ``unknown`` excludes
+# whitespace, so it never gives a character back; and ``end`` takes the
+# trailing whitespace, so the scan never backtracks or skips ahead at the
+# end of the text.  Possessive quantifiers would need Python 3.11.
 _SCANNER = re.compile(
     r"(?P<start>\A)?[ \t\r\f\v]*(?:(?P<nl>\n)[ \t\r\n\f\v]*)?"
     r"(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
@@ -236,18 +173,24 @@ for _name, _kind in dict(
     punct=_PUNCTUATION, line_comment=_COMMENT, preprocessor=_PREPROCESSOR,
 ).items():
     _GROUP_KINDS[_GROUP[_name]] = _kind
+# The one text per kind a stream holds for each text the parser never reads.
+# Each answers every test the parser makes of a text as the original did:
+# none is a keyword, an identifier or a punctuator the parser names, is in
+# an operator set, is an integer literal or holds ``@iters``.
+_PLACEHOLDERS = {_COMMENT: "//", _LITERAL: '""', _PREPROCESSOR: "#"}
 
 
 def tokenize(source: str) -> TokenStream:
-    """Split *source* into a lossless token stream.
+    """Split *source* into a token stream that keeps only what the parser
+    reads.
 
-    Concatenating each token's ``lead`` whitespace and ``text`` (plus the
-    stream's ``tail``) reproduces the input byte for byte.  Unknown
+    Words, numbers, punctuators and each comment that holds ``@iters``
+    keep their texts.  Every other comment is ``"//"``, every string or
+    char literal ``'""'`` and every preprocessor line ``"#"``.  Unknown
     characters become single-character punctuation tokens and are
     recorded on the stream's ``unknown`` list.  Equal identifier, keyword
     and number texts in one stream are one string, and so are equal
-    multi-character punctuators.  The stream stays lossless until
-    :meth:`TokenStream.release`.
+    multi-character punctuators.
     """
     stream = TokenStream(source)
     add_kind, add_text = stream.kinds.append, stream.texts.append
@@ -272,7 +215,7 @@ def tokenize(source: str) -> TokenStream:
                 for line, raw in enumerate(text.split("\n"), line):
                     if chunk := raw.strip(_HSPACE):
                         add_kind(_COMMENT)
-                        add_text(chunk)
+                        add_text(chunk if "@iters" in chunk else "//")
                         add_line(line)
                 continue
             elif group == _END:
@@ -284,15 +227,12 @@ def tokenize(source: str) -> TokenStream:
             if (word := words.get(text)) is None:
                 word = words[text] = (kind, text)
             kind, text = word
+        elif kind != _PUNCTUATION and (kind != _COMMENT or "@iters" not in text):
+            text = _PLACEHOLDERS[kind]
         add_kind(kind)
         add_text(text)
         add_line(line)
     return stream
-
-
-def reconstruct(tokens: TokenStream) -> str:
-    """Inverse of :func:`tokenize`."""
-    return "".join(t.lead + t.text for t in tokens) + getattr(tokens, "tail", "")
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,29 @@
 
 This is the tokenizer the package used before its scanner became one
 compiled master pattern.  It walks the source one character at a time,
-so each rule is easy to read off; the differential tests require the
-package's :func:`codearea.frontend.tokenize` to give the same tokens,
-tail and unknown characters on every input.  It is not used outside the
-tests.
+so each rule is easy to read off, and it is lossless: each token keeps
+its real text and the whitespace before it (``lead``), so
+:func:`reconstruct` gives back the source byte for byte.  The package's
+:func:`codearea.frontend.tokenize` keeps only what the parser reads; the
+differential tests require it to give, on every input, :func:`kept` of
+each token here and the same unknown characters.  It is not used outside
+the tests.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
-from codearea.frontend import KEYWORDS, Token, TokenKind
+from codearea.frontend import KEYWORDS, TokenKind
+
+
+class Token(NamedTuple):
+    kind: TokenKind
+    text: str
+    line: int
+    lead: str  # whitespace between the previous token and this one
+
 
 _PUNCT_3 = ("<<=", ">>=", "...")
 _PUNCT_2 = (
@@ -130,3 +142,25 @@ def tokenize(source: str) -> TokenStream:
                 emit(TokenKind.PUNCTUATION, ch, line)
     tokens.tail = source[lead_start:]
     return tokens
+
+
+# The text the package's stream holds for a token whose own text the parser
+# never reads.
+_PLACEHOLDERS = {TokenKind.COMMENT: "//", TokenKind.LITERAL: '""', TokenKind.PREPROCESSOR: "#"}
+
+
+def kept(token: Token) -> tuple[TokenKind, str, int]:
+    """The ``(kind, text, line)`` the package's stream holds for *token*:
+    a comment without ``@iters``, a string or char literal and a
+    preprocessor line hold their kind's placeholder."""
+    kind, text, line, _ = token
+    if kind is TokenKind.COMMENT:
+        dropped = "@iters" not in text
+    else:
+        dropped = kind is TokenKind.PREPROCESSOR or kind is TokenKind.LITERAL and text[0] in "\"'"
+    return kind, _PLACEHOLDERS[kind] if dropped else text, line
+
+
+def reconstruct(tokens: TokenStream) -> str:
+    """Inverse of :func:`tokenize`."""
+    return "".join(t.lead + t.text for t in tokens) + tokens.tail

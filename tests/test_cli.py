@@ -283,9 +283,19 @@ def run_cli_child(args: list[str], closed_fd: int | None = None, env: dict | Non
 def test_a_closed_stdin_is_that_inputs_io_error():
     done = run_cli_child(["-", str(CORPUS_FILES[2]), "--format", "json"], closed_fd=0)
     files = json.loads(done.stdout)["files"]
-    assert [f["path"] for f in files] == ["-", str(CORPUS_FILES[2])]
+    assert [f["path"] for f in files] == ["<stdin>", str(CORPUS_FILES[2])]
     assert files[0]["error"]["message"] == "Io: standard input is closed"
     assert "error" not in files[1]
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+def test_a_repeated_stdin_is_that_inputs_io_error():
+    done = run_cli_child(["-", "-", str(CORPUS_FILES[2]), "--format", "json"], input=b"x = 1;\n")
+    files = json.loads(done.stdout)["files"]
+    assert [f["path"] for f in files] == ["<stdin>", "<stdin>", str(CORPUS_FILES[2])]
+    assert files[0]["raw_loc"] == 1 and "error" not in files[0]
+    assert files[1]["error"]["message"] == "Io: standard input already read"
+    assert "error" not in files[2]
     assert (done.returncode, done.stderr) == (1, b"")
 
 
@@ -303,8 +313,8 @@ def test_standard_input_is_decoded_as_strictly_as_a_path(tmp_path):
     assert (by_path.returncode, by_stdin.returncode) == (1, 1)
 
 
-@pytest.mark.parametrize("args", [[str(CORPUS_FILES[2])], ["--weights-dump"]],
-                         ids=["report", "weights"])
+@pytest.mark.parametrize("args", [[str(CORPUS_FILES[2])], ["--weights-dump"], ["--help"]],
+                         ids=["report", "weights", "help"])
 def test_a_stdout_closed_before_the_run_ends_it_with_status_141(args):
     done = run_cli_child(args, closed_fd=1)
     assert (done.returncode, done.stderr) == (141, b"")
@@ -319,6 +329,11 @@ def read_only_stderr() -> None:
 def test_an_unwritable_stderr_keeps_the_config_error_status(kwargs):
     # A closed fd 2 gives no sys.stderr; a read-only one fails each write.
     done = run_cli_child([str(CORPUS_FILES[2]), "--qr", "1,2"], **kwargs)
+    assert (done.returncode, done.stdout) == (2, b"")
+
+
+def test_a_usage_error_with_stderr_closed_writes_nothing():
+    done = run_cli_child(["--nope"], closed_fd=2)
     assert (done.returncode, done.stdout) == (2, b"")
 
 

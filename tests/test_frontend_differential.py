@@ -34,9 +34,9 @@ c_ish_text = st.lists(st.sampled_from(C_PIECES), max_size=60).map("".join)
 def assert_same_tokens(source: str) -> None:
     got = tokenize(source)
     want = reference_tokenizer.tokenize(source)
-    assert [tuple(t) for t in got] == [tuple(t) for t in want]
-    assert got.tail == want.tail
+    assert [tuple(t) for t in got] == list(map(reference_tokenizer.kept, want))
     assert got.unknown == want.unknown
+    assert reference_tokenizer.reconstruct(want) == source
 
 
 @given(c_ish_text)
@@ -73,22 +73,21 @@ def test_scanner_matches_reference_on_lead_edge_cases(source):
     assert_same_tokens(source)
 
 
-# The stream keeps columns and builds each Token, lead included, on demand:
-# an empty source, whitespace only, an unterminated block comment with
-# trailing whitespace, and "#" right after a block comment's "*/".
+# The stream keeps columns and builds each Token on demand: an empty
+# source, whitespace only, an unterminated block comment with trailing
+# whitespace, and "#" right after a block comment's "*/".
 @pytest.mark.parametrize("source", ["", " \t\r\n\v\f \n ", "a /* open\n x \t\n", "/* c */#x\n"])
 def test_stream_view_matches_reference(source):
-    got, want = tokenize(source), reference_tokenizer.tokenize(source)
+    got = tokenize(source)
+    want = [Token(*reference_tokenizer.kept(t)) for t in reference_tokenizer.tokenize(source)]
     n = len(want)
     assert len(got) == n
     assert list(got) == want
-    assert got[1:] == want[1:] and got[::-2] == want[::-2]
     if n:
         assert got[-1] == want[-1] and got[-n] == want[0] and got[n - 1] == want[-1]
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
             got[i]
-    assert got.tail == want.tail
 
 
 def _statements(tokens: list[Token]) -> list[list[Token]]:
@@ -173,10 +172,10 @@ def test_classifier_matches_reference_on_token_runs(tokens, calls):
     assert_same_kind(tokens, calls)
 
 
-def test_token_is_a_named_tuple_with_a_lead_default():
+def test_token_is_a_named_tuple_of_kind_text_and_line():
     tok = Token(TokenKind.LITERAL, "1", 3)
-    assert tok == (TokenKind.LITERAL, "1", 3, "")
-    assert (tok.kind, tok.text, tok.line, tok.lead) == tuple(tok)
+    assert tok == (TokenKind.LITERAL, "1", 3)
+    assert (tok.kind, tok.text, tok.line) == tuple(tok)
 
 
 # Token runs where a scan that also tracks bracket depth and statement

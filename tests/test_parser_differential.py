@@ -5,10 +5,12 @@ statement's end, and lets only constructs that hold others count toward
 the nesting limit.  ``reference_parser`` finds each end first and then
 classifies the statement with the multi-scan classifier.  On every input
 both must give the same tree, diagnostics, loops and flow facts, or raise
-the same error with the same message and line.  When the parse succeeds,
-each ``@iters`` comment must be taken by one loop or lapse, exactly once.
-A released stream, which keeps only the texts the parser reads, must
-parse exactly like the lossless stream of the same text.
+the same error with the same message and line.  ``reference_parser`` reads
+the lossless tokens of ``reference_tokenizer``, with every real text, and
+``parse_tokens`` must parse those exactly like the stream ``tokenize``
+gives, which keeps only the texts the parser reads.  When the parse
+succeeds, each ``@iters`` comment must be taken by one loop or lapse,
+exactly once.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from codearea import CountProvenance, TokenKind, classify_statement, tokenize
 from codearea.frontend import MAX_NESTING, ParseResult, parse_tokens, pragma_value
 
 import reference_parser
+import reference_tokenizer
 from conftest import CORPUS, bench_workloads
 from test_fuzz import SOUP
 
@@ -43,21 +46,15 @@ def assert_pragmas_accounted_for(tokens, result: ParseResult) -> None:
     assert pragmas == taken + lapsed
 
 
-def released_outcome(source: str, **options):
-    tokens = tokenize(source)
-    tokens.release()
-    return outcome(parse_tokens, tokens, **options)
-
-
 def assert_same_parse(source: str, **options) -> None:
-    tokens = tokenize(source)
-    got = outcome(parse_tokens, tokens, **options)
-    want = outcome(reference_parser.parse_tokens, tokens, **options)
+    lossless = reference_tokenizer.tokenize(source)
+    got = outcome(parse_tokens, tokenize(source), **options)
+    want = outcome(reference_parser.parse_tokens, lossless, **options)
     assert got == want
-    assert released_outcome(source, **options) == got
+    assert outcome(parse_tokens, lossless, **options) == got
     for result in (got, want):
         if isinstance(result, ParseResult):
-            assert_pragmas_accounted_for(tokens, result)
+            assert_pragmas_accounted_for(lossless, result)
 
 
 OPTIONS = [{}, {"default_iterations": 4, "init_termination_calls": frozenset({"printf", "f"})}]
@@ -82,8 +79,9 @@ def test_parser_and_classifier_take_a_token_list(options):
 
 # A string or char literal, a comment and a preprocessor line in a ``for``
 # header, a statement, a ``case`` label and a function header, and
-# comments that hold ``@iters`` but are no pragma.
-RELEASED_TEXTS = [
+# comments that hold ``@iters`` but are no pragma: each text a stream
+# holds as a placeholder, where the parser reads texts.
+PLACEHOLDER_TEXTS = [
     'for (i = "0"; i < 10; i++) x();', "for (i = 0; i < 'a'; i++) x();",
     "for (i = 0 /* c */; i < 10; i++) x();", "for (i = 0; i < 10; // c\n i++) x();",
     "for (i = 0;\n#if A\n i < 10; i++) x();", 'for (s = "s"; s < "t"; s++) x();',
@@ -100,18 +98,17 @@ RELEASED_TEXTS = [
 ]
 
 
-@pytest.mark.parametrize("source", RELEASED_TEXTS)
-def test_a_released_stream_parses_like_a_lossless_one(source):
-    assert released_outcome(source) == outcome(parse_tokens, tokenize(source))
+@pytest.mark.parametrize("source", PLACEHOLDER_TEXTS)
+def test_a_stream_parses_like_the_lossless_tokens_where_texts_are_placeholders(source):
+    assert_same_parse(source)
 
 
 @pytest.mark.parametrize("name", ["amalgamation", "deep_logic", "source_tree"])
-def test_a_released_stream_parses_each_workload_like_a_lossless_one(name):
+def test_a_stream_parses_each_workload_like_the_lossless_tokens(name):
     workload = bench_workloads().generate(name, 11, scale=0.05)
     for file in workload.files:
         for options in OPTIONS:
-            lossless = outcome(parse_tokens, tokenize(file.text), **options)
-            assert released_outcome(file.text, **options) == lossless
+            assert_same_parse(file.text, **options)
 
 
 @settings(max_examples=300, deadline=None)
