@@ -22,8 +22,7 @@ from .errors import (
 )
 from .frontend import (
     BlockNode, ConditionBlock, CountProvenance, ExceptionBlock, FunctionDef, IterationCount,
-    LoopBlock, Statement, StatementKind, Token, TokenKind, classify_statement, parse_tokens,
-    resolve_loop_count, tokenize,
+    LoopBlock, Statement, StatementKind, Token, TokenKind, parse_tokens, tokenize,
 )
 from .impact import DEFAULT_WEIGHTS, WeightTable, block_impact, segment_impact
 from .metrics import (

@@ -28,12 +28,12 @@ texts (equal words or numbers share one string) and lines.  It keeps only
 the texts the parser reads: a comment without ``@iters``, a string or
 char literal and a preprocessor line each hold one shared placeholder,
 and no whitespace is kept.  ``stream[i]`` builds a :class:`Token` on
-demand.  The parser reads only the columns, by index.  One scan walks
-each statement's tokens, finds where it ends and decides its kind;
-:func:`classify_statement` runs it on any token sequence.  Block nodes
-are slotted classes and hold no tokens, so ``analysis.analyze_source``
-drops the stream once it is parsed.  A :class:`Statement` keeps its
-first and last lines, not a span pair.
+demand.  The parser reads only the columns, by index; one scan walks
+each statement's tokens, finds where it ends and decides its kind.  So
+``parse_tokens(tokenize(text))`` gives every statement's kind and every
+loop's count.  Block nodes are slotted classes and hold no tokens, so
+``analysis.analyze_source`` drops the stream once it is parsed.  A
+:class:`Statement` keeps its first and last lines, not a span pair.
 
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the loop written
@@ -84,7 +84,6 @@ class Token(NamedTuple):
 
 # A stream keeps each token's kind as its index in TokenKind.
 _KINDS = tuple(TokenKind)
-_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 _IDENTIFIER, _KEYWORD, _PUNCTUATION, _LITERAL, _COMMENT, _PREPROCESSOR = range(len(_KINDS))
 
 
@@ -105,14 +104,6 @@ class TokenStream:
 
     def __getitem__(self, i: int) -> Token:
         return Token(_KINDS[self.kinds[i]], self.texts[i], self.lines[i])
-
-
-def _columns(tokens: Sequence[Token]) -> tuple[bytearray, list[str], Sequence[int]]:
-    """The kind, text and line columns of a stream or of any token sequence."""
-    if isinstance(tokens, TokenStream):
-        return tokens.kinds, tokens.texts, tokens.lines
-    kinds = bytearray(_CODES[t.kind] for t in tokens)
-    return kinds, [t.text for t in tokens], [t.line for t in tokens]
 
 
 # Keywords that can open a declaration.
@@ -268,14 +259,18 @@ _OPERATORS = _ASSIGN_OPS | {
 
 
 def _scan_statement(
-    kinds: bytearray, texts: list[str], start: int, stop: bool, init_calls: frozenset[str]
+    kinds: bytearray, texts: list[str], start: int, init_calls: frozenset[str]
 ) -> tuple[int, StatementKind]:
-    """Walk a statement's tokens once; return where the walk ended and the
-    statement's kind by the rules of :func:`classify_statement`.
-
-    With *stop*, the walk ends the way a statement does in the parser:
-    after a ``;`` or before a ``{`` or ``}`` outside ``(`` and ``[``.
-    Without it, the walk takes every token from *start* on.
+    """Walk the statement at *start* once; return the index after it and
+    its kind.  It ends after a ``;`` or before a ``{`` or ``}`` outside
+    ``(`` and ``[``.  ``parse_construct`` takes comments and preprocessor
+    lines, so none starts a statement.  The first matching rule gives the
+    kind: return, declaration (type keyword and no call), init/termination
+    (assignment to a literal, or a single call from the open/close/alloc/
+    free name list), function call (call without assignment), simple
+    assignment (one operator, no call), complex assignment (two or three
+    operators, or one call with at most three operators), expression
+    (everything else).
     """
     calls = ops = depth = 0
     first_call = callee = None
@@ -302,12 +297,12 @@ def _scan_statement(
             elif text == "[":
                 depth += 1
             elif text == ";":
-                if stop and depth == 0:
+                if not depth:
                     end = j + 1
                     break
                 callee = None
                 continue
-            elif (text == "{" or text == "}") and stop and depth == 0:
+            elif (text == "{" or text == "}") and not depth:
                 end = j
                 break
             callee = None
@@ -319,12 +314,7 @@ def _scan_statement(
         if room:
             body.append(j)
             room -= 1
-    kind = kinds[start]
-    if kind == _COMMENT:
-        return end, StatementKind.COMMENT
-    if kind == _PREPROCESSOR:
-        return end, StatementKind.HEADER_INCLUDE
-    if kind == _KEYWORD:
+    if kinds[start] == _KEYWORD:
         if texts[start] == "return":
             return end, StatementKind.RETURN
         if texts[start] in DECLARATION_STARTERS and not calls:
@@ -346,26 +336,6 @@ def _scan_statement(
     if (not calls and 2 <= ops <= 3) or (calls == 1 and ops <= 3):
         return end, StatementKind.COMPLEX_ASSIGNMENT
     return end, StatementKind.EXPRESSION
-
-
-def classify_statement(
-    tokens: Sequence[Token],
-    init_termination_calls: frozenset[str] = DEFAULT_INIT_TERMINATION_CALLS,
-) -> StatementKind:
-    """Assign exactly one kind to a statement, first matching rule wins.
-
-    Rule order: comment, preprocessor line, return, declaration (type
-    keyword and no call), init/termination (assignment to a literal, or a
-    single call from the open/close/alloc/free name list), function call
-    (call without assignment), simple assignment (one operator, no call),
-    complex assignment (two or three operators, or one call with at most
-    three operators), expression (everything else).  The parser applies
-    the same rules in the scan that finds a statement's end.
-    """
-    if not tokens:
-        return StatementKind.EXPRESSION
-    kinds, texts, _ = _columns(tokens)
-    return _scan_statement(kinds, texts, 0, False, init_termination_calls)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +486,12 @@ def _literal_bound(kinds: Sequence[int], texts: list[str]) -> int | None:
 def _loop_count(
     kinds: Sequence[int], texts: list[str], pragma: int | None, default: int, line: int | None
 ) -> IterationCount:
-    """The count by :func:`resolve_loop_count`'s rule, from a header's columns."""
+    """A loop's count from its ``for`` header's columns (empty for other
+    loops) and the pragma it took.  A ``@iters N`` pragma wins over a
+    literal header bound (the pragma exists precisely to correct headers
+    whose literal bound is wrong), the literal bound wins over the
+    configured default.  A negative pragma raises
+    :class:`NegativeIterationsError`."""
     if pragma is not None:
         if pragma < 0:
             raise NegativeIterationsError(f"pragma yields negative count {pragma}", line)
@@ -524,24 +499,6 @@ def _loop_count(
     if (literal := _literal_bound(kinds, texts)) is not None:
         return IterationCount(literal, CountProvenance.LITERAL_BOUND)
     return IterationCount(default, CountProvenance.CONFIG_DEFAULT)
-
-
-def resolve_loop_count(
-    header: list[Token],
-    pragma: int | None = None,
-    *,
-    default_iterations: int = 1,
-    line: int | None = None,
-) -> IterationCount:
-    """Resolve a loop's iteration count.
-
-    A ``@iters N`` pragma wins over a literal header bound (the pragma
-    exists precisely to correct headers whose literal bound is wrong),
-    the literal bound wins over the configured default.  A negative
-    pragma raises :class:`NegativeIterationsError`.
-    """
-    kinds, texts, _ = _columns(header)
-    return _loop_count(kinds, texts, pragma, default_iterations, line)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +514,10 @@ _LATER_PARTS = frozenset({"else", "catch", "finally", "case", "default"})
 
 
 class _Parser:
-    def __init__(
-        self, tokens: Sequence[Token], default_iterations: int, init_calls: frozenset[str]
-    ):
-        self.kinds, self.texts, self.lines = _columns(tokens)
-        kinds, texts = self.kinds, self.texts
+    def __init__(self, tokens: TokenStream, default_iterations: int, init_calls: frozenset[str]):
+        self.kinds = kinds = tokens.kinds
+        self.texts = texts = tokens.texts
+        self.lines = tokens.lines
         self.n = len(texts)
         self.i = 0
         self.default_iterations = default_iterations
@@ -717,7 +673,7 @@ class _Parser:
 
     def parse_statement_or_function(self, out: list[BlockNode]) -> None:
         kinds, texts, start = self.kinds, self.texts, self.i
-        end, kind = _scan_statement(kinds, texts, start, True, self.init_calls)
+        end, kind = _scan_statement(kinds, texts, start, self.init_calls)
         self.i = end
         if end == self.n or texts[end] != "{" or kinds[end] != _PUNCTUATION:
             out.append(self._make_statement(start, end, kind))
@@ -895,14 +851,13 @@ _CONSTRUCTS = {
 
 
 def parse_tokens(
-    tokens: Sequence[Token],
+    tokens: TokenStream,
     *,
     default_iterations: int = 1,
     init_termination_calls: frozenset[str] = DEFAULT_INIT_TERMINATION_CALLS,
 ) -> ParseResult:
-    """Parse a token stream, or any sequence of tokens, into a block tree,
-    the parser's diagnostics, each loop's line and count in pre-order, and
-    the file's flow facts."""
+    """Parse a token stream into a block tree, the parser's diagnostics,
+    each loop's line and count in pre-order, and the file's flow facts."""
     parser = _Parser(tokens, default_iterations, init_termination_calls)
     tree = parser.parse_top()
     return ParseResult(tree, parser.diagnostics, parser.loops, parser.flow)

@@ -1,10 +1,12 @@
 """Multi-scan statement classifier kept as a test oracle.
 
-This is the classifier the package used before ``classify_statement``
-became a single pass over a statement's tokens.  Each rule is written
-as its own scan, so it reads like the rule list; the differential tests
-require the package's classifier to give the same kind on every input.
-It is not used outside the tests.
+This is the classifier the package used before a statement's kind was
+decided in the one scan that finds where the statement ends.  Each rule
+is written as its own scan, so it reads like the rule list.  It is
+checked through ``reference_parser``, which classifies every statement
+with it: the differential tests require the package's parser to give
+each statement the same kind on every input.  It is not used outside
+the tests.
 """
 
 from __future__ import annotations

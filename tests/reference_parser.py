@@ -8,7 +8,8 @@ which walks them again; the classifier here is the multi-scan one from
 the package.  It also keeps the design the package replaced for
 ``@iters`` pragmas: one pending pragma that a loop takes and anything
 else lapses, where the package reads one table of pragmas by position.
-The differential tests require
+It shares the package's loop-count rule, ``frontend._loop_count``, which
+``test_loop_count_oracle`` checks against C.  The differential tests require
 :func:`codearea.frontend.parse_tokens` to give the same tree,
 diagnostics, loops and flow facts, or the same error, on every input.
 It is not used outside the tests.
@@ -36,11 +37,14 @@ from codearea.frontend import (
     StatementKind,
     Token,
     TokenKind,
+    _loop_count,
     pragma_value,
-    resolve_loop_count,
 )
 
 from reference_classifier import classify_statement
+
+# A token kind's code in a stream's ``kinds`` column.
+_KIND_CODES = {kind: code for code, kind in enumerate(TokenKind)}
 
 
 class _Parser:
@@ -341,11 +345,11 @@ class _Parser:
             end = self.toks[self.i - 1].line  # the header's ``)``
             if (tok := self._peek()) is not None and tok.text == ";":
                 end = self._next().line
-        count = resolve_loop_count(
-            header if kw.text == "for" else [],
-            pragma,
-            default_iterations=self.default_iterations,
-            line=kw.line,
+        if kw.text != "for":
+            header = []
+        count = _loop_count(
+            [_KIND_CODES[t.kind] for t in header], [t.text for t in header],
+            pragma, self.default_iterations, kw.line,
         )
         self.loops[key] = (kw.line, count)
         out.append(LoopBlock(count, body, (kw.line, end)))

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from codearea import StatementKind, classify_statement, tokenize
+from codearea import StatementKind, parse_tokens, tokenize
 
 # Hand-labeled oracle table: each row was labeled by walking the
-# documented rule order by hand before the classifier was written.
+# documented rule order by hand before the classifier was written.  Each
+# source parses to exactly one statement of the labelled kind.
 LABELED_STATEMENTS = [
     ("// short note", StatementKind.COMMENT),
     ("/* sealed */", StatementKind.COMMENT),
@@ -48,26 +47,18 @@ LABELED_STATEMENTS = [
 ]
 
 
+def statement_kinds(source: str, **options) -> list[StatementKind]:
+    return [node.kind for node in parse_tokens(tokenize(source), **options).tree]
+
+
 @pytest.mark.parametrize("source,expected", LABELED_STATEMENTS)
 def test_labeled_statement_table(source, expected):
-    assert classify_statement(list(tokenize(source))) == expected
+    assert statement_kinds(source) == [expected]
 
 
 def test_init_termination_call_list_is_configurable():
-    tokens = list(tokenize("teardown(ctx);"))
-    assert classify_statement(tokens) == StatementKind.FUNCTION_CALL
-    assert (
-        classify_statement(tokens, frozenset({"teardown"}))
-        == StatementKind.INIT_TERMINATION
-    )
+    assert statement_kinds("teardown(ctx);") == [StatementKind.FUNCTION_CALL]
+    assert statement_kinds("teardown(ctx);", init_termination_calls=frozenset({"teardown"})) == [
+        StatementKind.INIT_TERMINATION
+    ]
 
-
-def test_empty_statement_falls_back_to_expression():
-    assert classify_statement([]) == StatementKind.EXPRESSION
-
-
-@given(st.text(max_size=120))
-@settings(max_examples=150, deadline=None)
-def test_classification_is_total(source):
-    kind = classify_statement(list(tokenize(source)))
-    assert isinstance(kind, StatementKind)

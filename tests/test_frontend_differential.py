@@ -1,5 +1,6 @@
-"""Differential tests: the scanner and the one-pass classifier against the
-character-by-character and multi-scan versions they replaced."""
+"""Differential tests: the scanner against the character-by-character
+version it replaced.  The statement classifier runs only inside the
+parser, and ``test_parser_differential`` checks it there."""
 
 from __future__ import annotations
 
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codearea import Token, TokenKind, classify_statement, tokenize
+from codearea import Token, TokenKind, tokenize
 
-import reference_classifier
 import reference_tokenizer
 from conftest import CORPUS
 
@@ -90,142 +90,7 @@ def test_stream_view_matches_reference(source):
             got[i]
 
 
-def _statements(tokens: list[Token]) -> list[list[Token]]:
-    """Split a token stream after every ";"."""
-    out, current = [], []
-    for tok in tokens:
-        current.append(tok)
-        if tok.text == ";":
-            out.append(current)
-            current = []
-    return out + [current]
-
-
-def assert_same_kind(tokens: list[Token], calls=None) -> None:
-    args = (tokens,) if calls is None else (tokens, calls)
-    assert classify_statement(*args) == reference_classifier.classify_statement(*args)
-
-
-def test_classifier_matches_reference_on_corpus_statements():
-    count = 0
-    for path in sorted(CORPUS.glob("*.c")):
-        for statement in _statements(tokenize(path.read_text(encoding="utf-8"))):
-            assert_same_kind(statement)
-            count += 1
-    assert count > 20
-
-
-_T = TokenKind
-TOKEN_POOL = [
-    Token(_T.IDENTIFIER, "a", 1), Token(_T.IDENTIFIER, "n", 1),
-    Token(_T.IDENTIFIER, "free", 1), Token(_T.IDENTIFIER, "malloc", 1),
-    Token(_T.IDENTIFIER, "probe", 1),
-    Token(_T.PUNCTUATION, "(", 1), Token(_T.PUNCTUATION, ")", 1),
-    Token(_T.PUNCTUATION, "=", 1), Token(_T.PUNCTUATION, "+=", 1),
-    Token(_T.PUNCTUATION, "<<=", 1), Token(_T.PUNCTUATION, "-", 1),
-    Token(_T.PUNCTUATION, "+", 1), Token(_T.PUNCTUATION, "*", 1),
-    Token(_T.PUNCTUATION, "==", 1), Token(_T.PUNCTUATION, ",", 1),
-    Token(_T.PUNCTUATION, ";", 1),
-    Token(_T.LITERAL, "0", 1), Token(_T.LITERAL, "2.5", 1),
-    Token(_T.LITERAL, '"s"', 1),
-    Token(_T.KEYWORD, "int", 1), Token(_T.KEYWORD, "static", 1),
-    Token(_T.KEYWORD, "return", 1), Token(_T.KEYWORD, "sizeof", 1),
-    Token(_T.COMMENT, "// c", 1), Token(_T.COMMENT, "/* c */", 1),
-    Token(_T.PREPROCESSOR, "#define N 1", 1),
-]
-
-
-# Statements near the rule boundaries, and the tokens token_runs inserts
-# into them at random places.
-SKELETONS = [
-    list(tokenize(text))
-    for text in (
-        "a = 0", "n = -2.5", "a = -b", "a = b", "a += 1", "i++", "a = b + c",
-        "free(a)", "p = malloc(n)", "close(f) + 1", "probe(a)", "a = probe(b)",
-        "probe(a) + probe(b)", "int n", "static int a = 0", "int n = probe(a)",
-        "return a", "sizeof(a)",
-    )
-]
-INSERTS = [
-    Token(_T.COMMENT, "// c", 1), Token(_T.COMMENT, "/* c */", 1),
-    Token(_T.PUNCTUATION, ";", 1), Token(_T.PUNCTUATION, "-", 1),
-    Token(_T.PUNCTUATION, "(", 1), Token(_T.PUNCTUATION, "=", 1),
-    Token(_T.IDENTIFIER, "free", 1), Token(_T.LITERAL, "1", 1),
-]
-
-
-@st.composite
-def token_runs(draw) -> list[Token]:
-    tokens = list(draw(st.sampled_from(SKELETONS)))
-    for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, len(tokens)))
-        tokens.insert(at, draw(st.sampled_from(INSERTS)))
-    return tokens
-
-
-@given(
-    st.one_of(token_runs(), st.lists(st.sampled_from(TOKEN_POOL), max_size=14)),
-    st.sampled_from([None, frozenset(), frozenset({"probe", "free"})]),
-)
-@settings(max_examples=1500, deadline=None)
-def test_classifier_matches_reference_on_token_runs(tokens, calls):
-    assert_same_kind(tokens, calls)
-
-
 def test_token_is_a_named_tuple_of_kind_text_and_line():
     tok = Token(TokenKind.LITERAL, "1", 3)
     assert tok == (TokenKind.LITERAL, "1", 3)
     assert (tok.kind, tok.text, tok.line) == tuple(tok)
-
-
-# Token runs where a scan that also tracks bracket depth and statement
-# ends could classify differently: "(" or "[" after an identifier inside
-# brackets, ";", "{" or "}" mid-list, a leading comment, preprocessor line
-# or "return", and literal initializers with a minus sign.
-EDGE_TEXTS = [
-    "a = f(g(x))", "x = m[i](y)", "f(a[b(c)])", "y = (z)(w)", "q = p [ r ] ( s )",
-    "free(q(p))", "v = a[f(1)] + g(2)", "f(a; b)", "a[i; j] = 1", "x = f(y) ; g(z)",
-    "x = 1 ; y = 2", "a = { 1 , 2 }", "g(x) { y }", "} a = 0", "{ free(p)",
-    "/* c */ a = 0", "// c\nx = f(y)", "#define X 1\nx = 1", "/* @iters 2 */ for",
-    "return f(x)", "return x = -1", "return", "x = -1", "x = - 1u", "x = -y",
-    "x = -(1)", "x = -1 -1", "x = -'c'", "n = -0x1F", "x = - - 1",
-]
-
-
-@pytest.mark.parametrize("text", EDGE_TEXTS)
-@pytest.mark.parametrize("calls", [None, frozenset({"g", "q"})])
-def test_classifier_matches_reference_on_edge_cases(text, calls):
-    assert_same_kind(list(tokenize(text)), calls)
-
-
-EDGE_SKELETONS = [list(tokenize(text)) for text in EDGE_TEXTS]
-EDGE_INSERTS = [
-    Token(_T.PUNCTUATION, ";", 1), Token(_T.PUNCTUATION, "{", 1),
-    Token(_T.PUNCTUATION, "}", 1), Token(_T.PUNCTUATION, "(", 1),
-    Token(_T.PUNCTUATION, ")", 1), Token(_T.PUNCTUATION, "[", 1),
-    Token(_T.PUNCTUATION, "]", 1), Token(_T.PUNCTUATION, "-", 1),
-    Token(_T.PUNCTUATION, "=", 1), Token(_T.IDENTIFIER, "g", 1),
-    Token(_T.IDENTIFIER, "free", 1), Token(_T.LITERAL, "1", 1),
-    Token(_T.COMMENT, "// c", 1), Token(_T.COMMENT, "/* @iters 3 */", 1),
-]
-EDGE_LEADERS = [
-    Token(_T.COMMENT, "/* c */", 1), Token(_T.PREPROCESSOR, "#if X", 1),
-    Token(_T.KEYWORD, "return", 1), Token(_T.KEYWORD, "int", 1),
-]
-
-
-@st.composite
-def edge_runs(draw) -> list[Token]:
-    tokens = list(draw(st.sampled_from(EDGE_SKELETONS)))
-    for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, len(tokens)))
-        tokens.insert(at, draw(st.sampled_from(EDGE_INSERTS)))
-    if draw(st.booleans()):
-        tokens.insert(0, draw(st.sampled_from(EDGE_LEADERS)))
-    return tokens
-
-
-@given(edge_runs(), st.sampled_from([None, frozenset({"g", "q"})]))
-@settings(max_examples=600, deadline=None)
-def test_classifier_matches_reference_on_edge_runs(tokens, calls):
-    assert_same_kind(tokens, calls)

@@ -9,15 +9,19 @@ from codearea import (
     NegativeIterationsError,
     analyze_source,
     parse_tokens,
-    resolve_loop_count,
     tokenize,
 )
 
 from conftest import parse_source
 
 
-def header(text: str):
-    return list(tokenize(text))
+def loop_count(header: str, pragma: int | None = None, default_iterations: int = 1):
+    """The count the parser gives ``for (<header>) ;``, written after
+    ``// @iters <pragma>`` when a pragma is given."""
+    source = f"for ({header}) ;"
+    if pragma is not None:
+        source = f"// @iters {pragma}\n{source}"
+    return parse_tokens(tokenize(source), default_iterations=default_iterations).loops[0][1]
 
 
 @pytest.mark.parametrize(
@@ -36,7 +40,7 @@ def header(text: str):
     ],
 )
 def test_literal_bounds(text, expected):
-    count = resolve_loop_count(header(text))
+    count = loop_count(text)
     assert count.value == expected
     assert count.provenance is CountProvenance.LITERAL_BOUND
 
@@ -57,19 +61,19 @@ def test_literal_bounds(text, expected):
     ],
 )
 def test_unresolvable_headers_fall_back_to_default(text):
-    count = resolve_loop_count(header(text), default_iterations=3)
+    count = loop_count(text, default_iterations=3)
     assert count.value == 3
     assert count.provenance is CountProvenance.CONFIG_DEFAULT
 
 
 def test_pragma_beats_literal_bound():
-    count = resolve_loop_count(header("i=0;i<1;i++"), pragma=20)
+    count = loop_count("i=0;i<1;i++", pragma=20)
     assert count.value == 20
     assert count.provenance is CountProvenance.PRAGMA_OVERRIDE
 
 
 def test_pragma_zero_is_allowed():
-    assert resolve_loop_count(header("busy"), pragma=0).value == 0
+    assert loop_count("busy", pragma=0).value == 0
 
 
 @pytest.mark.parametrize(
@@ -86,7 +90,7 @@ def test_pragma_zero_is_allowed():
     ],
 )
 def test_integer_suffixes_and_octal_in_literal_bounds(bound, count):
-    got = resolve_loop_count(header(f"i = 0; i < {bound}; i++"), default_iterations=3)
+    got = loop_count(f"i = 0; i < {bound}; i++", default_iterations=3)
     if count is None:
         assert got == IterationCount(3, CountProvenance.CONFIG_DEFAULT)
     else:
@@ -107,7 +111,7 @@ def test_integer_suffixes_and_octal_in_literal_bounds(bound, count):
     ],
 )
 def test_a_literal_holds_at_most_the_digits_of_2_to_the_64(bound, count):
-    got = resolve_loop_count(header(f"i = 0; i < {bound}; i++"), default_iterations=3)
+    got = loop_count(f"i = 0; i < {bound}; i++", default_iterations=3)
     if count is None:
         assert got == IterationCount(3, CountProvenance.CONFIG_DEFAULT)
     else:
@@ -139,7 +143,7 @@ def test_a_pragma_takes_ascii_digits_only():
 
 def test_negative_pragma_raises():
     with pytest.raises(NegativeIterationsError):
-        resolve_loop_count(header("i=0;i<1;i++"), pragma=-3)
+        loop_count("i=0;i<1;i++", pragma=-3)
 
 
 @pytest.mark.parametrize(
@@ -147,11 +151,11 @@ def test_negative_pragma_raises():
     ["i = 5; i < 2; i++", "i = 5; i <= 3; i++", "i = 5; i > 8; i--"],
 )
 def test_a_literal_bound_that_never_runs_counts_zero(text):
-    assert resolve_loop_count(header(text)) == IterationCount(0, CountProvenance.LITERAL_BOUND)
+    assert loop_count(text) == IterationCount(0, CountProvenance.LITERAL_BOUND)
 
 
 def test_a_not_equal_bound_the_step_moves_away_from_falls_back():
-    count = resolve_loop_count(header("i = 0; i != 10; i--"), default_iterations=3)
+    count = loop_count("i = 0; i != 10; i--", default_iterations=3)
     assert count == IterationCount(3, CountProvenance.CONFIG_DEFAULT)
 
 
@@ -166,7 +170,7 @@ def test_a_not_equal_bound_the_step_moves_away_from_falls_back():
     ],
 )
 def test_a_negative_value_beside_an_unsigned_literal_falls_back(text, count):
-    got = resolve_loop_count(header(text), default_iterations=3)
+    got = loop_count(text, default_iterations=3)
     if count is None:
         assert got == IterationCount(3, CountProvenance.CONFIG_DEFAULT)
     else:

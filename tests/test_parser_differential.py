@@ -6,11 +6,13 @@ the nesting limit.  ``reference_parser`` finds each end first and then
 classifies the statement with the multi-scan classifier.  On every input
 both must give the same tree, diagnostics, loops and flow facts, or raise
 the same error with the same message and line.  ``reference_parser`` reads
-the lossless tokens of ``reference_tokenizer``, with every real text, and
-``parse_tokens`` must parse those exactly like the stream ``tokenize``
-gives, which keeps only the texts the parser reads.  When the parse
-succeeds, each ``@iters`` comment must be taken by one loop or lapse,
-exactly once.
+the lossless tokens of ``reference_tokenizer``, with every real text, while
+``parse_tokens`` reads the stream ``tokenize`` gives, which keeps only the
+texts the parser reads; equal outcomes show that a placeholder text never
+changes a parse.  The package classifies statements only inside the parse,
+so the classifier is checked here too, on statements near its rule
+boundaries.  When the parse succeeds, each ``@iters`` comment must be
+taken by one loop or lapse, exactly once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from codearea import CountProvenance, TokenKind, classify_statement, tokenize
+from codearea import CountProvenance, TokenKind, tokenize
 from codearea.frontend import MAX_NESTING, ParseResult, parse_tokens, pragma_value
 
 import reference_parser
@@ -51,7 +53,6 @@ def assert_same_parse(source: str, **options) -> None:
     got = outcome(parse_tokens, tokenize(source), **options)
     want = outcome(reference_parser.parse_tokens, lossless, **options)
     assert got == want
-    assert outcome(parse_tokens, lossless, **options) == got
     for result in (got, want):
         if isinstance(result, ParseResult):
             assert_pragmas_accounted_for(lossless, result)
@@ -66,15 +67,6 @@ def test_parser_matches_reference_on_corpus(options):
     assert paths
     for path in paths:
         assert_same_parse(path.read_text(encoding="utf-8"), **options)
-
-
-@pytest.mark.parametrize("options", OPTIONS, ids=["defaults", "options"])
-def test_parser_and_classifier_take_a_token_list(options):
-    # The public API takes any sequence of tokens, not just a stream.
-    for path in sorted(CORPUS.glob("*.c")):
-        tokens = tokenize(path.read_text(encoding="utf-8"))
-        assert parse_tokens(list(tokens), **options) == parse_tokens(tokens, **options)
-        assert classify_statement(list(tokens)) == classify_statement(tokens)
 
 
 # A string or char literal, a comment and a preprocessor line in a ``for``
@@ -117,6 +109,100 @@ def test_parser_matches_reference_on_token_soup(parts):
     assert_same_parse(" ".join(parts))
 
 
+def source_of(pieces: list[str]) -> str:
+    """The pieces joined by spaces, with a newline after each ``//``
+    comment and around each preprocessor line."""
+    return " ".join(
+        f"\n{piece}\n" if piece[:1] == "#" else piece + "\n" if piece[:2] == "//" else piece
+        for piece in pieces
+    )
+
+
+def token_texts(text: str) -> list[str]:
+    return [t.text for t in reference_tokenizer.tokenize(text)]
+
+
+CALL_OPTIONS = [{}, {"init_termination_calls": frozenset()},
+                {"init_termination_calls": frozenset({"probe", "free"})}]
+TOKEN_POOL = [
+    "a", "n", "free", "malloc", "probe", "(", ")", "=", "+=", "<<=", "-", "+", "*", "==",
+    ",", ";", "0", "2.5", '"s"', "int", "static", "return", "sizeof", "// c", "/* c */",
+    "#define N 1",
+]
+# Statements near the classifier's rule boundaries, and the tokens
+# token_runs inserts into them at random places.
+SKELETONS = [
+    token_texts(text)
+    for text in (
+        "a = 0", "n = -2.5", "a = -b", "a = b", "a += 1", "i++", "a = b + c",
+        "free(a)", "p = malloc(n)", "close(f) + 1", "probe(a)", "a = probe(b)",
+        "probe(a) + probe(b)", "int n", "static int a = 0", "int n = probe(a)",
+        "return a", "sizeof(a)",
+    )
+]
+INSERTS = ["// c", "/* c */", ";", "-", "(", "=", "free", "1"]
+
+
+@st.composite
+def token_runs(draw, skeletons, inserts, leaders=()) -> str:
+    """The source of a skeleton with up to three inserts at random places,
+    and a leader in front when *leaders* are given."""
+    pieces = list(draw(st.sampled_from(skeletons)))
+    for _ in range(draw(st.integers(0, 3))):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(inserts)))
+    if leaders and draw(st.booleans()):
+        pieces.insert(0, draw(st.sampled_from(leaders)))
+    return source_of(pieces)
+
+
+@given(
+    st.one_of(
+        token_runs(SKELETONS, INSERTS),
+        st.lists(st.sampled_from(TOKEN_POOL), max_size=14).map(source_of),
+    ),
+    st.sampled_from(CALL_OPTIONS),
+)
+@settings(max_examples=1500, deadline=None)
+def test_parser_matches_reference_on_token_runs(source, options):
+    assert_same_parse(source, **options)
+
+
+# Statements where a scan that also tracks bracket depth and finds where
+# a statement ends could classify differently: "(" or "[" after an
+# identifier inside brackets, ";", "{" or "}" inside or between brackets,
+# a leading comment, preprocessor line or "return", and literal
+# initializers with a minus sign.
+EDGE_TEXTS = [
+    "a = f(g(x))", "x = m[i](y)", "f(a[b(c)])", "y = (z)(w)", "q = p [ r ] ( s )",
+    "free(q(p))", "v = a[f(1)] + g(2)", "f(a; b)", "a[i; j] = 1", "x = f(y) ; g(z)",
+    "x = 1 ; y = 2", "a = { 1 , 2 }", "g(x) { y }", "} a = 0", "{ free(p)",
+    "/* c */ a = 0", "// c\nx = f(y)", "#define X 1\nx = 1", "/* @iters 2 */ for",
+    "return f(x)", "return x = -1", "return", "x = -1", "x = - 1u", "x = -y",
+    "x = -(1)", "x = -1 -1", "x = -'c'", "n = -0x1F", "x = - - 1",
+]
+EDGE_CALL_OPTIONS = [{}, {"init_termination_calls": frozenset({"g", "q"})}]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+@pytest.mark.parametrize("options", EDGE_CALL_OPTIONS, ids=["defaults", "calls"])
+def test_parser_matches_reference_on_classifier_edge_cases(text, options):
+    assert_same_parse(text, **options)
+
+
+EDGE_INSERTS = [";", "{", "}", "(", ")", "[", "]", "-", "=", "g", "free", "1", "// c",
+                "/* @iters 3 */"]
+EDGE_LEADERS = ["/* c */", "#if X", "return", "int"]
+
+
+@given(
+    token_runs([token_texts(text) for text in EDGE_TEXTS], EDGE_INSERTS, EDGE_LEADERS),
+    st.sampled_from(EDGE_CALL_OPTIONS),
+)
+@settings(max_examples=600, deadline=None)
+def test_parser_matches_reference_on_edge_runs(source, options):
+    assert_same_parse(source, **options)
+
+
 # Pieces that put brackets, nested calls, comments and @iters comments
 # inside statements and function headers, among the constructs around them.
 PIECES = [
@@ -144,8 +230,8 @@ def test_parser_matches_reference_on_brackets_calls_and_comments(parts):
 # level, inside a case and inside a loop body, before each later part of a
 # construct (a case's colon and a function's body among them), and after an
 # if with no else and a statement with no `;`, so an @iters comment meets
-# each construct boundary.  Every sequence of up to two of them fills each
-# template again inside a case and inside a loop body.
+# each construct boundary.  Every such sequence fills each template again
+# inside a case and inside a loop body.
 SHORT_PIECES = [
     "/* @iters 2 */", "case 1 /* @iters 3 */ :", "case 1:", ";", "x();",
     "{", "}", "while (c)", "do", "if (a)", "else",
@@ -183,9 +269,8 @@ PLACED_TEMPLATES = {
 
 
 @pytest.mark.parametrize("template", PLACED_TEMPLATES.values(), ids=PLACED_TEMPLATES.keys())
-def test_parser_matches_reference_on_every_short_pair_inside_a_case_or_a_loop(template):
-    # Three pieces would make about 29k inputs, some 8 s.
-    for size in range(3):
+def test_parser_matches_reference_on_every_short_sequence_inside_a_case_or_a_loop(template):
+    for size in range(4):
         for parts in itertools.product(SHORT_PIECES, repeat=size):
             assert_same_parse(template.format(" ".join(parts)))
 

@@ -2,10 +2,12 @@
 
 ``pyproject.toml`` declares ``requires-python >= 3.10``, but the suite
 runs on one interpreter.  This test collects ``python3.10`` to
-``python3.13`` from ``PATH``, plus any interpreters listed in the
+``python3.13`` from ``PATH``, then any interpreters listed in the
 ``CODEAREA_TEST_PYTHONS`` environment variable (separated by
-``os.pathsep``), and keeps each one that runs and is not the interpreter
-running the suite.  On each it runs the CLI, in text and JSON, on the
+``os.pathsep``), then pyenv's ``$PYENV_ROOT/versions/3.1[0-3]*/bin/python3``
+(``PYENV_ROOT`` defaults to ``~/.pyenv``).  It keeps the first one that
+runs of each minor version other than that of the interpreter running
+the suite.  On each it runs the CLI, in text and JSON, on the
 golden corpus, on one small generated file and on a failing file between
 two good ones, and with settings numbers that ``Fraction`` reads only on
 some Pythons (``1_000``, ``1 / 3``), and requires the same stdout bytes
@@ -15,6 +17,7 @@ other interpreter.
 
 from __future__ import annotations
 
+import glob
 import os
 import shutil
 import subprocess
@@ -27,28 +30,30 @@ from conftest import CORPUS, REPO_ROOT, bench_workloads
 SRC = REPO_ROOT / "src"
 
 
-def _interpreter(python: str) -> str | None:
-    """The real path of the interpreter *python* starts, or None if it
-    cannot run."""
+def _version(python: str) -> str | None:
+    """The major and minor version of the interpreter *python* starts, or
+    None if it cannot run (a pyenv shim of a version not selected exits 127)."""
     try:
         probe = subprocess.run(
-            [python, "-c", "import sys; print(sys.executable)"],
+            [python, "-c", "import sys; print(sys.version_info[:2])"],
             capture_output=True, text=True, timeout=60,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    return os.path.realpath(probe.stdout.strip()) if probe.returncode == 0 else None
+    return probe.stdout.strip() if probe.returncode == 0 else None
 
 
 def _other_pythons() -> list[str]:
     names = [shutil.which(f"python3.{minor}") for minor in range(10, 14)]
     names += os.environ.get("CODEAREA_TEST_PYTHONS", "").split(os.pathsep)
-    found = {os.path.realpath(sys.executable)}
+    pyenv = os.environ.get("PYENV_ROOT") or os.path.expanduser("~/.pyenv")
+    names += sorted(glob.glob(os.path.join(pyenv, "versions", "3.1[0-3]*", "bin", "python3")))
+    found = {str(sys.version_info[:2])}
     others = []
     for name in filter(None, names):
-        real = _interpreter(name)
-        if real is not None and real not in found:
-            found.add(real)
+        version = _version(name)
+        if version is not None and version not in found:
+            found.add(version)
             others.append(name)
     return others
 
