@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codearea import StatementKind, parse_tokens, tokenize
+from codearea import (
+    ConditionBlock, ExceptionBlock, FunctionDef, LoopBlock, Statement, StatementKind, parse_tokens,
+    tokenize,
+)
+from codearea.errors import SourceError
 
 # Hand-labeled oracle table: each row was labeled by walking the
 # documented rule order by hand before the classifier was written.  Each
@@ -62,3 +68,63 @@ def test_init_termination_call_list_is_configurable():
         StatementKind.INIT_TERMINATION
     ]
 
+
+
+_K = StatementKind
+# Hand-labeled: where each statement ends and what kind it is.  A
+# statement ends after a ``;`` or before a ``{`` or ``}`` outside ``(`` and
+# ``[``, or at the end of the input; a comment or preprocessor line before
+# it is a statement of its own, one inside it is part of it.
+STATEMENT_ENDS = [
+    ("f(a;\n b);\nc();", [(_K.FUNCTION_CALL, (1, 2)), (_K.FUNCTION_CALL, (3, 3))]),
+    ("x[i;\n j] = 1;", [(_K.SIMPLE_ASSIGNMENT, (1, 2))]),
+    ("x = f({1},\n {2});", [(_K.COMPLEX_ASSIGNMENT, (1, 2))]),
+    ("a = b\n{ c(); }", [(_K.SIMPLE_ASSIGNMENT, (1, 1)), (_K.FUNCTION_CALL, (2, 2))]),
+    (
+        "struct s {\n int a;\n} v;",
+        [(_K.DECLARATION, (1, 1)), (_K.DECLARATION, (2, 2)), (_K.EXPRESSION, (3, 3))],
+    ),
+    ("x = 1", [(_K.INIT_TERMINATION, (1, 1))]),
+    ("/* c */ x = 1;", [(_K.COMMENT, (1, 1)), (_K.INIT_TERMINATION, (1, 1))]),
+    ("x = /* c */\n 1;", [(_K.INIT_TERMINATION, (1, 2))]),
+    ("#define N 1\nx = N;", [(_K.HEADER_INCLUDE, (1, 1)), (_K.SIMPLE_ASSIGNMENT, (2, 2))]),
+    ("x =\n#if A\n 1;", [(_K.SIMPLE_ASSIGNMENT, (1, 3))]),
+]
+
+
+@pytest.mark.parametrize("source,expected", STATEMENT_ENDS)
+def test_statement_end_table(source, expected):
+    tree = parse_tokens(tokenize(source)).tree
+    assert [(node.kind, node.span) for node in tree] == expected
+
+
+def test_a_lone_semicolon_forms_no_statement():
+    for source in (";", ";;", "{ ; }", "\n;\n"):
+        assert parse_tokens(tokenize(source)).tree == []
+    assert statement_kinds("x = 1;;") == [StatementKind.INIT_TERMINATION]
+    (loop,) = parse_tokens(tokenize("for (;;) ;")).tree
+    assert loop.body == []
+
+
+def _statements(nodes):
+    for node in nodes:
+        if isinstance(node, Statement):
+            yield node
+        elif isinstance(node, ConditionBlock):
+            for branch in node.branches:
+                yield from _statements(branch)
+        else:
+            assert isinstance(node, (LoopBlock, ExceptionBlock, FunctionDef))
+            yield from _statements(node.body)
+
+
+@given(st.one_of(st.text(max_size=120), st.text("ab01 =+-*,;()[]{}#/\"'\n", max_size=120)))
+@settings(max_examples=150, deadline=None)
+def test_classification_is_total(source):
+    # Every statement of any text that parses has a kind.
+    try:
+        tree = parse_tokens(tokenize(source)).tree
+    except SourceError:
+        return
+    for statement in _statements(tree):
+        assert isinstance(statement.kind, StatementKind)
