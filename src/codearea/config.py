@@ -188,7 +188,10 @@ def load_config(
     if path is not None:
         import configparser  # here, since only a run given a file needs it
 
-        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+        # No header names the empty section, so ``[DEFAULT]`` is a section like any other.
+        parser = configparser.ConfigParser(
+            interpolation=None, inline_comment_prefixes=(";", "#"), default_section=""
+        )
         try:
             with open(path, encoding="utf-8-sig") as file:
                 parser.read_file(file, source=str(path))

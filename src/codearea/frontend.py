@@ -28,12 +28,15 @@ texts (equal words or numbers share one string) and lines.  It keeps only
 the texts the parser reads: a comment without ``@iters``, a string or
 char literal and a preprocessor line each hold one shared placeholder,
 and no whitespace is kept.  ``stream[i]`` builds a :class:`Token` on
-demand.  The parser reads only the columns, by index; one scan walks
-each statement's tokens, finds where it ends and decides its kind.  So
-``parse_tokens(tokenize(text))`` gives every statement's kind and every
-loop's count.  Block nodes are slotted classes and hold no tokens, so
-``analysis.analyze_source`` drops the stream once it is parsed.  A
-:class:`Statement` keeps its first and last lines, not a span pair.
+demand.  The parser reads only the columns, by index, and a token's kind
+only to find comments, preprocessor lines, identifiers and literals: no
+other token holds a text it tests.  One scan walks each statement's
+punctuation, finds where it ends and decides its kind; a call is an
+identifier right before ``(``.  So ``parse_tokens(tokenize(text))`` gives
+every statement's kind and every loop's count.  Block nodes are slotted
+classes and hold no tokens, so ``analysis.analyze_source`` drops the
+stream once it is parsed.  A :class:`Statement` keeps its first and last
+lines, not a span pair.
 
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the loop written
@@ -167,7 +170,9 @@ for _name, _kind in dict(
 # The one text per kind a stream holds for each text the parser never reads.
 # Each answers every test the parser makes of a text as the original did:
 # none is a keyword, an identifier or a punctuator the parser names, is in
-# an operator set, is an integer literal or holds ``@iters``.
+# an operator set, is an integer literal or holds ``@iters``.  So each
+# text the parser tests for belongs only to punctuation or keyword tokens,
+# and the parser reads a token's kind only where its text cannot tell.
 _PLACEHOLDERS = {_COMMENT: "//", _LITERAL: '""', _PREPROCESSOR: "#"}
 
 
@@ -263,73 +268,56 @@ def _scan_statement(
 ) -> tuple[int, StatementKind]:
     """Walk the statement at *start* once; return the index after it and
     its kind.  It ends after a ``;`` or before a ``{`` or ``}`` outside
-    ``(`` and ``[``.  ``parse_construct`` takes comments and preprocessor
-    lines, so none starts a statement.  The first matching rule gives the
-    kind: return, declaration (type keyword and no call), init/termination
-    (assignment to a literal, or a single call from the open/close/alloc/
-    free name list), function call (call without assignment), simple
+    ``(`` and ``[``; comments and preprocessor lines never start one.  The
+    walk reads only punctuation, the one kind whose texts it tests, and a
+    call is an identifier right before ``(``.  The first matching rule
+    gives the kind: return, declaration (type keyword, no call), init/
+    termination (assignment to a literal, or one call from the open/close/
+    alloc/free list), function call (a call, no assignment), simple
     assignment (one operator, no call), complex assignment (two or three
-    operators, or one call with at most three operators), expression
-    (everything else).
+    operators, or one call and at most three), expression (the rest).
     """
-    calls = ops = depth = 0
-    first_call = callee = None
-    has_assign = False
-    body: list[int] = []  # the first five tokens other than ``;`` and comments
-    room = 5  # body tokens still to take
+    calls = ops = assigns = depth = 0
+    callee = None  # the last call's name
     end = len(texts)
     for j in range(start, end):
-        kind = kinds[j]
-        text = texts[j]
-        if kind == _PUNCTUATION:
-            if text in _OPERATORS:
-                ops += 1
-                if text in _ASSIGN_OPS:
-                    has_assign = True
-            elif text == "(":
-                depth += 1
-                if callee is not None:
-                    calls += 1
-                    if first_call is None:
-                        first_call = callee
-            elif text == ")" or text == "]":
-                depth -= 1
-            elif text == "[":
-                depth += 1
-            elif text == ";":
-                if not depth:
-                    end = j + 1
-                    break
-                callee = None
-                continue
-            elif (text == "{" or text == "}") and not depth:
-                end = j
-                break
-            callee = None
-        elif kind == _COMMENT:
-            callee = None
+        if kinds[j] != _PUNCTUATION:
             continue
-        else:
-            callee = text if kind == _IDENTIFIER else None
-        if room:
-            body.append(j)
-            room -= 1
-    if kinds[start] == _KEYWORD:
-        if texts[start] == "return":
-            return end, StatementKind.RETURN
-        if texts[start] in DECLARATION_STARTERS and not calls:
-            return end, StatementKind.DECLARATION
-    # ident = [-]literal
-    if len(body) == 4 and texts[body[2]] == "-":
-        del body[2]
-    if (
-        len(body) == 3
-        and kinds[body[0]] == _IDENTIFIER
-        and texts[body[1]] == "="
-        and kinds[body[2]] == _LITERAL
-    ) or (calls == 1 and first_call in init_calls):
+        text = texts[j]
+        if text in _OPERATORS:
+            ops += 1
+            if text in _ASSIGN_OPS:
+                assigns += 1
+        elif text == "(":
+            depth += 1
+            if j != start and kinds[j - 1] == _IDENTIFIER:
+                calls += 1
+                callee = texts[j - 1]
+        elif text == ")" or text == "]":
+            depth -= 1
+        elif text == "[":
+            depth += 1
+        elif text == ";":
+            if not depth:
+                end = j + 1
+                break
+        elif (text == "{" or text == "}") and not depth:
+            end = j
+            break
+    if texts[start] == "return":
+        return end, StatementKind.RETURN
+    if texts[start] in DECLARATION_STARTERS and not calls:
+        return end, StatementKind.DECLARATION
+    if calls == 1 and callee in init_calls:
         return end, StatementKind.INIT_TERMINATION
-    if calls and not has_assign:
+    if assigns and not calls and ops <= 2:  # ident = [-]literal
+        body = [j for j in range(start, end) if kinds[j] != _COMMENT and texts[j] != ";"]
+        if len(body) == 4 and texts[body[2]] == "-":
+            del body[2]
+        if len(body) == 3 and texts[body[1]] == "=":
+            if kinds[body[0]] == _IDENTIFIER and kinds[body[2]] == _LITERAL:
+                return end, StatementKind.INIT_TERMINATION
+    if calls and not assigns:
         return end, StatementKind.FUNCTION_CALL
     if not calls and ops == 1:
         return end, StatementKind.SIMPLE_ASSIGNMENT
@@ -562,8 +550,6 @@ class _Parser:
         self._expect_text("(", context_line)
         depth, start = 1, self.i
         for j in range(start, self.n):
-            if kinds[j] == _COMMENT:
-                continue
             text = texts[j]
             if text == "(":
                 depth += 1
@@ -591,7 +577,7 @@ class _Parser:
     def parse_top(self) -> list[BlockNode]:
         nodes: list[BlockNode] = []
         while (i := self.i) < self.n:
-            if self.texts[i] == "}" and self.kinds[i] == _PUNCTUATION:
+            if self.texts[i] == "}":
                 raise UnbalancedBracesError("unmatched '}'", self.lines[i])
             self.parse_construct(nodes)
         # A pragma that no loop took lapses.
@@ -620,16 +606,16 @@ class _Parser:
             self.i = i + 1
             out.append(Statement(StatementKind.HEADER_INCLUDE, line, line))
             return
-        if kind == _PUNCTUATION and text == ";":
+        if text == ";":
             self.i = i + 1
             return
-        if kind == _KEYWORD and text in _LATER_PARTS:
+        if text in _LATER_PARTS:
             raise MalformedHeaderError(f"unexpected '{text}'", line)
         self.depth += 1
-        if kind == _PUNCTUATION and text == "{":
+        if text == "{":
             self.i = i + 1
             self.parse_until_close(line, out)
-        elif kind == _KEYWORD and text in _CONSTRUCTS:
+        elif text in _CONSTRUCTS:
             _CONSTRUCTS[text](self, out)
         else:
             self.parse_statement_or_function(out)
@@ -637,12 +623,12 @@ class _Parser:
 
     def parse_until_close(self, open_line: int, out: list[BlockNode]) -> int:
         """Parse nodes into *out* up to the matching ``}``; return its line."""
-        kinds, texts, n = self.kinds, self.texts, self.n
+        texts, n = self.texts, self.n
         while True:
             i = self.i
             if i >= n:
                 raise UnbalancedBracesError("unclosed '{'", open_line)
-            if texts[i] == "}" and kinds[i] == _PUNCTUATION:
+            if texts[i] == "}":
                 self.i = i + 1
                 return self.lines[i]
             self.parse_construct(out)
@@ -655,27 +641,25 @@ class _Parser:
             i = self.i
             if i >= self.n:
                 raise MalformedHeaderError("missing body", context_line)
-            kind = kinds[i]
-            if kind == _PUNCTUATION:
-                text = texts[i]
-                if text == "}":
-                    raise MalformedHeaderError("missing body", context_line)
-                if text == "{":
-                    self.i = i + 1
-                    self.body_brace = i
-                    return self.parse_until_close(self.lines[i], out)
-                if text == ";":
-                    self.i = i + 1
-                    return self.lines[i]
+            text = texts[i]
+            if text == "}":
+                raise MalformedHeaderError("missing body", context_line)
+            if text == "{":
+                self.i = i + 1
+                self.body_brace = i
+                return self.parse_until_close(self.lines[i], out)
+            if text == ";":
+                self.i = i + 1
+                return self.lines[i]
             self.parse_construct(out)
-            if kind != _COMMENT:
+            if kinds[i] != _COMMENT:
                 return out[-1].span[1]
 
     def parse_statement_or_function(self, out: list[BlockNode]) -> None:
         kinds, texts, start = self.kinds, self.texts, self.i
         end, kind = _scan_statement(kinds, texts, start, self.init_calls)
         self.i = end
-        if end == self.n or texts[end] != "{" or kinds[end] != _PUNCTUATION:
+        if end == self.n or texts[end] != "{":
             out.append(self._make_statement(start, end, kind))
             return
         brace_line = self.lines[self._next()]
@@ -795,25 +779,22 @@ class _Parser:
             i = self.i
             if i == self.n:
                 raise UnbalancedBracesError("unclosed '{'", open_line)
-            kind, text = kinds[i], texts[i]
-            if text == "}" and kind == _PUNCTUATION:
+            text = texts[i]
+            if text == "}":
                 self.i = i + 1
                 break
-            if kind == _KEYWORD and text in ("case", "default"):
+            if text in ("case", "default"):
                 j = i + 1
-                while j < self.n:
-                    if kinds[j] == _PUNCTUATION:
-                        if texts[j] == ":":
-                            break
-                        if texts[j] == "{" or texts[j] == "}":
-                            raise MalformedHeaderError("unterminated case label", lines[i])
+                while j < self.n and texts[j] != ":":
+                    if texts[j] == "{" or texts[j] == "}":
+                        raise MalformedHeaderError("unterminated case label", lines[i])
                     j += 1
                 self.i = j
                 self._expect_text(":", lines[i])
                 branches.append(leading)
                 leading = []
                 continue
-            if not branches and kind != _COMMENT and text != ";":
+            if not branches and kinds[i] != _COMMENT and text != ";":
                 raise MalformedHeaderError("statement before first case", lines[i])
             self.parse_construct(branches[-1] if branches else leading)
         if not branches:

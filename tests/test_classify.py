@@ -50,6 +50,19 @@ LABELED_STATEMENTS = [
     ("status = review(x) * clamp(y) + shift(z);", StatementKind.EXPRESSION),
     ("goto err;", StatementKind.EXPRESSION),
     ("idle;", StatementKind.EXPRESSION),
+    # A call is an identifier written right before ``(``: a comment between
+    # them, a keyword or a bracket is none.  Comments count toward no rule.
+    ("f /* c */ (x);", StatementKind.EXPRESSION),
+    ("p = malloc /* c */ (4);", StatementKind.SIMPLE_ASSIGNMENT),
+    ("(f)(x);", StatementKind.EXPRESSION),
+    ("sizeof(x);", StatementKind.EXPRESSION),
+    ("int f(x);", StatementKind.FUNCTION_CALL),
+    ("p = malloc(f(4));", StatementKind.EXPRESSION),
+    ("x /* c */ = 1;", StatementKind.INIT_TERMINATION),
+    ("x = -1 /* c */ ;", StatementKind.INIT_TERMINATION),
+    ("x = - - 1;", StatementKind.COMPLEX_ASSIGNMENT),
+    ("a[0] = 1;", StatementKind.SIMPLE_ASSIGNMENT),
+    ("(a) b", StatementKind.EXPRESSION),  # the input's first ``(`` follows no token
 ]
 
 

@@ -56,6 +56,16 @@ def test_unknown_section_rejected(tmp_path):
         load_config(write(tmp_path, "[surprises]\nx = 1\n"))
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\ncomment = 0.9\n",
+    "[DEFAULT]\nexec_time = 5\n[analysis]\ndefault_iterations = 2\n",
+    "[weights]\ncomment = 0.9\n[DEFAULT]\nbogus = 1\n",
+], ids=["alone", "beside_analysis", "beside_weights"])
+def test_default_section_is_an_unknown_section(tmp_path, text):
+    with pytest.raises(UnknownKeyError, match=r"^unknown section: \[DEFAULT\]$"):
+        load_config(write(tmp_path, text))
+
+
 def test_unknown_analysis_key_rejected(tmp_path):
     with pytest.raises(UnknownKeyError):
         load_config(write(tmp_path, "[analysis]\nspeed = fast\n"))

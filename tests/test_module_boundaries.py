@@ -4,6 +4,8 @@ Every other module works on the block tree, whose statements carry
 their kind and line span but no tokens.  The parser records the jumps
 that flow analysis reads, so the classifier needs no block node type.
 Importing the CLI loads none of the modules that only slow its start.
+Every private module-level name and method is read somewhere in the
+package, so no refactor leaves a dead helper behind.
 """
 
 from __future__ import annotations
@@ -43,6 +45,48 @@ def test_only_the_front_end_imports_token_types():
 
 def test_the_classifier_uses_no_block_node_type():
     assert "classifier.py" not in _importers(NODE_NAMES)
+
+
+def _definitions(path: Path) -> list[tuple[str, str]]:
+    """(place, name) of each module-level name and each method in *path*."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((path.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{path.name}:{node.name}", item.name) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(path.name, name.id) for target in targets
+                      for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return found
+
+
+def _reads(path: Path) -> set[str]:
+    """Every name *path* reads, as a name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_private_name_is_read():
+    # A private module-level name or method that nothing in the package
+    # reads is dead code, left behind by a refactor.
+    paths = sorted(PACKAGE.glob("*.py"))
+    read = set().union(*map(_reads, paths))
+    private = [
+        (place, name) for path in paths for place, name in _definitions(path)
+        if name.startswith("_") and not name.endswith("__")
+    ]
+    assert len(private) > 50
+    assert [(place, name) for place, name in private if name not in read] == []
 
 
 # ``dataclasses`` builds each class by generating and exec-ing code, and it

@@ -236,6 +236,8 @@ SHORT_PIECES = [
     "/* @iters 2 */", "case 1 /* @iters 3 */ :", "case 1:", ";", "x();",
     "{", "}", "while (c)", "do", "if (a)", "else",
 ]
+# Before a loop, a plain comment, a label and a ``break`` join them.
+LOOP_PIECES = [*SHORT_PIECES, "/* c */", "L:", "break;"]
 TEMPLATES = {
     "top": "{} while (d) y();",
     "case": "switch (k) {{ case 0: {} while (d) y(); }}",
@@ -256,7 +258,7 @@ TEMPLATES = {
 @pytest.mark.parametrize("template", TEMPLATES.values(), ids=TEMPLATES.keys())
 def test_parser_matches_reference_on_every_short_sequence_before_a_loop(template):
     for size in range(4):
-        for parts in itertools.product(SHORT_PIECES, repeat=size):
+        for parts in itertools.product(LOOP_PIECES, repeat=size):
             assert_same_parse(template.format(" ".join(parts)))
 
 

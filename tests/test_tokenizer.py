@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codearea import Token, TokenKind, tokenize
+from codearea.frontend import _OPERATORS, KEYWORDS
 
 from conftest import CORPUS
 
@@ -109,6 +110,41 @@ def test_token_lines_within_file(source):
     total = source.count("\n") + 1
     for tok in tokenize(source):
         assert 1 <= tok.line <= total
+
+
+# The parser tests a text without its kind, so each text it tests must
+# belong only to tokens of one kind: punctuation for a punctuator, keyword
+# for a keyword, whatever comment, literal or preprocessor line holds it.
+TESTED_PUNCTUATORS = set(";{}()[]:") | _OPERATORS
+NESTED_TEXTS = ["{", "}", "(", ")", ";", ":", "else", "case"]
+NESTING_PIECES = [
+    *NESTED_TEXTS, "x", "1", "=", "-", "->", "if", "while", "#", "x # y", "\n#define X {\n",
+    "// {\n", "/* @iters 2 */", "/* @iters 2\n;\n*/",
+    *(f"/*\n{text}\n*/" for text in NESTED_TEXTS),
+    *(f"/* a\n  {text}  */" for text in NESTED_TEXTS),
+    *(f'"{text}"' for text in NESTED_TEXTS), *(f"'{text}'" for text in NESTED_TEXTS),
+]
+
+
+def assert_tested_texts_keep_their_kind(source):
+    for tok in tokenize(source):
+        if tok.text in TESTED_PUNCTUATORS:
+            assert tok.kind is TokenKind.PUNCTUATION, tok
+        if tok.text in KEYWORDS:
+            assert tok.kind is TokenKind.KEYWORD, tok
+
+
+@given(st.text(max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_a_tested_text_has_one_kind_in_any_text(source):
+    assert_tested_texts_keep_their_kind(source)
+
+
+@given(st.lists(st.tuples(st.sampled_from(NESTING_PIECES), st.sampled_from([" ", "\n", ""])),
+                max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_a_tested_text_has_one_kind_among_comments_and_literals(pieces):
+    assert_tested_texts_keep_their_kind("".join(piece + sep for piece, sep in pieces))
 
 
 # Words, numbers, punctuators and comments that hold ``@iters`` keep their
