@@ -15,13 +15,15 @@ a sidecar is passed explicitly, which is then the only one read.
 
 from __future__ import annotations
 
+import codecs
 import gc
+import io
 import operator
 import os
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from . import classifier, impact, metrics, segmenter
 from .config import Config
@@ -153,20 +155,36 @@ def _read_input(path: str, sidecar_path: str | None) -> tuple[str, str | None]:
     if path == STDIN_PATH:
         if sys.stdin is None:
             raise OSError("standard input is closed")
-        # As strict as a path: UTF-8 mode reads a bad byte as a surrogate, turned back here.
-        text = sys.stdin.read().encode("utf-8", "surrogateescape").decode()
+        text = _read(sys.stdin.buffer)
     else:
-        text = _read(path, "utf-8")
+        with open(path, "rb") as file:
+            text = _read(file)
         if sidecar_path is None and os.path.isfile(path + ".segments"):
             sidecar_path = path + ".segments"
     if sidecar_path is None:
         return text, None
-    return text, _read(sidecar_path, "utf-8-sig")
+    with open(sidecar_path, "rb") as file:
+        return text, _read(file).removeprefix("\ufeff")
 
 
-def _read(path: str, encoding: str) -> str:
-    with open(path, encoding=encoding) as file:
-        return file.read()
+def _read(file: BinaryIO) -> str:
+    """Decode *file* as strict UTF-8 with universal newlines, 64 KiB at a time:
+    freeing an input-sized block would make glibc serve the token columns from
+    a holey heap.  A decode error gives its position in the whole input."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    newlines = io.IncrementalNewlineDecoder(decoder, translate=True)
+    pieces, offset = [], 0  # offset: the bytes read before the current piece
+    try:
+        for piece in iter(lambda: file.read(1 << 16), b""):
+            pieces.append(newlines.decode(piece))
+            offset += len(piece)
+        pieces.append(newlines.decode(b"", final=True))
+    except UnicodeDecodeError as exc:
+        held = offset - len(decoder.getstate()[0])  # where the failed decode's bytes begin
+        exc.object = bytes(held) + exc.object  # the message shows object[start]
+        exc.start, exc.end = exc.start + held, exc.end + held
+        raise
+    return "".join(pieces)
 
 
 class Totals(Record):

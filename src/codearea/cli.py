@@ -98,17 +98,6 @@ def _dump_weights(config: Config) -> None:
     print(f"exception_multiplier = {state}")
 
 
-def _pin_mmap_threshold() -> None:
-    """Stop glibc raising its 128 KiB mmap threshold as large blocks are
-    freed, which leaves the token columns in holey heap layouts."""
-    try:
-        if os.confstr("CS_GNU_LIBC_VERSION"):
-            import ctypes
-            ctypes.CDLL(None).mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD
-    except (AttributeError, ImportError, OSError, ValueError):
-        pass
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     if sys.stdout is None:  # argparse would write the help to stderr
@@ -125,7 +114,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.weights_dump:
             _dump_weights(config)
             return EXIT_OK
-        _pin_mmap_threshold()
         # Files are written as they are analyzed, then dropped.  Chunks wait for a
         # segment: per-segment timing with none is a config error, printing nothing.
         totals = Totals()

@@ -24,19 +24,20 @@ and a ``switch`` absorbs it, so it counts as no loop's exit.  A function
 body starts with no loop around it.
 
 A :class:`TokenStream` keeps its tokens as parallel columns: kind codes,
-texts (equal words or numbers share one string) and lines.  It keeps only
-the texts the parser reads: a comment without ``@iters``, a string or
-char literal and a preprocessor line each hold one shared placeholder,
-and no whitespace is kept.  ``stream[i]`` builds a :class:`Token` on
-demand.  The parser reads only the columns, by index, and a token's kind
-only to find comments, preprocessor lines, identifiers and literals: no
-other token holds a text it tests.  One scan walks each statement's
-punctuation, finds where it ends and decides its kind; a call is an
-identifier right before ``(``.  So ``parse_tokens(tokenize(text))`` gives
-every statement's kind and every loop's count.  Block nodes are slotted
+texts (equal words or numbers share one string) and lines, two bytes
+each when the last line is at most 65,535.  It keeps only the texts the
+parser reads: a comment without ``@iters``, a string or char literal and
+a preprocessor line each hold one shared placeholder, and no whitespace
+is kept.  ``stream[i]`` builds a :class:`Token` on demand.  The parser
+reads only the columns, by index, and a token's kind only to find
+comments, preprocessor lines, identifiers and literals: no other token
+holds a text it tests.  One scan walks each statement's punctuation,
+finds where it ends and decides its kind; a call is an identifier right
+before ``(``.  So ``parse_tokens(tokenize(text))`` gives every
+statement's kind and every loop's count.  Block nodes are slotted
 classes and hold no tokens, so ``analysis.analyze_source`` drops the
-stream once it is parsed.  A :class:`Statement` keeps its first and last
-lines, not a span pair.
+stream once it is parsed.  Each keeps its first and last lines, not a
+span pair, which its ``span`` property builds.
 
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the loop written
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from array import array
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -228,6 +230,10 @@ def tokenize(source: str) -> TokenStream:
         add_kind(kind)
         add_text(text)
         add_line(line)
+    if not stream.lines or stream.lines[-1] <= 0xFFFF:  # two bytes a line, narrowed in C
+        halves = memoryview(stream.lines).cast("B").cast("H")
+        step = stream.lines.itemsize // 2
+        stream.lines = array("H", halves[(step - 1) * (sys.byteorder == "big")::step].tobytes())
     return stream
 
 
@@ -345,43 +351,45 @@ class IterationCount(NamedTuple):
 Span = tuple[int, int]  # inclusive 1-based line range
 
 
-class Statement(Record):
-    __slots__ = _fields = ("kind", "first", "last")  # first and last: the statement's lines
+class _Node(Record):
+    __slots__ = ()  # a block node keeps its first and last lines, not a span pair
+    span = property(lambda self: (self.first, self.last), doc="``(first, last)``")
+
+
+class Statement(_Node):
+    __slots__ = _fields = ("kind", "first", "last")
 
     def __init__(self, kind: StatementKind, first: int, last: int):
         self.kind, self.first, self.last = kind, first, last
 
-    @property
-    def span(self) -> Span:
-        return (self.first, self.last)
+
+class ConditionBlock(_Node):
+    __slots__ = _fields = ("branches", "first", "last", "from_switch")
+
+    def __init__(self, branches: list[list[BlockNode]], first: int, last: int,
+                 from_switch: bool = False):
+        self.branches, self.first, self.last, self.from_switch = branches, first, last, from_switch
 
 
-class ConditionBlock(Record):
-    __slots__ = _fields = ("branches", "span", "from_switch")
+class LoopBlock(_Node):
+    __slots__ = _fields = ("count", "body", "first", "last")
 
-    def __init__(self, branches: list[list[BlockNode]], span: Span, from_switch: bool = False):
-        self.branches, self.span, self.from_switch = branches, span, from_switch
-
-
-class LoopBlock(Record):
-    __slots__ = _fields = ("count", "body", "span")
-
-    def __init__(self, count: IterationCount, body: list[BlockNode], span: Span):
-        self.count, self.body, self.span = count, body, span
+    def __init__(self, count: IterationCount, body: list[BlockNode], first: int, last: int):
+        self.count, self.body, self.first, self.last = count, body, first, last
 
 
-class ExceptionBlock(Record):
-    __slots__ = _fields = ("handlers", "body", "span")
+class ExceptionBlock(_Node):
+    __slots__ = _fields = ("handlers", "body", "first", "last")
 
-    def __init__(self, handlers: int, body: list[BlockNode], span: Span):
-        self.handlers, self.body, self.span = handlers, body, span
+    def __init__(self, handlers: int, body: list[BlockNode], first: int, last: int):
+        self.handlers, self.body, self.first, self.last = handlers, body, first, last
 
 
-class FunctionDef(Record):
-    __slots__ = _fields = ("name", "body", "span")
+class FunctionDef(_Node):
+    __slots__ = _fields = ("name", "body", "first", "last")
 
-    def __init__(self, name: str, body: list[BlockNode], span: Span):
-        self.name, self.body, self.span = name, body, span
+    def __init__(self, name: str, body: list[BlockNode], first: int, last: int):
+        self.name, self.body, self.first, self.last = name, body, first, last
 
 
 BlockNode = Statement | ConditionBlock | LoopBlock | ExceptionBlock | FunctionDef
@@ -653,7 +661,7 @@ class _Parser:
                 return self.lines[i]
             self.parse_construct(out)
             if kinds[i] != _COMMENT:
-                return out[-1].span[1]
+                return out[-1].last
 
     def parse_statement_or_function(self, out: list[BlockNode]) -> None:
         kinds, texts, start = self.kinds, self.texts, self.i
@@ -670,7 +678,7 @@ class _Parser:
             self.loop = self.absorber = None
             close_line = self.parse_until_close(brace_line, body)
             self.loop, self.absorber = outer
-            out.append(FunctionDef(name, body, (self.lines[start], close_line)))
+            out.append(FunctionDef(name, body, self.lines[start], close_line))
         else:
             # Brace after a non-function prefix (struct/enum body, stray
             # block): keep the prefix as a statement and splice the block.
@@ -728,7 +736,7 @@ class _Parser:
             tok = self._next()
             if self._next_part(("if",), body):
                 tok = self._next()
-        out.append(ConditionBlock(branches, (lines[kw], end)))
+        out.append(ConditionBlock(branches, lines[kw], end))
 
     def parse_loop(self, out: list[BlockNode]) -> None:
         kw = self._next()
@@ -763,7 +771,7 @@ class _Parser:
             pragma, self.default_iterations, line,
         )
         self.loops[key] = (line, count)
-        out.append(LoopBlock(count, body, (line, end)))
+        out.append(LoopBlock(count, body, line, end))
 
     def parse_switch(self, out: list[BlockNode]) -> None:
         kinds, texts, lines = self.kinds, self.texts, self.lines
@@ -800,7 +808,7 @@ class _Parser:
         if not branches:
             raise MalformedHeaderError("switch without cases", line)
         self.absorber = absorber
-        out.append(ConditionBlock(branches, (line, lines[i]), from_switch=True))
+        out.append(ConditionBlock(branches, line, lines[i], from_switch=True))
 
     def parse_try(self, out: list[BlockNode]) -> None:
         # One part per pass, all into the one body: ``tok`` is the
@@ -821,7 +829,7 @@ class _Parser:
                 break
             tok = self._next()
         # A bare try/finally still carries one implicit handler.
-        out.append(ExceptionBlock(max(1, handlers), body, (lines[kw], end)))
+        out.append(ExceptionBlock(max(1, handlers), body, lines[kw], end))
 
 
 # The method that parses the construct each keyword opens.

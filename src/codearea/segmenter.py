@@ -110,7 +110,7 @@ def _partition(
             _partition(node.body, out, run)
             _flush(out, run)
         elif (kind := _BLOCK_KINDS.get(type(node))) is not None:
-            out.append(CodeSegment(kind, [node], node.span))
+            out.append(CodeSegment(kind, [node], (node.first, node.last)))
         else:
             raise TypeError(f"not a block node: {node!r}")
 
@@ -194,7 +194,7 @@ def apply_segment_overrides(
     segments = [CodeSegment(o.kind, [], (o.start, o.end)) for o in spans]
     at = 0  # the first span that does not end before the current node
     for unit in (node for seg in segment(tree) for node in seg.nodes):
-        first, last = unit.span
+        first, last = unit.first, unit.last
         while at < len(spans) and spans[at].end < first:
             at += 1
         if at == len(spans) or not (spans[at].start <= first and last <= spans[at].end):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -25,6 +26,16 @@ CORPUS_FILES = [
 @pytest.fixture
 def corpus_paths() -> list[str]:
     return [str(p) for p in CORPUS_FILES]
+
+
+def stdin_of(text: str) -> io.TextIOWrapper:
+    """A standard input that holds *text* as UTF-8 bytes, as the CLI's does."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
+def universal_newlines(text: str) -> str:
+    """*text* as a path or standard input reads it: each ``\r\n`` and ``\r`` a ``\n``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_source(source: str):

@@ -265,7 +265,7 @@ class _Parser:
             self.loop = self.absorber = None
             close_line = self.parse_until_close(brace.line, body)
             self.loop, self.absorber = outer
-            out.append(FunctionDef(name, body, (prefix[0].line, close_line)))
+            out.append(FunctionDef(name, body, prefix[0].line, close_line))
             return
         # Brace after a non-function prefix (struct/enum body, stray
         # block): keep the prefix as a statement and splice the block.
@@ -322,7 +322,7 @@ class _Parser:
             tok = self._next()
             if self._next_part(("if",), body) is not None:
                 tok = self._next()
-        out.append(ConditionBlock(branches, (kw.line, end)))
+        out.append(ConditionBlock(branches, kw.line, end))
 
     def parse_loop(self, out: list[BlockNode]) -> None:
         kw = self._next()
@@ -352,7 +352,7 @@ class _Parser:
             pragma, self.default_iterations, kw.line,
         )
         self.loops[key] = (kw.line, count)
-        out.append(LoopBlock(count, body, (kw.line, end)))
+        out.append(LoopBlock(count, body, kw.line, end))
 
     def parse_switch(self, out: list[BlockNode]) -> None:
         kw = self._next()
@@ -390,7 +390,7 @@ class _Parser:
         if not branches:
             raise MalformedHeaderError("switch without cases", kw.line)
         self.absorber = absorber
-        out.append(ConditionBlock(branches, (kw.line, tok.line), from_switch=True))
+        out.append(ConditionBlock(branches, kw.line, tok.line, from_switch=True))
 
     def parse_try(self, out: list[BlockNode]) -> None:
         # One part per pass, all into the one body: ``tok`` is the
@@ -410,7 +410,7 @@ class _Parser:
                 break
             tok = self._next()
         # A bare try/finally still carries one implicit handler.
-        out.append(ExceptionBlock(max(1, handlers), body, (kw.line, end)))
+        out.append(ExceptionBlock(max(1, handlers), body, kw.line, end))
 
 
 def parse_tokens(

@@ -230,21 +230,21 @@ def _node_st(depth: int):
         _statement_nodes(),
         st.builds(
             lambda count, body: LoopBlock(
-                IterationCount(count, CountProvenance.LITERAL_BOUND), body, (1, 1)
+                IterationCount(count, CountProvenance.LITERAL_BOUND), body, 1, 1
             ),
             st.integers(0, 5),
             bodies,
         ),
         st.builds(
-            lambda branches: ConditionBlock(branches, (1, 1)),
+            lambda branches: ConditionBlock(branches, 1, 1),
             st.lists(bodies, min_size=1, max_size=3),
         ),
         st.builds(
-            lambda handlers, body: ExceptionBlock(handlers, body, (1, 1)),
+            lambda handlers, body: ExceptionBlock(handlers, body, 1, 1),
             st.integers(1, 3),
             bodies,
         ),
-        st.builds(lambda body: FunctionDef("fn", body, (1, 1)), bodies),
+        st.builds(lambda body: FunctionDef("fn", body, 1, 1), bodies),
     )
 
 
@@ -325,7 +325,7 @@ def test_criterion_9b_substitution_matches_brute_force(weights, forest):
 @settings(max_examples=100, deadline=None)
 def test_criterion_9c_loop_wrap_scales_linearly(forest, k):
     wrapped = LoopBlock(
-        IterationCount(k, CountProvenance.PRAGMA_OVERRIDE), forest, (1, 1)
+        IterationCount(k, CountProvenance.PRAGMA_OVERRIDE), forest, 1, 1
     )
     inner = sum((block_impact(n, W) for n in forest), Fraction(0))
     assert block_impact(wrapped, W) == k * inner
@@ -375,7 +375,7 @@ def test_criterion_9e_insertion_never_decreases_impact(forest, kind, data):
 @settings(max_examples=100, deadline=None)
 def test_criterion_9f_homogeneous_loop_reduces_to_product(kind, count, lines):
     body = [Statement(kind, 1, 1) for _ in range(lines)]
-    loop = LoopBlock(IterationCount(count, CountProvenance.LITERAL_BOUND), body, (1, 1))
+    loop = LoopBlock(IterationCount(count, CountProvenance.LITERAL_BOUND), body, 1, 1)
     assert block_impact(loop, W) == count * lines * W.weight(kind)
 
 

@@ -292,13 +292,13 @@ def test_the_parsed_stream_holds_the_token_columns(monkeypatch):
 def test_the_input_text_is_freed_before_it_is_parsed(tmp_path, monkeypatch):
     path = tmp_path / "big.c"
     path.write_text(('x = f("' + "a" * 1000 + '");\n') * 1000, encoding="utf-8")  # about 1 MB
-    source, first = inspect.getsourcelines(analysis._read)
-    [read_line] = [n for n, line in enumerate(source, first) if ".read()" in line]
-    by_reading = tracemalloc.Filter(True, analysis.__file__, read_line, all_frames=True)
+    source, first = inspect.getsourcelines(analysis._read)  # the reader's every line
+    by_reading = [tracemalloc.Filter(True, analysis.__file__, n, all_frames=True)
+                  for n in range(first, first + len(source))]
     parse, alive = analysis.parse_tokens, []
 
     def parse_once_no_read_block_lives(tokens, **kwargs):
-        alive.extend(tracemalloc.take_snapshot().filter_traces([by_reading]).traces)
+        alive.extend(tracemalloc.take_snapshot().filter_traces(by_reading).traces)
         tracemalloc.stop()
         return parse(tokens, **kwargs)
 

@@ -16,9 +16,9 @@ import pytest
 from codearea import (
     Config, FileResult, QualityAttributes, TotalSeconds, analysis, analyze, emit_report,
 )
-from codearea.cli import _pin_mmap_threshold, main
+from codearea.cli import main
 
-from conftest import CORPUS_FILES
+from conftest import CORPUS_FILES, stdin_of
 
 
 def corpus_args():
@@ -130,7 +130,7 @@ def test_weights_dump_reflects_config(tmp_path, capsys):
 
 
 def test_stdin_input(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("x = probe(a) + probe(b);\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("x = probe(a) + probe(b);\n"))
     assert main(["-"]) == 0
     out = capsys.readouterr().out
     assert "<stdin>" in out
@@ -313,6 +313,52 @@ def test_standard_input_is_decoded_as_strictly_as_a_path(tmp_path):
     assert (by_path.returncode, by_stdin.returncode) == (1, 1)
 
 
+def test_standard_input_is_read_as_utf_8_whatever_the_stdio_encoding():
+    done = run_cli_child(["-", "--format", "json"], input=b"x = 1; \xe9\n",
+                         env={"PYTHONIOENCODING": "latin-1"})
+    assert json.loads(done.stdout)["files"][0]["error"]["message"] == (
+        "Io: 'utf-8' codec can't decode byte 0xe9 in position 7: invalid continuation byte")
+    assert done.returncode == 1
+
+
+@pytest.mark.parametrize("via", ["path", "stdin"])
+def test_a_decode_error_far_into_an_input_gives_its_whole_input_position(tmp_path, via):
+    data = b"x = 1;\n" * 15_000 + b"\xe9\n"  # the bad byte is at 105,000, in the second piece
+    (tmp_path / "bad.c").write_bytes(data)
+    done = run_cli_child([str(tmp_path / "bad.c") if via == "path" else "-", "--format", "json"],
+                         input=data if via == "stdin" else None)
+    assert json.loads(done.stdout)["files"][0]["error"]["message"] == (
+        "Io: 'utf-8' codec can't decode byte 0xe9 in position 105000: invalid continuation byte")
+
+
+PIECE = 1 << 16  # the bytes analysis._read decodes at a time
+
+
+def whole_input_read(data: bytes) -> str:
+    """*data* as a whole-input read decodes it: strict UTF-8, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
+@pytest.mark.parametrize("at", [0, PIECE - 2, PIECE - 1, PIECE, 105_000, 2 * PIECE - 1])
+@pytest.mark.parametrize("bad", [b"\xe9", b"\xff", b"\xe2\x82", b"\xf0\x9d\x84"],
+                         ids=["continuation", "start", "two_of_three", "three_of_four"])
+@pytest.mark.parametrize("end", [b"", b"x\n"], ids=["at_end", "before_text"])
+def test_the_reader_gives_a_decode_error_as_a_whole_input_read_does(at, bad, end):
+    data = "é".encode() * (at // 2) + b"a" * (at % 2) + bad + end
+    with pytest.raises(UnicodeDecodeError) as whole:
+        whole_input_read(data)
+    with pytest.raises(UnicodeDecodeError) as pieces:
+        analysis._read(io.BytesIO(data))
+    assert str(pieces.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r", b"\r\r\n", b"\n\r"])
+@pytest.mark.parametrize("at", [PIECE - 2, PIECE - 1, PIECE, 3 * PIECE - 1])
+def test_the_reader_reads_newlines_across_pieces_as_a_whole_input_read_does(newline, at):
+    for data in (b"a" * at + newline + "é".encode(), b"a" * at + newline):
+        assert analysis._read(io.BytesIO(data)) == whole_input_read(data)
+
+
 @pytest.mark.parametrize("args", [[str(CORPUS_FILES[2])], ["--weights-dump"], ["--help"]],
                          ids=["report", "weights", "help"])
 def test_a_stdout_closed_before_the_run_ends_it_with_status_141(args):
@@ -337,12 +383,15 @@ def test_a_usage_error_with_stderr_closed_writes_nothing():
     assert (done.returncode, done.stdout) == (2, b"")
 
 
-def test_large_blocks_keep_their_own_mappings_after_a_large_free():
-    # In a fresh interpreter, whose heap has little free space: unpinned,
-    # freeing the 4 MiB block would raise the threshold past 1 MiB.
+def test_a_large_block_keeps_its_own_mapping_after_an_input_is_read(tmp_path):
+    # In a fresh interpreter, whose heap has little free space: a whole-input
+    # read would free a 4 MiB block, and glibc would raise its mmap threshold
+    # past 1 MiB, so the token columns would grow in the heap's holes.
+    path = tmp_path / "big.c"
+    path.write_bytes(b"x = f(a);\n" * (400 << 10))
     probe = """if 1:
-        import ctypes
-        from codearea.cli import _pin_mmap_threshold
+        import ctypes, sys
+        from codearea.analysis import _read
 
         class Mallinfo2(ctypes.Structure):
             _fields_ = [(name, ctypes.c_size_t) for name in (
@@ -351,11 +400,11 @@ def test_large_blocks_keep_their_own_mappings_after_a_large_free():
 
         libc = ctypes.CDLL(None)
         libc.mallinfo2.restype = Mallinfo2
-        _pin_mmap_threshold()
-        bytearray(4 << 20)
+        with open(sys.argv[1], "rb") as file:
+            text = _read(file)
         mapped = libc.mallinfo2().hblks
         block = bytearray(1 << 20)
-        print(libc.mallinfo2().hblks - mapped)
+        print(len(text), libc.mallinfo2().hblks - mapped)
     """
     try:
         glibc = os.confstr("CS_GNU_LIBC_VERSION")
@@ -364,18 +413,9 @@ def test_large_blocks_keep_their_own_mappings_after_a_large_free():
     if not glibc or tuple(map(int, glibc.split()[1].split(".")[:2])) < (2, 33):
         pytest.skip("needs mallinfo2, from glibc 2.33")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe, str(path)], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "1\n"
-
-
-def test_mmap_threshold_is_left_alone_off_glibc(monkeypatch):
-    def not_glibc(name):
-        raise ValueError(f"unrecognized configuration name {name!r}")
-
-    monkeypatch.setattr(os, "confstr", not_glibc)
-    monkeypatch.setattr("ctypes.CDLL", None)  # any call would raise TypeError
-    _pin_mmap_threshold()
+    assert out == f"{10 * (400 << 10)} 1\n"
 
 
 def test_missing_body_fails_only_its_file(tmp_path, capsys):
@@ -473,10 +513,10 @@ def stdout_case(case: str, tmp_path) -> tuple[list[str], list[str], Config]:
 )
 def test_stdout_is_the_emitted_report(tmp_path, monkeypatch, capsysbinary, case, fmt):
     paths, flags, config = stdout_case(case, tmp_path)
-    monkeypatch.setattr("sys.stdin", io.StringIO(STDIN_SOURCE))
+    monkeypatch.setattr("sys.stdin", stdin_of(STDIN_SOURCE))
     code = main(paths + flags + ["--format", fmt])
     out = capsysbinary.readouterr().out
-    monkeypatch.setattr("sys.stdin", io.StringIO(STDIN_SOURCE))
+    monkeypatch.setattr("sys.stdin", stdin_of(STDIN_SOURCE))
     report = analyze(paths, config)
     assert out == emit_report(report, fmt)
     assert code == (1 if report.failed_files else 0)
@@ -570,7 +610,7 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch, capsysbinar
         for name, text in BOM_INPUTS.items():
             (directory / name).write_text((bom if name == marked else "") + text, encoding="utf-8")
         stdin = (bom if kind == "stdin" else "") + BOM_INPUTS["a.c"]
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", stdin_of(stdin))
         monkeypatch.chdir(directory)
         assert main(["a.c", "-", "--config", "c.ini", "--format", "json"]) == 0
         outputs.append(capsysbinary.readouterr().out)

@@ -9,7 +9,6 @@ rendering make no reference cycles.
 
 from __future__ import annotations
 
-import io
 import json
 from unittest import mock
 
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 from codearea import Config, FileResult, analyze, analyze_source, emit_report
 from codearea.analysis import STDIN_LABEL
 
+from conftest import stdin_of, universal_newlines
 from test_no_cycles import analyze_and_render, cyclic_garbage
 
 FRAGMENTS = [
@@ -39,9 +39,10 @@ SOUP = st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=3)), max_
 @given(SOUP)
 def test_any_token_soup_gives_a_result_that_renders(parts):
     text = " ".join(parts)
-    result = analyze_source(text, STDIN_LABEL, Config())
-    assert isinstance(result, FileResult)
-    with mock.patch("sys.stdin", io.StringIO(text)):
+    assert isinstance(analyze_source(text, STDIN_LABEL, Config()), FileResult)
+    # Standard input is read as bytes, with universal newlines, as a path is.
+    result = analyze_source(universal_newlines(text), STDIN_LABEL, Config())
+    with mock.patch("sys.stdin", stdin_of(text)):
         report = analyze(["-"], Config())
     assert report.files == [result]
     assert emit_report(report, "text").startswith(b"impact-weighted code metrics\n")
@@ -54,5 +55,5 @@ def test_any_token_soup_gives_a_result_that_renders(parts):
 @given(SOUP)
 def test_any_token_soup_leaves_no_cyclic_garbage(parts):
     text = " ".join(parts)
-    with mock.patch("sys.stdin", io.StringIO(text)):
+    with mock.patch("sys.stdin", stdin_of(text)):
         assert cyclic_garbage(lambda: analyze_and_render(["-"])) == 0

@@ -35,7 +35,7 @@ def run_impact(run, weights) -> Fraction:
 
 
 def loop(count: int, body) -> LoopBlock:
-    return LoopBlock(IterationCount(count, CountProvenance.LITERAL_BOUND), body, (1, 1))
+    return LoopBlock(IterationCount(count, CountProvenance.LITERAL_BOUND), body, 1, 1)
 
 
 def test_statement_impacts_match_default_table():
@@ -82,13 +82,13 @@ def test_loop_scales_arbitrary_body_impact():
 def test_condition_averages_branch_sums():
     block = ConditionBlock(
         [[stmt(StatementKind.EXPRESSION)] * 5, []],
-        (1, 1),
+        1, 1,
     )
     assert block_impact(block, W) == Fraction(2)
 
 
 def test_single_branch_empty_condition_is_zero():
-    assert block_impact(ConditionBlock([[]], (1, 1)), W) == 0
+    assert block_impact(ConditionBlock([[]], 1, 1), W) == 0
 
 
 def test_corpus_branching_condition_is_1_6():
@@ -101,22 +101,22 @@ def test_corpus_branching_condition_is_1_6():
 
 def test_exception_multiplier():
     body = [stmt(StatementKind.EXPRESSION)] * 5  # impact 4 is awkward; use 0.8*5 = 4
-    one = ExceptionBlock(1, body, (1, 1))
-    two = ExceptionBlock(2, body, (1, 1))
+    one = ExceptionBlock(1, body, 1, 1)
+    two = ExceptionBlock(2, body, 1, 1)
     assert block_impact(one, W) == Fraction(4)
     assert block_impact(two, W) == Fraction(8)
-    assert block_impact(ExceptionBlock(3, [], (1, 1)), W) == 0
+    assert block_impact(ExceptionBlock(3, [], 1, 1), W) == 0
 
 
 def test_exception_multiplier_can_be_disabled():
     table = WeightTable(exception_multiplier_enabled=False)
     body = [stmt(StatementKind.EXPRESSION)]
-    assert block_impact(ExceptionBlock(4, body, (1, 1)), table) == Fraction(4, 5)
+    assert block_impact(ExceptionBlock(4, body, 1, 1), table) == Fraction(4, 5)
 
 
 def test_block_impact_dispatch():
     assert block_impact(stmt(StatementKind.COMMENT), W) == Fraction(1, 2)
-    assert block_impact(FunctionDef("f", [], (1, 1)), W) == 0
+    assert block_impact(FunctionDef("f", [], 1, 1), W) == 0
     inner = [stmt(StatementKind.EXPRESSION)] * 12  # 9.6
     assert block_impact(loop(20, inner), W) == Fraction(192)
 

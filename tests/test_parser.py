@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import tracemalloc
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from codearea import (
 )
 from codearea.frontend import MAX_NESTING, parse_tokens
 
-from conftest import as_source, parse_source, segments_of, source_lines
+from conftest import as_source, bench_workloads, parse_source, segments_of, source_lines
 
 
 def test_if_else_is_one_condition_block_with_two_branches():
@@ -124,7 +125,7 @@ def test_switch_cases_become_branches():
 def test_comment_lines_inside_a_case_label_are_skipped(line):
     tree = parse_source(f"switch (x) {{ case 1 /* a\n{line}\n*/ : y = 1; }}")
     init = Statement(StatementKind.INIT_TERMINATION, 3, 3)
-    assert tree == [ConditionBlock([[init]], (1, 3), from_switch=True)]
+    assert tree == [ConditionBlock([[init]], 1, 3, from_switch=True)]
 
 
 def test_try_catch_handlers_counted():
@@ -487,3 +488,18 @@ def test_parsing_peaks_under_240_bytes_per_statement():
         tracemalloc.stop()
     assert len(tree) == n
     assert peak / n < 240
+
+
+def test_no_block_node_holds_a_tuple():
+    # Each node keeps its lines in two slots; ``span`` builds the pair on demand.
+    # A loop's count is an ``IterationCount``, which ``loops`` shares.
+    (file,) = bench_workloads().generate("deep_logic", 11, scale=0.05).files
+    stack, seen = list(parse_source(file.text)), set()
+    while stack:
+        node = stack.pop()
+        seen.add(type(node))
+        assert tuple not in map(type, gc.get_referents(node)), node
+        assert node.span == (node.first, node.last) and node.first <= node.last
+        stack.extend(getattr(node, "body", ()))
+        stack.extend(child for branch in getattr(node, "branches", ()) for child in branch)
+    assert seen == {Statement, ConditionBlock, LoopBlock, ExceptionBlock, FunctionDef}

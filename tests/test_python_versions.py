@@ -8,10 +8,12 @@ runs on one interpreter.  This test collects ``python3.10`` to
 (``PYENV_ROOT`` defaults to ``~/.pyenv``).  It keeps the first one that
 runs of each minor version other than that of the interpreter running
 the suite.  On each it runs the CLI, in text and JSON, on the
-golden corpus, on one small generated file and on a failing file between
-two good ones, and with settings numbers that ``Fraction`` reads only on
-some Pythons (``1_000``, ``1 / 3``), and requires the same stdout bytes
-and exit code as the current interpreter.  It skips when it finds no
+golden corpus, on one small generated file, given as a path and through
+``-``, on a generated file with CRLF line ends larger than the 64 KiB
+the reader decodes at a time, and on a failing file between two good
+ones, and with settings numbers that ``Fraction`` reads only on some
+Pythons (``1_000``, ``1 / 3``), and requires the same stdout bytes and
+exit code as the current interpreter.  It skips when it finds no
 other interpreter.
 """
 
@@ -64,6 +66,14 @@ def _small_generated_file(directory) -> str:
     return file.name
 
 
+def _crlf_file(directory) -> str:
+    (file,) = bench_workloads().generate("deep_logic", 11, scale=0.15).files
+    data = file.text.replace("\n", "\r\n").encode("utf-8")
+    assert len(data) > 1 << 16
+    (directory / "crlf.c").write_bytes(data)
+    return "crlf.c"
+
+
 def _failing_between_good_files(directory) -> list[str]:
     (directory / "good1.c").write_text("a = b;\nwhile (c) d();\n", encoding="utf-8")
     (directory / "bad.c").write_text("void f() { if (a) }\n", encoding="utf-8")
@@ -71,11 +81,10 @@ def _failing_between_good_files(directory) -> list[str]:
     return ["good1.c", "bad.c", "good2.c"]
 
 
-def _cli(python: str, args: list[str], cwd) -> tuple[int, bytes]:
+def _cli(python: str, args: list[str], cwd, stdin: bytes = b"") -> tuple[int, bytes]:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(
-        [python, "-m", "codearea", *args], cwd=cwd, env=env, capture_output=True, timeout=300
-    )
+    done = subprocess.run([python, "-m", "codearea", *args], cwd=cwd, env=env, input=stdin,
+                          capture_output=True, timeout=300)
     return done.returncode, done.stdout
 
 
@@ -84,17 +93,20 @@ def test_cli_gives_the_same_bytes_on_every_other_python(tmp_path):
     if not others:
         pytest.skip("no other Python interpreter found")
     golden = [str(p.relative_to(REPO_ROOT)) for p in sorted(CORPUS.glob("*.c"))]
+    small = _small_generated_file(tmp_path)
     runs = [
-        (REPO_ROOT, golden + ["--exec-time", "88", "--qr", "1,2,0,1,2"], 0),
-        (tmp_path, [_small_generated_file(tmp_path)], 0),
-        (tmp_path, _failing_between_good_files(tmp_path), 1),
+        (REPO_ROOT, golden + ["--exec-time", "88", "--qr", "1,2,0,1,2"], 0, b""),
+        (tmp_path, [small], 0, b""),
+        (tmp_path, ["-"], 0, (tmp_path / small).read_bytes()),
+        (tmp_path, [_crlf_file(tmp_path)], 0, b""),
+        (tmp_path, _failing_between_good_files(tmp_path), 1, b""),
     ]
-    for cwd, args, exit_code in runs:
+    for cwd, args, exit_code, stdin in runs:
         for fmt in ("text", "json"):
-            want = _cli(sys.executable, args + ["--format", fmt], cwd)
+            want = _cli(sys.executable, args + ["--format", fmt], cwd, stdin)
             assert want[0] == exit_code and want[1]
             for python in others:
-                assert _cli(python, args + ["--format", fmt], cwd) == want, (python, fmt)
+                assert _cli(python, args + ["--format", fmt], cwd, stdin) == want, (python, fmt)
     for number in ("1_000", "1 / 3"):
         args = golden + ["--exec-time", number]
         want = _cli(sys.executable, args, REPO_ROOT)

@@ -57,10 +57,10 @@ ORDERLY = FlowReport(0, 0, True)
 RECORDS = [
     (IterationCount, ("value", "provenance"), (3, CountProvenance.PRAGMA_OVERRIDE)),
     (Statement, ("kind", "first", "last"), (StatementKind.RETURN, 4, 5)),
-    (ConditionBlock, ("branches", "span", "from_switch"), ([[], []], (1, 2), True)),
-    (LoopBlock, ("count", "body", "span"), (IterationCount(2, CountProvenance.LITERAL_BOUND), [], (1, 2))),
-    (ExceptionBlock, ("handlers", "body", "span"), (2, [], (1, 2))),
-    (FunctionDef, ("name", "body", "span"), ("f", [], (1, 2))),
+    (ConditionBlock, ("branches", "first", "last", "from_switch"), ([[], []], 1, 2, True)),
+    (LoopBlock, ("count", "body", "first", "last"), (IterationCount(2, CountProvenance.LITERAL_BOUND), [], 1, 2)),
+    (ExceptionBlock, ("handlers", "body", "first", "last"), (2, [], 1, 2)),
+    (FunctionDef, ("name", "body", "first", "last"), ("f", [], 1, 2)),
     (CodeSegment, ("kind", "nodes", "span"), (SegmentKind.LL, [], (1, 2))),
     (SegmentOverride, ("start", "end", "kind"), (1, 2, SegmentKind.CL)),
     (FlowReport, ("backward_jumps", "unstructured_exits", "orderly"), (1, 2, False)),
@@ -143,7 +143,7 @@ def test_records_survive_pickle_and_deepcopy(cls, names, values):
 def test_defaults():
     weights = WeightTable()
     assert (weights.weights, weights.exception_multiplier_enabled) == (DEFAULT_WEIGHTS, True)
-    assert ConditionBlock([], (1, 1)).from_switch is False
+    assert ConditionBlock([], 1, 1).from_switch is False
     qr = QualityAttributes()
     assert qr.as_tuple() == (1, 1, 1, 1, 1)
     config = Config()
@@ -228,13 +228,12 @@ def test_frozen_records_refuse_assignment(cls):
 def test_equality_tells_record_types_apart():
     assert TotalSeconds(Fraction(2)) != PerSegmentAverage(Fraction(2))
     assert TotalSeconds(Fraction(2)) == TotalSeconds(Fraction(2))
-    span = (1, 2)
-    assert ExceptionBlock(1, [], span) != FunctionDef(1, [], span)
-    assert LoopBlock(1, [], span) != ExceptionBlock(1, [], span)
+    assert ExceptionBlock(1, [], 1, 2) != FunctionDef(1, [], 1, 2)
+    assert LoopBlock(1, [], 1, 2) != ExceptionBlock(1, [], 1, 2)
     statement = Statement(StatementKind.RETURN, 1, 2)
     assert statement == Statement(StatementKind.RETURN, 1, 2)
     assert statement != (StatementKind.RETURN, 1, 2)
-    assert [LoopBlock(1, [statement], span)] != [ExceptionBlock(1, [statement], span)]
+    assert [LoopBlock(1, [statement], 1, 2)] != [ExceptionBlock(1, [statement], 1, 2)]
 
 
 def test_frozen_records_hash_by_value_and_block_nodes_do_not_hash():

@@ -96,7 +96,7 @@ def test_concatenation_merges_boundary_runs_of_same_group():
 def test_a_tree_holding_a_non_node_is_refused(where):
     (statement,) = parse_source("x = 1;\n")
     nodes = [statement, object(), statement]
-    tree = nodes if where == "top" else [FunctionDef("f", nodes, (1, 1))]
+    tree = nodes if where == "top" else [FunctionDef("f", nodes, 1, 1)]
     with pytest.raises(TypeError, match="not a block node"):
         segment(tree)
 

@@ -192,6 +192,16 @@ def test_a_token_stream_holds_at_most_40_bytes_per_token():
     assert held / len(stream) <= 40
 
 
+@pytest.mark.parametrize("last_line, itemsize", [(65_535, 2), (65_536, 4)])
+def test_lines_take_two_bytes_while_the_last_line_fits(last_line, itemsize):
+    # Blank lines after the last token do not count.
+    stream = tokenize("x = 1;\n" * (last_line - 1) + "y = 2;\n\n\n")
+    assert stream.lines.itemsize == itemsize
+    assert stream[-1] == Token(TokenKind.PUNCTUATION, ";", last_line)
+    assert list(stream.lines[:5]) == [1, 1, 1, 1, 2]
+    assert tokenize("").lines.itemsize == 2
+
+
 def test_tokenizing_holds_no_string_or_comment_text():
     # About 1 MB, nearly all of it in strings and comments, which a stream
     # that kept every text would hold whole.
