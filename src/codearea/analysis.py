@@ -172,7 +172,7 @@ def _read(file: BinaryIO) -> str:
     freeing an input-sized block would make glibc serve the token columns from
     a holey heap.  A decode error gives its position in the whole input."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    newlines = io.IncrementalNewlineDecoder(decoder, translate=True)
+    newlines = io.IncrementalNewlineDecoder(decoder, True)  # True: translate \r\n and \r to \n
     pieces, offset = [], 0  # offset: the bytes read before the current piece
     try:
         for piece in iter(lambda: file.read(1 << 16), b""):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import enum
+import gc
 import inspect
 import json
 import sys
@@ -298,7 +299,17 @@ def test_the_input_text_is_freed_before_it_is_parsed(tmp_path, monkeypatch):
     parse, alive = analysis.parse_tokens, []
 
     def parse_once_no_read_block_lives(tokens, **kwargs):
-        alive.extend(tracemalloc.take_snapshot().filter_traces(by_reading).traces)
+        # A freed tuple, list or dict may wait on its type's free list, where tracemalloc
+        # still counts it; a full collection empties the free lists, and DEBUG_SAVEALL
+        # keeps what it finds unreachable, so a text held only by a cycle still shows.
+        flags, saved = gc.get_debug(), len(gc.garbage)
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            alive.extend(tracemalloc.take_snapshot().filter_traces(by_reading).traces)
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[saved:]
         tracemalloc.stop()
         return parse(tokens, **kwargs)
 
