@@ -153,8 +153,8 @@ def _read_input(path: str, sidecar_path: str | None) -> tuple[str, str | None]:
     is *sidecar_path* when given, else ``<path>.segments`` if that file
     exists."""
     if path == STDIN_PATH:
-        if sys.stdin is None:
-            raise OSError("standard input is closed")
+        if not hasattr(sys.stdin, "buffer"):
+            raise OSError(f"standard input {'is closed' if sys.stdin is None else 'has no buffer'}")
         text = _read(sys.stdin.buffer)
     else:
         with open(path, "rb") as file:

@@ -16,12 +16,14 @@ the ``{`` of ``switch`` they open the first case.  Comments after an
 including any before its ``(``, and in a ``case`` label are skipped.
 
 The parser also records what flow analysis reads, so no later stage
-walks the tree for it.  A statement ``name :`` is a label, and the first
-label of a name is the one that counts; ``goto`` records its target when
-an identifier follows it directly, else ``None``.  A ``continue`` exits
-the innermost loop.  A ``break`` exits the innermost loop or ``switch``,
-and a ``switch`` absorbs it, so it counts as no loop's exit.  A function
-body starts with no loop around it.
+walks the tree for it.  An identifier followed by ``:`` is a label, an
+``expression`` statement of its own that an unbraced body may start
+with, as with a comment; the first label of a name is the one that
+counts.  ``goto`` records its target when an identifier follows it
+directly, else ``None``.  A ``continue`` exits the innermost loop.  A
+``break`` exits the innermost loop or ``switch``, and a ``switch``
+absorbs it, so it counts as no loop's exit.  A function body starts
+with no loop around it.
 
 A :class:`TokenStream` keeps its tokens as parallel columns: kind codes,
 texts (equal words or numbers share one string) and lines, two bytes
@@ -37,7 +39,8 @@ before ``(``.  So ``parse_tokens(tokenize(text))`` gives every
 statement's kind and every loop's count.  Block nodes are slotted
 classes and hold no tokens, so ``analysis.analyze_source`` drops the
 stream once it is parsed.  Each keeps its first and last lines, not a
-span pair, which its ``span`` property builds.
+span pair, which its ``span`` property builds; a one-line statement keeps
+one int for both.
 
 Loop iteration counts are resolved statically where possible.  A comment
 whose trimmed text is ``@iters N`` overrides the count of the loop written
@@ -352,15 +355,19 @@ Span = tuple[int, int]  # inclusive 1-based line range
 
 
 class _Node(Record):
-    __slots__ = ()  # a block node keeps its first and last lines, not a span pair
+    __slots__ = ()  # a block node keeps its lines in slots, and ``span`` builds the pair
     span = property(lambda self: (self.first, self.last), doc="``(first, last)``")
 
 
 class Statement(_Node):
-    __slots__ = _fields = ("kind", "first", "last")
+    # Two slots, so a statement takes a 48-byte block: ``_lines`` is the one
+    # int of a one-line statement, else the pair ``(first, last)``.
+    __slots__, _fields = ("kind", "_lines"), ("kind", "first", "last")
+    first = property(lambda self: self._lines[0] if type(self._lines) is tuple else self._lines)
+    last = property(lambda self: self._lines[1] if type(self._lines) is tuple else self._lines)
 
     def __init__(self, kind: StatementKind, first: int, last: int):
-        self.kind, self.first, self.last = kind, first, last
+        self.kind, self._lines = kind, first if first == last else (first, last)
 
 
 class ConditionBlock(_Node):
@@ -595,8 +602,9 @@ class _Parser:
         ]
         return nodes
 
-    def parse_construct(self, out: list[BlockNode]) -> None:
-        """Parse one construct and append its nodes, if any, to *out*."""
+    def parse_construct(self, out: list[BlockNode]) -> bool | None:
+        """Parse one construct and append its nodes, if any, to *out*;
+        return True for a comment or a label, which a body may start with."""
         i = self.i
         kind, text, line = self.kinds[i], self.texts[i], self.lines[i]
         # Every nested construct passes through here, so this bounds the
@@ -609,7 +617,7 @@ class _Parser:
             self.i = i + 1
             if i not in self.pragmas:
                 out.append(Statement(StatementKind.COMMENT, line, line))
-            return
+            return True
         if kind == _PREPROCESSOR:
             self.i = i + 1
             out.append(Statement(StatementKind.HEADER_INCLUDE, line, line))
@@ -619,6 +627,11 @@ class _Parser:
             return
         if text in _LATER_PARTS:
             raise MalformedHeaderError(f"unexpected '{text}'", line)
+        if kind == _IDENTIFIER and i + 1 < self.n and self.texts[i + 1] == ":":
+            self.i = i + 2
+            self.flow.labels.setdefault(text, line)
+            out.append(Statement(StatementKind.EXPRESSION, line, self.lines[i + 1]))
+            return True
         self.depth += 1
         if text == "{":
             self.i = i + 1
@@ -642,9 +655,9 @@ class _Parser:
             self.parse_construct(out)
 
     def parse_body(self, context_line: int, out: list[BlockNode]) -> int:
-        """Any comments, then a braced block, a lone ``;`` or a single
-        construct, parsed into *out*; return the body's last line."""
-        kinds, texts = self.kinds, self.texts
+        """Any comments and labels, then a braced block, a lone ``;`` or a
+        single construct, parsed into *out*; return the body's last line."""
+        texts = self.texts
         while True:
             i = self.i
             if i >= self.n:
@@ -659,8 +672,7 @@ class _Parser:
             if text == ";":
                 self.i = i + 1
                 return self.lines[i]
-            self.parse_construct(out)
-            if kinds[i] != _COMMENT:
+            if not self.parse_construct(out):
                 return out[-1].last
 
     def parse_statement_or_function(self, out: list[BlockNode]) -> None:
@@ -688,7 +700,7 @@ class _Parser:
     def _function_name(self, start: int, end: int) -> str | None:
         kinds, texts = self.kinds, self.texts
         prefix = [j for j in range(start, end) if kinds[j] != _COMMENT]
-        if len(prefix) < 3 or texts[prefix[-1]] != ")":
+        if texts[prefix[-1]] != ")":
             return None
         depth = 0
         for k in range(len(prefix) - 1, 0, -1):
@@ -706,9 +718,7 @@ class _Parser:
         head = texts[start]
         after = start + 1 if end - start > 1 else None
         flow = self.flow
-        if kinds[start] == _IDENTIFIER and after is not None and texts[after] == ":":
-            flow.labels.setdefault(head, line)
-        elif head == "goto":
+        if head == "goto":
             target = texts[after] if after is not None and kinds[after] == _IDENTIFIER else None
             flow.gotos.append((target, line))
         elif head == "break":
@@ -716,9 +726,7 @@ class _Parser:
                 flow.loop_exits[self.absorber] += 1
         elif head == "continue" and self.loop is not None:
             flow.loop_exits[self.loop] += 1
-        last = self.lines[end - 1]
-        # A one-line statement holds one int object for both lines.
-        return Statement(kind, line, line if last == line else last)
+        return Statement(kind, line, self.lines[end - 1])
 
     def parse_if(self, out: list[BlockNode]) -> None:
         # One branch per pass: ``tok`` is the ``if`` or ``else`` before it.

@@ -119,6 +119,12 @@ class _Parser:
             self._lapse_pragma()
         return self.toks[j]
 
+    def _at_label(self) -> bool:
+        """Whether the next tokens are an identifier and ``:``, a label."""
+        toks, i = self.toks, self.i
+        return (toks[i].kind is TokenKind.IDENTIFIER and i + 1 < len(toks)
+                and toks[i + 1].text == ":")
+
     def _header_comment(self, tok: Token) -> None:
         """A pragma in a header lapses, since no loop can follow it there,
         after the pending one before it."""
@@ -183,6 +189,11 @@ class _Parser:
                 self._next()
                 out.append(Statement(StatementKind.HEADER_INCLUDE, tok.line, tok.line))
                 return
+            if self._at_label():
+                self._next()
+                self.flow.labels.setdefault(tok.text, tok.line)
+                out.append(Statement(StatementKind.EXPRESSION, tok.line, self._next().line))
+                return
             if tok.kind is TokenKind.KEYWORD:
                 if tok.text == "if":
                     return self.parse_if(out)
@@ -228,8 +239,9 @@ class _Parser:
                 self._lapse_pragma()  # an empty body holds no loop
                 self._next()
                 return tok.line
+            label = self._at_label()
             self.parse_construct(out)
-            if tok.kind is not TokenKind.COMMENT:
+            if tok.kind is not TokenKind.COMMENT and not label:  # labels lead a body as comments do
                 return out[-1].span[1]
 
     def parse_statement_or_function(self, out: list[BlockNode]) -> None:
@@ -293,12 +305,10 @@ class _Parser:
     def _make_statement(self, tokens: list[Token]) -> Statement:
         """Classify a statement and record its jump, if it is one."""
         # A statement never starts with a comment, so these texts are keywords.
-        head_kind, head, line, _ = tokens[0]
+        _, head, line, _ = tokens[0]
         next_kind, next_text = tokens[1][:2] if len(tokens) > 1 else (None, None)
         flow = self.flow
-        if head_kind is TokenKind.IDENTIFIER and next_text == ":":
-            flow.labels.setdefault(head, line)
-        elif head == "goto":
+        if head == "goto":
             flow.gotos.append((next_text if next_kind is TokenKind.IDENTIFIER else None, line))
         elif head == "break":
             if self.absorber is not None:

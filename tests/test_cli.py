@@ -137,6 +137,13 @@ def test_stdin_input(monkeypatch, capsys):
     assert "file impact: 0.80" in out
 
 
+def test_a_stdin_without_a_buffer_is_that_inputs_io_error(monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("x = 1;\n"))
+    stdin, other = analysis.iter_analyze(["-", str(CORPUS_FILES[2])], Config())
+    assert (stdin.path, stdin.error) == ("<stdin>", "Io: standard input has no buffer")
+    assert other.error is None
+
+
 def test_explicit_segments_flag(tmp_path, capsys):
     source = tmp_path / "one.c"
     source.write_text("x = 1;\ny = 2;\nz = probe(x) + probe(y);\n", encoding="utf-8")

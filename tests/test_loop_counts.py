@@ -56,6 +56,8 @@ def test_literal_bounds(text, expected):
         "i = 0; i < a[8]; i++",       # a bracketed bound
         "i = 0; i < (8); i++",        # a parenthesized bound
         "i = 0]; i < 8; i++",         # an unmatched bracket
+        "i |= 0; i < 8; i++",         # a compound assignment, not an init
+        "i == 0; i < 8; i++",         # a comparison, not an init
         "busy",                        # while-style header
         "",
     ],

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from codearea import (
     CountProvenance,
     ExceptionBlock,
     FunctionDef,
+    IterationCount,
     LoopBlock,
     MalformedHeaderError,
     NestingTooDeepError,
@@ -300,7 +302,7 @@ def test_nesting_past_the_limit_is_a_source_error(shape):
 @pytest.mark.parametrize(
     "source,jump",
     [
-        pytest.param("again: x = 1;", ("label", "again"), id="label"),
+        pytest.param("again: ;", ("label", "again"), id="label"),
         pytest.param("goto x;", ("goto", "x"), id="goto"),
         pytest.param("goto /* c */ x;", ("goto", None), id="goto_past_a_comment"),
         pytest.param("break;", ("break", None), id="break"),
@@ -322,6 +324,54 @@ def test_statement_records_its_jump(source, jump):
         [(name, 2)] if what == "goto" else [],
         [1 if what in ("break", "continue") else 0],
     )
+
+
+LOOP = ("LoopBlock", ["function_call"])
+# Each labelled source, its shape and its labels.  The construct after a
+# label parses alone; an unbraced body may start with labels.
+LABELLED = [
+    pytest.param("L: while (d) y();", ["expression", LOOP], {"L": 1}, id="loop"),
+    pytest.param("retry: for (i = 0; i < 3; i++) { x(); }", ["expression", LOOP], {"retry": 1},
+                 id="for"),
+    pytest.param("L: do { x(); } while (c);", ["expression", LOOP], {"L": 1}, id="do"),
+    pytest.param("L: if (a) x(); else y();",
+                 ["expression", ("if", [["function_call"], ["function_call"]])], {"L": 1},
+                 id="if_else"),
+    pytest.param("void f() {\nL: if (a) x();\nelse y();\n}",
+                 [("FunctionDef", ["expression", ("if", [["function_call"], ["function_call"]])])],
+                 {"L": 2}, id="in_a_function"),
+    pytest.param("L: switch (a) { case 1: x(); }", ["expression", ("if", [["function_call"]])],
+                 {"L": 1}, id="switch"),
+    pytest.param("L: try { x(); } catch (e) { y(); }",
+                 ["expression", ("ExceptionBlock", ["function_call", "function_call"])], {"L": 1},
+                 id="try"),
+    pytest.param("a ? b : c;", ["simple_assignment"], {}, id="conditional"),
+    pytest.param("if (a) L: M: x(); else y();",
+                 [("if", [["expression", "expression", "function_call"], ["function_call"]])],
+                 {"L": 1, "M": 1}, id="in_a_body"),
+    pytest.param("do L: x(); while (c);", [("LoopBlock", ["expression", "function_call"])],
+                 {"L": 1}, id="in_a_do_body"),
+    pytest.param("switch (a) { case 1: L: x(); default: y(); }",
+                 [("if", [["expression", "function_call"], ["function_call"]])], {"L": 1},
+                 id="after_a_case"),
+    pytest.param("{ x(); L: } L: ;", ["function_call", "expression", "expression"], {"L": 1},
+                 id="at_a_block_end"),
+    pytest.param("class C {\npublic:\n  int a;\n};", ["expression", "expression", "declaration"],
+                 {"public": 2}, id="access_specifier"),
+    pytest.param("T : 3;", ["expression", "expression"], {"T": 1}, id="bit_field"),
+]
+
+
+@pytest.mark.parametrize("source,shape,labels", LABELLED)
+def test_a_label_is_a_statement_of_its_own(source, shape, labels):
+    parsed = parse_tokens(tokenize(source))
+    assert (_shape(parsed.tree), parsed.flow.labels) == (shape, labels)
+
+
+def test_a_labelled_loop_keeps_its_count():
+    parsed = parse_tokens(tokenize("retry:\nfor (i = 0; i < 3; i++) { x(); }"))
+    assert parsed.loops == [(2, IterationCount(3, CountProvenance.LITERAL_BOUND))]
+    assert [node.span for node in parsed.tree] == [(1, 1), (2, 2)]
 
 
 def _shape(nodes):
@@ -469,6 +519,14 @@ def test_a_one_line_statement_holds_its_line_once():
     assert tree[0].first is tree[0].last
 
 
+def test_a_one_line_statement_takes_the_size_of_a_two_slot_object():
+    class TwoSlots:
+        __slots__ = ("a", "b")
+
+    (statement,) = parse_source("x = 1;")
+    assert sys.getsizeof(statement) == sys.getsizeof(TwoSlots())
+
+
 def test_parsing_peaks_under_240_bytes_per_statement():
     # Single-line statements (six tokens) and comment lines, well past the
     # cached small ints.  A statement whose span was a tuple of two ints,
@@ -491,7 +549,8 @@ def test_parsing_peaks_under_240_bytes_per_statement():
 
 
 def test_no_block_node_holds_a_tuple():
-    # Each node keeps its lines in two slots; ``span`` builds the pair on demand.
+    # Each node keeps its lines in slots, a one-line statement (every one here)
+    # in one; ``span`` builds the pair on demand.
     # A loop's count is an ``IterationCount``, which ``loops`` shares.
     (file,) = bench_workloads().generate("deep_logic", 11, scale=0.05).files
     stack, seen = list(parse_source(file.text)), set()

@@ -30,6 +30,7 @@ import reference_parser
 import reference_tokenizer
 from conftest import CORPUS, bench_workloads
 from test_fuzz import SOUP
+from test_parser import LABELLED
 
 
 def outcome(parse, tokens, **options):
@@ -165,6 +166,12 @@ def token_runs(draw, skeletons, inserts, leaders=()) -> str:
 @settings(max_examples=1500, deadline=None)
 def test_parser_matches_reference_on_token_runs(source, options):
     assert_same_parse(source, **options)
+
+
+@pytest.mark.parametrize("source", [row.values[0] for row in LABELLED],
+                         ids=[row.id for row in LABELLED])
+def test_parser_matches_reference_on_labels(source):
+    assert_same_parse(source)
 
 
 # Statements where a scan that also tracks bracket depth and finds where
